@@ -8,11 +8,8 @@ class separation measures, classification) plus a command line interface.
 
 from .linalg import (
     SingularPivotError,
-    block,
     indicator_matrix,
     kron,
-    reverse_sweep,
-    structure_matrix,
     sweep,
     unvec,
     vec,
@@ -74,11 +71,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SingularPivotError",
-    "block",
     "indicator_matrix",
     "kron",
-    "reverse_sweep",
-    "structure_matrix",
     "sweep",
     "unvec",
     "vec",

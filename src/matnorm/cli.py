@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--q", required=True, type=_positive_int, help="columns per observation")
     fit.add_argument("--tol", type=float, default=1e-8, help="relative log-likelihood tolerance")
     fit.add_argument("--max-iters", type=_positive_int, default=500, help="iteration cap")
-    fit.add_argument("--seed", type=int, default=None, help="accepted for interface symmetry; fits are deterministic")
     fit.add_argument("--verbose", action="store_true", help="per-iteration summary lines on stderr")
     fit.add_argument("--output", required=True, help="parameter JSON path")
     fit.set_defaults(func=cmd_fit)

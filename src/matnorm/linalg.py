@@ -105,19 +105,6 @@ def _sweep_pivot(a: np.ndarray, k: int) -> None:
     a[k, k] = -1.0 / d
 
 
-def _reverse_sweep_pivot(a: np.ndarray, k: int) -> None:
-    """Undo one classical sweep pivot in place."""
-    d = a[k, k]
-    if abs(d) < _PIVOT_TOL:
-        raise SingularPivotError(k)
-    col = a[:, k].copy()
-    row = a[k, :].copy()
-    a -= np.outer(col, row) / d
-    a[:, k] = -col / d
-    a[k, :] = -row / d
-    a[k, k] = -1.0 / d
-
-
 def sweep(a: np.ndarray, pivots: "list[int] | np.ndarray") -> np.ndarray:
     """Sweep a symmetric matrix on the given pivot positions.
 
@@ -143,44 +130,36 @@ def sweep(a: np.ndarray, pivots: "list[int] | np.ndarray") -> np.ndarray:
     return b
 
 
-def reverse_sweep(a: np.ndarray, pivots: "list[int] | np.ndarray") -> np.ndarray:
-    """Invert :func:`sweep` on the given pivot positions."""
-    piv = np.asarray(pivots, dtype=int)
-    b = np.array(a, dtype=float, copy=True)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"reverse_sweep expects a square matrix, got shape {b.shape}")
-    b[np.ix_(piv, piv)] *= -1.0
-    for k in piv[::-1]:
-        _reverse_sweep_pivot(b, int(k))
-    return b
+def _swept_panel_batch(
+    omega: np.ndarray, pivots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pivot columns of the classically swept matrix, one pivot set per member.
 
-
-def _swept_panel(a: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, float]:
-    """Columns of the classically swept matrix at the pivot positions.
-
-    Sweeping touches a full n x n matrix, but when only the pivot columns are
-    needed the updates close over those columns alone.  Returns the n x m
-    panel ``B[:, pivots]`` in classical sign convention (pivot rows hold
-    ``-inv(A[Z, Z])``) together with ``log det A[Z, Z]``, accumulated from
-    the pivot values, which are the successive Schur complement diagonals.
+    Sweeping touches a full d x d matrix, but when only the pivot columns are
+    needed the updates close over those columns alone.  ``pivots`` has shape
+    (B, m); returns the (B, d, m) panels ``sweep(omega, pivots[b])[:, pivots[b]]``
+    in classical sign convention (pivot rows hold ``-inv(omega[Z, Z])``)
+    together with the per-member ``log det omega[Z, Z]``, accumulated from the
+    pivot values, which are the successive Schur complement diagonals.
     """
-    n = a.shape[0]
-    m = pivots.size
-    panel = np.array(a[:, pivots], dtype=float, copy=True)
-    logdet = 0.0
+    b, m = pivots.shape
+    arange_b = np.arange(b)
+    panel = omega[:, pivots].transpose(1, 0, 2).copy()
+    logdet = np.zeros(b)
     for t in range(m):
-        k = int(pivots[t])
-        d = panel[k, t]
-        if d < _PIVOT_TOL:
-            raise SingularPivotError(k)
+        k = pivots[:, t]
+        d = panel[arange_b, k, t]
+        if np.any(d < _PIVOT_TOL):
+            bad = int(np.argmin(d))
+            raise SingularPivotError(int(k[bad]))
         logdet += np.log(d)
-        col = panel[:, t].copy()
-        row = panel[k, :].copy()
-        panel -= np.outer(col, row) / d
-        panel[:, t] = col / d
-        panel[k, :] = row / d
-        panel[k, t] = -1.0 / d
-    return panel, float(logdet)
+        col = panel[:, :, t].copy()
+        row = panel[arange_b, k, :].copy()
+        panel -= col[:, :, None] * row[:, None, :] / d[:, None, None]
+        panel[:, :, t] = col / d[:, None]
+        panel[arange_b, k, :] = row / d[:, None]
+        panel[arange_b, k, t] = -1.0 / d
+    return panel, logdet
 
 
 def indicator_matrix(indices: np.ndarray, width: int) -> np.ndarray:
@@ -200,15 +179,3 @@ def indicator_matrix(indices: np.ndarray, width: int) -> np.ndarray:
     e[np.arange(idx.size), idx] = 1.0
     return e
 
-
-def structure_matrix(k: int, l: int, n: int) -> np.ndarray:
-    """Symmetric basis matrix: ones at (k, l) and (l, k), zero elsewhere."""
-    s = np.zeros((n, n))
-    s[k, l] = 1.0
-    s[l, k] = 1.0
-    return s
-
-
-def block(a: np.ndarray, k: int, l: int, p: int) -> np.ndarray:
-    """The (k, l) block of a matrix partitioned into p x p blocks."""
-    return a[k * p : (k + 1) * p, l * p : (l + 1) * p]

@@ -10,15 +10,18 @@ Three fitters cover the usual quality/cost trade:
   block by sweeping the pivots of the scale free precision
   ``kron(inv(col_cov), inv(row_cov))``, which yields the conditional mean,
   the conditional covariance, and the observed likelihood term in one pass.
-  The M-step reuses the complete data closed forms on the completions plus
-  a conditional covariance correction scattered through the index masks.
+  The M-step is the complete data update of :mod:`matnorm.mle` on the
+  completions, plus each conditional covariance paired with the other
+  factor's precision at the missing coordinates and scatter-added onto the
+  factor grids.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
   Kronecker assumption.  The flexible but slow baseline.
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
-than a Python loop over the data set.
+than a Python loop over the data set.  All three run the iteration loop of
+:func:`matnorm.mle._iterate`.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import (
-    SingularPivotError,
-    _swept_panel,
+    _swept_panel_batch,
     ensure_spd,
     indicator_matrix,
     kron,
@@ -49,9 +51,10 @@ from .mle import (
     FitResult,
     SingularUpdateError,
     _initial_params,
-    _normalized_spd_update,
+    _iterate,
     _observed_cell_means,
     _param_change,
+    _pooled_m_step,
     _rel_change,
     fit_mle,
 )
@@ -59,8 +62,10 @@ from .model import DataError, MatrixNormalParams, ObservationSet
 
 logger = logging.getLogger(__name__)
 
-_PIVOT_TOL = 1e-12
-_SCALE_FLOOR = 1e-300
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(eq=False)
@@ -79,61 +84,57 @@ class _PatternGroup:
 class MissingPattern:
     """Index bookkeeping for the missing entries of an observation set.
 
-    For observation i, ``miss[i]`` holds the ascending positions of the
-    missing entries within the column-stacked vector; ``rows[i]`` and
-    ``cols[i]`` are the matching row and column coordinates (position =
-    col * p + row).  ``row_masks[i]`` and ``col_masks[i]`` are the 0/1
-    selector matrices built from those coordinates, used to scatter
-    conditional covariance mass back onto the covariance factor grids.
+    The fitters read only ``_groups``, one :class:`_PatternGroup` per
+    missing entry count present, and ``_complete_ids``, the observations
+    with nothing missing.  The per observation views are read-only and
+    built from the groups when read: ``miss[i]`` holds the ascending
+    positions of observation i's missing entries within the column-stacked
+    vector; ``rows[i]`` and ``cols[i]`` are the matching row and column
+    coordinates (position = col * p + row); ``observed[i]`` holds the other
+    positions; ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector
+    matrices built from the coordinates.
     """
 
     p: int
     q: int
-    miss: list
-    rows: list
-    cols: list
-    observed: list
-    row_masks: list = field(default=None)
-    col_masks: list = field(default=None)
-    _complete_ids: np.ndarray = field(default=None, repr=False)
-    _groups: list = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.row_masks is None:
-            self.row_masks = [indicator_matrix(r, self.p) for r in self.rows]
-        if self.col_masks is None:
-            self.col_masks = [indicator_matrix(c, self.q) for c in self.cols]
-        sizes = np.array([m.size for m in self.miss])
-        if self._complete_ids is None:
-            self._complete_ids = np.flatnonzero(sizes == 0)
-        if self._groups is None:
-            self._groups = []
-            pq = self.p * self.q
-            for m in sorted(set(sizes[sizes > 0].tolist())):
-                ids = np.flatnonzero(sizes == m)
-                miss = np.stack([self.miss[i] for i in ids])
-                grid = np.arange(pq)
-                observed = np.stack(
-                    [np.setdiff1d(grid, self.miss[i], assume_unique=True) for i in ids]
-                )
-                self._groups.append(
-                    _PatternGroup(
-                        m=int(m),
-                        obs_ids=ids,
-                        miss=miss,
-                        rows=miss % self.p,
-                        cols=miss // self.p,
-                        observed=observed,
-                    )
-                )
-
-    @property
-    def n_obs(self) -> int:
-        return len(self.miss)
+    n_obs: int
+    _complete_ids: np.ndarray
+    _groups: list
 
     @property
     def any_missing(self) -> bool:
-        return any(m.size for m in self.miss)
+        return bool(self._groups)
+
+    def _by_obs(self, name: str, blank: np.ndarray) -> tuple:
+        out = [blank] * self.n_obs
+        for g in self._groups:
+            for i, entry in zip(g.obs_ids, getattr(g, name)):
+                out[i] = entry
+        return tuple(out)
+
+    @property
+    def miss(self) -> tuple:
+        return self._by_obs("miss", _frozen(np.zeros(0, dtype=int)))
+
+    @property
+    def rows(self) -> tuple:
+        return self._by_obs("rows", _frozen(np.zeros(0, dtype=int)))
+
+    @property
+    def cols(self) -> tuple:
+        return self._by_obs("cols", _frozen(np.zeros(0, dtype=int)))
+
+    @property
+    def observed(self) -> tuple:
+        return self._by_obs("observed", _frozen(np.arange(self.p * self.q)))
+
+    @property
+    def row_masks(self) -> tuple:
+        return tuple(indicator_matrix(r, self.p) for r in self.rows)
+
+    @property
+    def col_masks(self) -> tuple:
+        return tuple(indicator_matrix(c, self.q) for c in self.cols)
 
 
 @dataclass(eq=False)
@@ -151,23 +152,29 @@ class ConditionalMoments:
 
 
 def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
-    """Index the missing entries of every observation."""
+    """Group the observations by missing entry count and index their holes."""
     values = data.values if isinstance(data, ObservationSet) else np.asarray(data, float)
     if values.ndim != 3:
         raise ValueError(f"expected (n, p, q) values, got shape {values.shape}")
     n, p, q = values.shape
-    miss, rows, cols, observed = [], [], [], []
-    grid = np.arange(p * q)
-    for i in range(n):
-        nan_vec = np.isnan(values[i].ravel(order="F"))
-        m = np.flatnonzero(nan_vec)
-        if m.size == p * q:
-            raise DataError(f"observation {i} has no observed entries")
-        miss.append(m)
-        rows.append(m % p)
-        cols.append(m // p)
-        observed.append(np.setdiff1d(grid, m, assume_unique=True))
-    return MissingPattern(p=p, q=q, miss=miss, rows=rows, cols=cols, observed=observed)
+    pq = p * q
+    holes = np.isnan(values).transpose(0, 2, 1).reshape(n, pq)
+    counts = holes.sum(axis=1)
+    blank = np.flatnonzero(counts == pq)
+    if blank.size:
+        raise DataError(f"observation {int(blank[0])} has no observed entries")
+    groups = []
+    for m in np.unique(counts[counts > 0]):
+        ids = np.flatnonzero(counts == m)
+        miss = np.nonzero(holes[ids])[1].reshape(ids.size, m)
+        observed = np.nonzero(~holes[ids])[1].reshape(ids.size, pq - m)
+        groups.append(
+            _PatternGroup(
+                int(m),
+                *(_frozen(a) for a in (ids, miss, miss % p, miss // p, observed)),
+            )
+        )
+    return MissingPattern(p, q, n, _frozen(np.flatnonzero(counts == 0)), groups)
 
 
 def conditional_moments(
@@ -208,7 +215,8 @@ def conditional_moments(
     row_prec, _ = spd_inverse(params.row_cov)
     col_prec, _ = spd_inverse(params.col_cov)
     omega = kron(col_prec, row_prec)
-    panel, _ = _swept_panel(omega, miss)
+    panels, _ = _swept_panel_batch(omega, miss[None])
+    panel = panels[0]
     free = -panel[miss, :]
     free = (free + free.T) / 2.0
     mean_vec = vec(params.mean)
@@ -283,72 +291,6 @@ def _e_step(
     return completions, free_by_group, loglik
 
 
-def _swept_panel_batch(
-    omega: np.ndarray, pivots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched form of the panel sweep: one pivot set per batch member.
-
-    ``pivots`` has shape (B, m); returns the (B, d, m) panels and the
-    per-member log determinants of the pivoted blocks.
-    """
-    b, m = pivots.shape
-    arange_b = np.arange(b)
-    panel = omega[:, pivots].transpose(1, 0, 2).copy()
-    logdet = np.zeros(b)
-    for t in range(m):
-        k = pivots[:, t]
-        d = panel[arange_b, k, t]
-        if np.any(d < _PIVOT_TOL):
-            bad = int(np.argmin(d))
-            raise SingularPivotError(int(k[bad]))
-        logdet += np.log(d)
-        col = panel[:, :, t].copy()
-        row = panel[arange_b, k, :].copy()
-        panel -= col[:, :, None] * row[:, None, :] / d[:, None, None]
-        panel[:, :, t] = col / d[:, None]
-        panel[arange_b, k, :] = row / d[:, None]
-        panel[arange_b, k, t] = -1.0 / d
-    return panel, logdet
-
-
-def _col_accumulator(
-    pattern: MissingPattern,
-    resid: np.ndarray,
-    row_prec: np.ndarray,
-    free_by_group: list,
-    scale_old: float,
-) -> np.ndarray:
-    """Expected column-side scatter: completed products plus conditional mass.
-
-    The conditional covariance of each missing block, paired entrywise with
-    the row precision values at the missing rows, scatters onto the column
-    grid at the missing column coordinates.  Repeated column indices must
-    accumulate, hence the unbuffered scatter-add.
-    """
-    acc = np.einsum("nij,ik,nkl->jl", resid, row_prec, resid)
-    for g, free in zip(pattern._groups, free_by_group):
-        sub = row_prec[g.rows[:, :, None], g.rows[:, None, :]]
-        contrib = (scale_old * free) * sub
-        np.add.at(acc, (g.cols[:, :, None], g.cols[:, None, :]), contrib)
-    return (acc + acc.T) / 2.0
-
-
-def _row_accumulator(
-    pattern: MissingPattern,
-    resid: np.ndarray,
-    col_prec: np.ndarray,
-    free_by_group: list,
-    scale_old: float,
-) -> np.ndarray:
-    """Row-side counterpart of :func:`_col_accumulator`."""
-    acc = np.einsum("nij,jk,nlk->il", resid, col_prec, resid)
-    for g, free in zip(pattern._groups, free_by_group):
-        sub = col_prec[g.cols[:, :, None], g.cols[:, None, :]]
-        contrib = (scale_old * free) * sub
-        np.add.at(acc, (g.rows[:, :, None], g.rows[:, None, :]), contrib)
-    return (acc + acc.T) / 2.0
-
-
 def _m_step(
     pattern: MissingPattern,
     completions: np.ndarray,
@@ -358,37 +300,14 @@ def _m_step(
 ) -> MatrixNormalParams:
     """Closed form parameter update from the E-step moments.
 
-    Each covariance factor update pairs the conditional covariance of the
-    missing entries with the other factor's precision values at the paired
-    coordinates, scattered onto this factor's grid through the index masks;
-    the completed residual scatter supplies the rest.  Updating the column
-    factor first and reusing it fresh in the row factor update makes every
-    sub-step a coordinate maximizer of the expected complete log
-    likelihood, so the observed likelihood cannot decrease.  The scale
-    estimate is the unnormalized row update's top-left entry, which is the
-    maximizing scale at the freshly normalized factors.
+    The one-class call of :func:`~matnorm.mle._pooled_m_step`: the column
+    factor is updated first and reused fresh in the row factor update, so
+    every sub-step is a coordinate maximizer of the expected complete log
+    likelihood and the observed likelihood cannot decrease.
     """
-    n, p, q = completions.shape
-    mean_new = completions.mean(axis=0)
-    resid = completions - mean_new
-    row_prec_old, _ = spd_inverse(old.row_cov)
-
-    col_raw = _col_accumulator(pattern, resid, row_prec_old, free_by_group, old.scale)
-    col_raw = col_raw / (p * n)
-    col_new, _ = _normalized_spd_update(col_raw, jitter, "column covariance")
-
-    col_prec_new, _ = spd_inverse(col_new)
-    row_raw = _row_accumulator(pattern, resid, col_prec_new, free_by_group, old.scale)
-    row_raw = row_raw / (q * n)
-    row_new, jittered = _normalized_spd_update(row_raw, jitter, "row covariance")
-    if jittered:
-        row_prec_new, _ = spd_inverse(row_new)
-        scale = float(np.sum(row_prec_new * row_raw)) / p
-    else:
-        scale = float(row_raw[0, 0])
-    if not scale > _SCALE_FLOOR:
-        raise SingularUpdateError("variance scale collapsed to zero")
-    return MatrixNormalParams(mean_new, row_new, col_new, scale)
+    return _pooled_m_step(
+        [pattern._groups], [completions], [free_by_group], [old], jitter
+    )[0]
 
 
 def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
@@ -398,11 +317,14 @@ def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
     missing.  The trace records the observed log likelihood at the initial
     parameters and after each update; it is non-decreasing up to roundoff.
     """
+    start = time.perf_counter()
     cfg = config or FitConfig()
     values = data.values
     pattern = detect_pattern(data)
     if not pattern.any_missing:
-        return fit_mle(data, cfg)
+        result = fit_mle(data, cfg)
+        result.wall_time = time.perf_counter() - start
+        return result
     n, p, q = values.shape
     if n < 2:
         raise EstimationError(f"at least 2 observations required, got {n}")
@@ -412,30 +334,17 @@ def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
             "estimate may not be unique without more than max(p, q) observations",
             stacklevel=2,
         )
-    start = time.perf_counter()
-    params = _initial_params(values)
-    completions, free_by_group, loglik = _e_step(values, pattern, params)
-    trace = [loglik]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        new_params = _m_step(pattern, completions, free_by_group, params, cfg.jitter)
-        completions, free_by_group, loglik = _e_step(values, pattern, new_params)
-        delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
-        step = _param_change(new_params, params)
-        trace.append(loglik)
-        params = new_params
-        logger.debug("em iteration %d: observed loglik %.10g", iterations, loglik)
-        if delta < cfg.tol or step < cfg.inner_tol:
-            converged = True
-            break
-    return FitResult(
-        params=params,
-        loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
+
+    def e_step(params):
+        return _e_step(values, pattern, params)
+
+    def m_step(params, moments):
+        return _m_step(pattern, moments[0], moments[1], params, cfg.jitter)
+
+    _, _, result = _iterate(
+        e_step, m_step, _param_change, _initial_params(values), cfg, start
     )
+    return result
 
 
 def fit_mm(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
@@ -447,13 +356,15 @@ def fit_mm(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
     fill followed by the complete data fit realizes the whole iteration.
     The trace is the complete data log likelihood of the filled set.
     """
+    start = time.perf_counter()
     cfg = config or FitConfig()
     values = data.values
-    if not np.isnan(values).any():
-        return fit_mle(data, cfg)
-    cell_means = _observed_cell_means(values)
-    filled = np.where(np.isnan(values), cell_means, values)
-    return fit_mle(ObservationSet(filled), cfg)
+    if np.isnan(values).any():
+        cell_means = _observed_cell_means(values)
+        data = ObservationSet(np.where(np.isnan(values), cell_means, values))
+    result = fit_mle(data, cfg)
+    result.wall_time = time.perf_counter() - start
+    return result
 
 
 @dataclass(eq=False)
@@ -557,6 +468,7 @@ def fit_gem(
     together with fit metadata whose ``params`` field is None, since the
     output is not a matrix normal parameter set.
     """
+    start = time.perf_counter()
     cfg = config or FitConfig()
     values = data.values
     pattern = detect_pattern(data)
@@ -570,7 +482,6 @@ def fit_gem(
             "estimate may be singular without more than p*q observations",
             stacklevel=2,
         )
-    start = time.perf_counter()
     vdata = values.transpose(0, 2, 1).reshape(n, d)
     mean = vec(_observed_cell_means(values))
     with warnings.catch_warnings():
@@ -578,11 +489,11 @@ def fit_gem(
         sq_dev = float(np.nanmean((vdata - mean) ** 2))
     cov = (sq_dev if sq_dev > 0 else 1.0) * np.eye(d)
 
-    completions, extra, loglik = _gem_e_step(vdata, pattern, mean, cov)
-    trace = [loglik]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    def e_step(params):
+        return _gem_e_step(vdata, pattern, *params)
+
+    def m_step(params, moments):
+        completions, extra, _ = moments
         mean_new = completions.mean(axis=0)
         resid = completions - mean_new
         cov_new = (resid.T @ resid + extra) / n
@@ -598,20 +509,10 @@ def fit_gem(
                 raise SingularUpdateError(
                     "covariance update is singular even after jitter"
                 )
-        step = max(_rel_change(mean_new, mean), _rel_change(cov_new, cov))
-        mean, cov = mean_new, cov_new
-        completions, extra, loglik = _gem_e_step(vdata, pattern, mean, cov)
-        delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
-        trace.append(loglik)
-        logger.debug("gem iteration %d: observed loglik %.10g", iterations, loglik)
-        if delta < cfg.tol or step < cfg.inner_tol:
-            converged = True
-            break
-    result = FitResult(
-        params=None,
-        loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
-    )
+        return mean_new, cov_new
+
+    def change(new, old):
+        return max(_rel_change(new[0], old[0]), _rel_change(new[1], old[1]))
+
+    (mean, cov), _, result = _iterate(e_step, m_step, change, (mean, cov), cfg, start)
     return UnstructuredParams(p=p, q=q, mean=mean, cov=cov), result

@@ -5,6 +5,11 @@ have no closed form jointly: each is the closed form maximizer given the
 other, so the fit alternates the two updates, renormalizes the top-left
 entries to 1, and re-derives the variance scale, until the log likelihood
 stops moving.
+
+The missing-data and class fits share this machinery: ``_iterate`` is the
+one iteration loop (trace, convergence test, timing, fit record), and
+``_pooled_m_step`` the one closed form update, which adds the conditional
+covariance terms of missing entries and pools the row factor over classes.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import logging
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,35 +134,140 @@ def _normalized_spd_update(
     return mat, jittered
 
 
-def _complete_data_pass(
-    resid: np.ndarray, row_cov: np.ndarray, jitter: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One alternating covariance pass over complete residuals.
+def _col_accumulator(
+    groups: list,
+    resid: np.ndarray,
+    row_prec: np.ndarray,
+    free_by_group: list,
+    scale_old: float,
+) -> np.ndarray:
+    """Expected column-side scatter: completed products plus conditional mass.
 
-    Updates the column factor from the current row factor, then the row
-    factor from the fresh column factor, normalizing each; the variance
-    scale falls out of the unnormalized row update, whose top-left entry is
-    exactly the scale that re-maximizes the likelihood at the normalized
-    factors.  Returns (row_cov, col_cov, scale).
+    The conditional covariance of each missing block, paired entrywise with
+    the row precision values at the missing rows, scatters onto the column
+    grid at the missing column coordinates.  Repeated column indices must
+    accumulate, hence the unbuffered scatter-add.  ``groups`` and
+    ``free_by_group`` are empty for complete data.
     """
-    n, p, q = resid.shape
-    row_prec, _ = spd_inverse(row_cov)
-    col_raw = np.einsum("nij,ik,nkl->jl", resid, row_prec, resid) / (p * n)
-    col_raw = (col_raw + col_raw.T) / 2.0
-    col_new, _ = _normalized_spd_update(col_raw, jitter, "column covariance")
+    acc = np.einsum("nij,ik,nkl->jl", resid, row_prec, resid)
+    for g, free in zip(groups, free_by_group):
+        sub = row_prec[g.rows[:, :, None], g.rows[:, None, :]]
+        contrib = (scale_old * free) * sub
+        np.add.at(acc, (g.cols[:, :, None], g.cols[:, None, :]), contrib)
+    return (acc + acc.T) / 2.0
 
-    col_prec, _ = spd_inverse(col_new)
-    row_raw = np.einsum("nij,jk,nlk->il", resid, col_prec, resid) / (q * n)
-    row_raw = (row_raw + row_raw.T) / 2.0
+
+def _row_accumulator(
+    groups: list,
+    resid: np.ndarray,
+    col_prec: np.ndarray,
+    free_by_group: list,
+    scale_old: float,
+) -> np.ndarray:
+    """Row-side counterpart of :func:`_col_accumulator`."""
+    acc = np.einsum("nij,jk,nlk->il", resid, col_prec, resid)
+    for g, free in zip(groups, free_by_group):
+        sub = col_prec[g.cols[:, :, None], g.cols[:, None, :]]
+        contrib = (scale_old * free) * sub
+        np.add.at(acc, (g.rows[:, :, None], g.rows[:, None, :]), contrib)
+    return (acc + acc.T) / 2.0
+
+
+def _pooled_m_step(
+    groups: list,
+    completions: list,
+    frees: list,
+    old: list,
+    jitter: float,
+) -> list:
+    """Closed form update of K classes that share one row factor.
+
+    Every argument holds one entry per class: the missing-pattern groups,
+    the conditional completions, the per-group scale free conditional
+    covariances (both empty for complete data), and the current parameters.
+    Each class gets its mean and its column factor with a provisional scale,
+    the joint maximizer of the expected complete log likelihood at the old
+    row factor; the row factor then pools every class's row-side scatter,
+    weighted by that class's scale.  Each sub-step is a conditional
+    maximizer (ECM), so the observed likelihood cannot decrease.
+    Renormalizing the pooled factor moves a constant into every class
+    scale, which leaves the class covariances unchanged.  With one class
+    this is the Kronecker EM update, and with complete data the flip-flop.
+    """
+    p, q = completions[0].shape[1:]
+    n_total = sum(comp.shape[0] for comp in completions)
+    row_prec_old, _ = spd_inverse(old[0].row_cov)
+
+    pooled = np.zeros((p, p))
+    blocks = []
+    for grp, comp, free, prm in zip(groups, completions, frees, old):
+        mean_new = comp.mean(axis=0)
+        resid = comp - mean_new
+        col_raw = _col_accumulator(grp, resid, row_prec_old, free, prm.scale)
+        col_raw = col_raw / (p * comp.shape[0])
+        col_new, jittered = _normalized_spd_update(col_raw, jitter, "column covariance")
+        col_prec_new, _ = spd_inverse(col_new)
+        if jittered:
+            scale_mid = float(np.sum(col_prec_new * col_raw)) / q
+        else:
+            scale_mid = float(col_raw[0, 0])
+        if not scale_mid > _SCALE_FLOOR:
+            raise SingularUpdateError("variance scale collapsed to zero")
+        pooled += _row_accumulator(grp, resid, col_prec_new, free, prm.scale) / scale_mid
+        blocks.append((mean_new, col_new, scale_mid))
+
+    row_raw = pooled / (q * n_total)
     row_new, jittered = _normalized_spd_update(row_raw, jitter, "row covariance")
     if jittered:
         row_prec_new, _ = spd_inverse(row_new)
-        scale = float(np.sum(row_prec_new * row_raw)) / p
+        kappa = float(np.sum(row_prec_new * row_raw)) / p
     else:
-        scale = float(row_raw[0, 0])
-    if not scale > _SCALE_FLOOR:
-        raise SingularUpdateError("variance scale collapsed to zero")
-    return row_new, col_new, scale
+        kappa = float(row_raw[0, 0])
+    if not kappa > _SCALE_FLOOR:
+        raise SingularUpdateError("row covariance update collapsed to zero")
+    # The same row_new object goes into every class.
+    return [
+        MatrixNormalParams(mean, row_new, col, kappa * scale_mid)
+        for mean, col, scale_mid in blocks
+    ]
+
+
+def _iterate(e_step, m_step, change, params, cfg: FitConfig, start: float):
+    """Alternate E- and M-steps from ``params`` until the objective settles.
+
+    ``e_step(params)`` returns a tuple of the moments the M-step needs whose
+    last entry is the objective at ``params``; ``m_step(params, moments)``
+    returns the updated parameters and ``change(new, old)`` the relative
+    size of that update.  The loop stops once the relative objective change
+    falls below ``cfg.tol`` or the parameter change below ``cfg.inner_tol``.
+    ``start`` is the caller's entry time, so ``wall_time`` covers the whole
+    call.  Returns the final parameters, the moments at them, and the fit
+    record, whose ``params`` is set when they are a matrix normal set.
+    """
+    moments = e_step(params)
+    trace = [moments[-1]]
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        new_params = m_step(params, moments)
+        moments = e_step(new_params)
+        loglik = moments[-1]
+        delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
+        step = change(new_params, params)
+        trace.append(loglik)
+        params = new_params
+        logger.debug("iteration %d: loglik %.10g", iterations, loglik)
+        if delta < cfg.tol or step < cfg.inner_tol:
+            converged = True
+            break
+    result = FitResult(
+        params=params if isinstance(params, MatrixNormalParams) else None,
+        loglik_trace=np.asarray(trace),
+        iterations=iterations,
+        wall_time=time.perf_counter() - start,
+        converged=converged,
+    )
+    return params, moments, result
 
 
 def _observed_cell_means(values: np.ndarray) -> np.ndarray:
@@ -195,6 +305,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
     present.  With fewer observations than max(p, q) the alternating
     updates may not have a unique optimum; the fit proceeds but warns.
     """
+    start = time.perf_counter()
     cfg = config or FitConfig()
     values = data.values
     if np.isnan(values).any():
@@ -213,31 +324,16 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
             stacklevel=2,
         )
 
-    start = time.perf_counter()
-    params = _initial_params(values)
-    resid = values - params.mean
-    trace = [full_log_likelihood(data, params)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        row_new, col_new, scale = _complete_data_pass(resid, params.row_cov, cfg.jitter)
-        new_params = MatrixNormalParams(params.mean, row_new, col_new, scale)
-        loglik = full_log_likelihood(data, new_params)
-        delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
-        step = _param_change(new_params, params)
-        trace.append(loglik)
-        params = new_params
-        logger.debug("pass %d: loglik %.10g", iterations, loglik)
-        if delta < cfg.tol or step < cfg.inner_tol:
-            converged = True
-            break
-    return FitResult(
-        params=params,
-        loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
+    def e_step(params):
+        return (full_log_likelihood(data, params),)
+
+    def m_step(params, moments):
+        return _pooled_m_step([()], [values], [()], [params], cfg.jitter)[0]
+
+    _, _, result = _iterate(
+        e_step, m_step, _param_change, _initial_params(values), cfg, start
     )
+    return result
 
 
 def stationarity_residual(data: ObservationSet, params: MatrixNormalParams) -> float:

@@ -107,12 +107,14 @@ class ObservationSet:
 
     Every observation must retain at least one observed entry; a fully
     blank observation carries no information and would break conditioning.
+    Infinite entries are rejected.  The values are stored C-contiguous, so
+    a set fits the same, bit for bit, whatever the layout it was built from.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.ascontiguousarray(self.values, dtype=float)
         if self.values.ndim != 3:
             raise ValueError(
                 f"values must have shape (n, p, q), got {self.values.shape}"
@@ -120,6 +122,12 @@ class ObservationSet:
         n, p, q = self.values.shape
         if n < 1 or p < 1 or q < 1:
             raise ValueError(f"values must be non-empty, got shape {self.values.shape}")
+        if np.isinf(self.values).any():
+            i, r, c = (int(v) for v in np.argwhere(np.isinf(self.values))[0])
+            raise DataError(
+                f"infinite entry at observation {i}, row {r}, column {c}; "
+                "mark missing entries with NaN"
+            )
         all_missing = np.isnan(self.values).all(axis=(1, 2))
         if all_missing.any():
             i = int(np.flatnonzero(all_missing)[0])

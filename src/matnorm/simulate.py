@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -270,10 +269,8 @@ def run_grid(cfg: SimConfig, progress=None) -> SimReport:
     """Execute the whole grid, never aborting on individual fit failures.
 
     ``progress`` may be a callable taking one status string per finished
-    cell.  Timing runs cap fit parallelism via MATNORM_THREADS; the fits
-    here are sequential, and the cap is pinned to 1 unless already set.
+    cell.
     """
-    os.environ.setdefault("MATNORM_THREADS", "1")
     rows = []
     for p, q in cfg.dims:
         for n in cfg.sample_sizes:

@@ -11,7 +11,6 @@ resulting distance matrix, and a maximum likelihood classifier.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 import warnings
@@ -24,22 +23,13 @@ from .linalg import spd_cholesky, spd_inverse
 from .mle import (
     EstimationError,
     FitConfig,
-    SingularUpdateError,
-    _normalized_spd_update,
+    _iterate,
     _observed_cell_means,
     _param_change,
+    _pooled_m_step,
 )
-from .missing import (
-    _col_accumulator,
-    _e_step,
-    _row_accumulator,
-    detect_pattern,
-)
+from .missing import _e_step, detect_pattern
 from .model import DataError, MatrixNormalParams, ObservationSet, log_density
-
-logger = logging.getLogger(__name__)
-
-_SCALE_FLOOR = 1e-300
 
 
 @dataclass(eq=False)
@@ -133,6 +123,7 @@ def fit_class_models(
     With ``method="mm"`` missing entries are instead fixed at their class
     cell means up front and the same loop runs on complete data.
     """
+    start = time.perf_counter()
     cfg = config or FitConfig()
     method = method.lower()
     if method not in ("mm", "em"):
@@ -152,7 +143,6 @@ def fit_class_models(
         class_values.append(vals)
     patterns = [detect_pattern(v) for v in class_values]
 
-    start = time.perf_counter()
     row_cov = np.eye(p)
     class_params = []
     for vals in class_values:
@@ -164,7 +154,7 @@ def fit_class_models(
             MatrixNormalParams(mean, row_cov, np.eye(q), sq_dev if sq_dev > 0 else 1.0)
         )
 
-    def run_e_steps(params_list):
+    def e_step(params_list):
         completions, frees, total = [], [], 0.0
         for vals, pattern, params in zip(class_values, patterns, params_list):
             comp, free, ll = _e_step(vals, pattern, params)
@@ -173,26 +163,16 @@ def fit_class_models(
             total += ll
         return completions, frees, total
 
-    completions, frees, loglik = run_e_steps(class_params)
-    trace = [loglik]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
-        new_params = _class_m_step(
-            class_values, patterns, completions, frees, class_params, cfg.jitter
-        )
-        completions, frees, loglik = run_e_steps(new_params)
-        delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
-        step = max(
-            _param_change(new, old) for new, old in zip(new_params, class_params)
-        )
-        trace.append(loglik)
-        class_params = new_params
-        logger.debug("class fit iteration %d: loglik %.10g", iterations, loglik)
-        if delta < cfg.tol or step < cfg.inner_tol:
-            converged = True
-            break
+    def m_step(params_list, moments):
+        groups = [pattern._groups for pattern in patterns]
+        return _pooled_m_step(groups, moments[0], moments[1], params_list, cfg.jitter)
 
+    def change(new, old):
+        return max(_param_change(a, b) for a, b in zip(new, old))
+
+    class_params, (completions, _, _), result = _iterate(
+        e_step, m_step, change, class_params, cfg, start
+    )
     merged = np.empty_like(data.values)
     for ids, comp in zip(class_ids, completions):
         merged[ids] = comp
@@ -201,72 +181,11 @@ def fit_class_models(
         completions=merged,
         labels=data.labels.copy(),
         method=method,
-        loglik_trace=np.asarray(trace),
-        iterations=iterations,
-        wall_time=time.perf_counter() - start,
-        converged=converged,
+        loglik_trace=result.loglik_trace,
+        iterations=result.iterations,
+        wall_time=result.wall_time,
+        converged=result.converged,
     )
-
-
-def _class_m_step(
-    class_values: list,
-    patterns: list,
-    completions: list,
-    frees: list,
-    old_params: list,
-    jitter: float,
-) -> list:
-    """One blockwise update of all class parameters and the pooled row factor."""
-    p = completions[0].shape[1]
-    q = completions[0].shape[2]
-    n_total = sum(comp.shape[0] for comp in completions)
-    row_prec_old, _ = spd_inverse(old_params[0].row_cov)
-
-    means, resids, cols, col_precs, scales_mid = [], [], [], [], []
-    for pattern, comp, free, old in zip(patterns, completions, frees, old_params):
-        n_c = comp.shape[0]
-        mean_new = comp.mean(axis=0)
-        resid = comp - mean_new
-        col_raw = _col_accumulator(pattern, resid, row_prec_old, free, old.scale)
-        col_raw = col_raw / (p * n_c)
-        col_new, jittered = _normalized_spd_update(col_raw, jitter, "column covariance")
-        col_prec_new, _ = spd_inverse(col_new)
-        if jittered:
-            scale_mid = float(np.sum(col_prec_new * col_raw)) / q
-        else:
-            scale_mid = float(col_raw[0, 0])
-        if not scale_mid > _SCALE_FLOOR:
-            raise SingularUpdateError("class variance scale collapsed to zero")
-        means.append(mean_new)
-        resids.append(resid)
-        cols.append(col_new)
-        col_precs.append(col_prec_new)
-        scales_mid.append(scale_mid)
-
-    pooled = np.zeros((p, p))
-    for pattern, resid, col_prec, free, old, scale_mid in zip(
-        patterns, resids, col_precs, frees, old_params, scales_mid
-    ):
-        pooled += (
-            _row_accumulator(pattern, resid, col_prec, free, old.scale) / scale_mid
-        )
-    row_raw = pooled / (q * n_total)
-    row_new, jittered = _normalized_spd_update(row_raw, jitter, "row covariance")
-    if jittered:
-        row_prec_new, _ = spd_inverse(row_new)
-        kappa = float(np.sum(row_prec_new * row_raw)) / p
-    else:
-        kappa = float(row_raw[0, 0])
-    if not kappa > _SCALE_FLOOR:
-        raise SingularUpdateError("row covariance update collapsed to zero")
-
-    # The same row_new object goes into every class, and the normalization
-    # constant moves into the class scales so the fitted covariances are
-    # unchanged by it.
-    return [
-        MatrixNormalParams(mean, row_new, col, kappa * scale_mid)
-        for mean, col, scale_mid in zip(means, cols, scales_mid)
-    ]
 
 
 @dataclass(eq=False)

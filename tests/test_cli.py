@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from matnorm.cli import main
-from matnorm.io import atomic_write_text, load_params, save_dataset
+from matnorm.io import atomic_write_text, load_dataset, load_params, save_dataset
 from matnorm.missing import UnstructuredParams
 from matnorm.model import MatrixNormalParams, sample
+from matnorm.simulate import random_params
+from matnorm.spectral import LabeledObservationSet, fit_class_models
 
 
 def shape_matrix(rng, n):
@@ -319,6 +321,33 @@ class TestAnalyze:
         assert self.run_analyze(workdir, second) == 0
         for name in EXPECTED_REPORTS:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_csv_fit_matches_in_memory_fit_bit_for_bit(self, tmp_path):
+        # load_dataset hands back a transposed view of the parsed rows; the
+        # fit must see the same C-ordered values, and so run its sums in the
+        # same order, as an in-memory caller (this draw differs otherwise)
+        rng = np.random.default_rng(27)
+        truth = random_params(3, 4, rng)
+        values = np.concatenate(
+            [sample(truth, 20, rng).values, sample(truth, 20, rng).values + 1]
+        )
+        mask = rng.random(values.shape) < 0.1
+        mask[:, 0, 0] = False
+        values[mask] = np.nan
+        labels = np.repeat([1, 2], 20)
+        path = str(tmp_path / "labeled.csv")
+        save_dataset(path, values, labels)
+        outdir = tmp_path / "report"
+        code = main(
+            ["analyze", "--input", path, "--method", "em", "--pcs", "2",
+             "--outdir", str(outdir)]
+        )
+        assert code == 0
+        loaded, _ = load_dataset(path)
+        assert LabeledObservationSet(loaded, labels).values.flags.c_contiguous
+        model = fit_class_models(LabeledObservationSet(values, labels), "em")
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["loglik"] == float(model.loglik_trace[-1])
 
     def test_unlabeled_input_rejected(self, workdir, tmp_path, capsys):
         code = main(

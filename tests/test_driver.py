@@ -1,0 +1,70 @@
+"""The iteration contract every fitter shares, and what its clock covers."""
+
+import time
+
+import numpy as np
+import pytest
+
+from matnorm import missing, spectral
+from matnorm.missing import fit_em, fit_gem, fit_mm
+from matnorm.mle import FitConfig, fit_mle
+from matnorm.model import ObservationSet, sample
+from matnorm.simulate import inject_missing, random_params
+from matnorm.spectral import LabeledObservationSet, fit_class_models
+
+CLEAN = sample(random_params(3, 4, 31), 60, 32).values
+MASKED = inject_missing(ObservationSet(CLEAN), 0.15, 33).values
+LABELS = np.repeat([1, 2], 30)
+
+# Each entry fits with a given config and returns the record that carries
+# the trace: a FitResult, or the ClassModel for the class fit.
+FITS = {
+    "fit_mle": lambda cfg: fit_mle(ObservationSet(CLEAN), cfg),
+    "fit_mm": lambda cfg: fit_mm(ObservationSet(MASKED), cfg),
+    "fit_em": lambda cfg: fit_em(ObservationSet(MASKED), cfg),
+    "fit_gem": lambda cfg: fit_gem(ObservationSet(MASKED), cfg)[1],
+    "fit_class_models": lambda cfg: fit_class_models(
+        LabeledObservationSet(MASKED, LABELS), "em", cfg
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_trace_iterations_and_convergence_contract(name):
+    full = FITS[name](FitConfig())
+    trace = full.loglik_trace
+    assert full.converged
+    assert full.iterations == len(trace) - 1
+    slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
+    assert np.all(np.diff(trace) >= -slack)
+
+    one = FITS[name](FitConfig(max_iters=1))
+    assert not one.converged
+    assert one.iterations == 1
+    assert len(one.loglik_trace) == 2
+    np.testing.assert_array_equal(one.loglik_trace, trace[:2])
+
+
+@pytest.mark.parametrize(
+    "name, binding",
+    [
+        ("fit_em", "detect_pattern"),
+        ("fit_gem", "detect_pattern"),
+        ("fit_class_models", "detect_pattern"),
+        ("fit_mm", "_observed_cell_means"),
+    ],
+)
+def test_wall_time_covers_the_whole_call(monkeypatch, name, binding):
+    # a slow step before the iterations must show in the reported time
+    def slowed(fn):
+        def wrapper(*args, **kwargs):
+            time.sleep(0.05)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (missing, spectral):
+        if hasattr(module, binding):
+            monkeypatch.setattr(module, binding, slowed(getattr(module, binding)))
+    result = FITS[name](FitConfig(max_iters=2))
+    assert result.wall_time >= 0.05

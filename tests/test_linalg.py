@@ -3,16 +3,13 @@ import pytest
 
 from matnorm.linalg import (
     SingularPivotError,
-    _swept_panel,
-    block,
+    _swept_panel_batch,
     ensure_spd,
     indicator_matrix,
     kron,
-    reverse_sweep,
     spd_cholesky,
     spd_inverse,
     spd_logdet,
-    structure_matrix,
     sweep,
     unvec,
     vec,
@@ -174,17 +171,6 @@ def test_sweep_order_invariant():
         np.testing.assert_allclose(sweep(a, perm), forward, atol=1e-10)
 
 
-def test_reverse_sweep_round_trip():
-    rng = np.random.default_rng(8)
-    for _ in range(30):
-        n = int(rng.integers(2, 8))
-        a = random_spd(rng, n)
-        m = int(rng.integers(1, n + 1))
-        pivots = rng.choice(n, size=m, replace=False)
-        back = reverse_sweep(sweep(a, pivots), pivots)
-        np.testing.assert_allclose(back, a, atol=1e-9)
-
-
 def test_sweep_singular_pivot_raises():
     a = np.zeros((3, 3))
     a[0, 0] = 1.0
@@ -207,19 +193,24 @@ def test_swept_panel_matches_full_sweep_columns():
         n = int(rng.integers(2, 9))
         a = random_spd(rng, n)
         m = int(rng.integers(1, n + 1))
-        pivots = np.sort(rng.choice(n, size=m, replace=False))
-        panel, logdet = _swept_panel(a, pivots)
-        full = sweep(a, pivots)
-        # panel keeps the classical sign: pivot rows hold -inv(A[Z, Z])
-        full[np.ix_(pivots, pivots)] *= -1.0
-        np.testing.assert_allclose(panel, full[:, pivots], atol=1e-9)
-        assert abs(logdet - spd_logdet(a[np.ix_(pivots, pivots)])) < 1e-9
+        pivots = np.stack(
+            [np.sort(rng.choice(n, size=m, replace=False)) for _ in range(3)]
+        )
+        panels, logdets = _swept_panel_batch(a, pivots)
+        assert panels.shape == (3, n, m)
+        for piv, panel, logdet in zip(pivots, panels, logdets):
+            full = sweep(a, piv)
+            # panel keeps the classical sign: pivot rows hold -inv(A[Z, Z])
+            full[np.ix_(piv, piv)] *= -1.0
+            np.testing.assert_allclose(panel, full[:, piv], atol=1e-9)
+            assert abs(logdet - spd_logdet(a[np.ix_(piv, piv)])) < 1e-9
 
 
 def test_swept_panel_rejects_nonpositive_pivot():
     a = np.diag([1.0, -2.0, 3.0])
-    with pytest.raises(SingularPivotError):
-        _swept_panel(a, np.array([1]))
+    with pytest.raises(SingularPivotError) as info:
+        _swept_panel_batch(a, np.array([[0], [1]]))
+    assert info.value.pivot == 1
 
 
 def test_indicator_matrix_selects_entries():
@@ -241,18 +232,3 @@ def test_indicator_matrix_scatter_accumulates_duplicates():
     e = indicator_matrix(np.array([1, 1]), 3)
     s = e.T @ np.ones((2, 2)) @ e
     assert s[1, 1] == 4.0
-
-
-def test_structure_matrix():
-    s = structure_matrix(0, 2, 3)
-    expected = np.zeros((3, 3))
-    expected[0, 2] = expected[2, 0] = 1.0
-    np.testing.assert_array_equal(s, expected)
-    np.testing.assert_array_equal(structure_matrix(1, 1, 2), np.diag([0.0, 1.0]))
-
-
-def test_block_partition():
-    a = np.arange(36.0).reshape(6, 6)
-    np.testing.assert_array_equal(block(a, 0, 0, 3), a[:3, :3])
-    np.testing.assert_array_equal(block(a, 1, 0, 3), a[3:, :3])
-    np.testing.assert_array_equal(block(a, 0, 1, 2), a[0:2, 2:4])

@@ -2,20 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matnorm.linalg import kron, vec
 from matnorm.mle import (
     EstimationError,
     FitConfig,
+    _col_accumulator,
     _observed_cell_means,
+    _row_accumulator,
     fit_mle,
 )
 from matnorm.missing import (
     ConditionalMoments,
-    _col_accumulator,
     _e_step,
     _gem_conditional,
-    _row_accumulator,
     conditional_moments,
     detect_pattern,
     fit_em,
@@ -219,6 +221,64 @@ class TestEStep:
         assert abs(ll_fwd - ll_rev) < 1e-9
 
 
+def _adversarial_values(kind, p, q, rng):
+    """A small set whose holes stress the grouping and the conditioning."""
+    pq = p * q
+    params = random_params(rng, p, q)
+    if kind == "one_observed_entry":
+        counts = [pq - 1] * 4
+    elif kind == "one_per_group":
+        # distinct missing counts, so every group holds one observation
+        counts = rng.permutation(pq)[: min(pq, 5)]
+    else:  # "cell_never_observed"
+        counts = rng.integers(1, pq, size=5)
+    values = sample(params, len(counts), rng).values
+    cell = int(rng.integers(pq))
+    for i, m in enumerate(counts):
+        if kind == "cell_never_observed":
+            others = rng.choice(np.delete(np.arange(pq), cell), m - 1, replace=False)
+            holes = np.append(others, cell)
+        else:
+            holes = rng.choice(pq, m, replace=False)
+        values[i, holes % p, holes // p] = np.nan
+    return values
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["one_observed_entry", "one_per_group", "cell_never_observed"]),
+    p=st.integers(1, 4),
+    q=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_e_step_matches_references_on_adversarial_patterns(kind, p, q, seed):
+    rng = np.random.default_rng(seed)
+    values = _adversarial_values(kind, p, q, rng)
+    at = random_params(rng, p, q)
+    pattern = detect_pattern(values)
+    completions, free_by_group, loglik = _e_step(values, pattern, at)
+
+    ref = observed_log_likelihood(ObservationSet(values), at)
+    assert abs(loglik - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    cov = at.full_covariance()
+    seen = []
+    for g, free in zip(pattern._groups, free_by_group):
+        for b, i in enumerate(g.obs_ids):
+            x_vec = vec(values[i])
+            miss = np.flatnonzero(np.isnan(x_vec))
+            np.testing.assert_array_equal(pattern.miss[i], miss)
+            np.testing.assert_array_equal(g.miss[b], miss)
+            ref_mean, ref_cov = mvn_condition(x_vec, vec(at.mean), cov, miss)
+            np.testing.assert_allclose(vec(completions[i])[miss], ref_mean, atol=1e-8)
+            np.testing.assert_allclose(at.scale * free[b], ref_cov, atol=1e-8)
+            seen.append(int(i))
+    complete = np.flatnonzero(~np.isnan(values).any(axis=(1, 2)))
+    np.testing.assert_array_equal(pattern._complete_ids, complete)
+    assert sorted(seen + complete.tolist()) == list(range(values.shape[0]))
+    np.testing.assert_array_equal(completions[complete], values[complete])
+
+
 def test_scatter_accumulators_match_mask_identity():
     # the scattered conditional mass must equal the explicit masked form
     # E_col.T @ (cond_cov * (E_row @ row_prec @ E_row.T)) @ E_col summed over
@@ -235,8 +295,9 @@ def test_scatter_accumulators_match_mask_identity():
         row_prec = np.linalg.inv(params.row_cov)
         col_prec = np.linalg.inv(params.col_cov)
 
-        col_got = _col_accumulator(pattern, resid, row_prec, free_by_group, params.scale)
-        row_got = _row_accumulator(pattern, resid, col_prec, free_by_group, params.scale)
+        groups = pattern._groups
+        col_got = _col_accumulator(groups, resid, row_prec, free_by_group, params.scale)
+        row_got = _row_accumulator(groups, resid, col_prec, free_by_group, params.scale)
 
         col_ref = np.zeros((q, q))
         row_ref = np.zeros((p, p))

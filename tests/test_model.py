@@ -95,6 +95,13 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet(np.zeros((2, 2)))
 
+    def test_rejects_infinite_entry_with_location(self):
+        for bad in (np.inf, -np.inf):
+            values = np.zeros((3, 2, 4))
+            values[2, 1, 3] = bad
+            with pytest.raises(DataError, match="observation 2, row 1, column 3"):
+                ObservationSet(values)
+
 
 class TestDensity:
     def test_matches_stacked_multivariate_normal(self):
