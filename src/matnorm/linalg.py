@@ -130,36 +130,63 @@ def sweep(a: np.ndarray, pivots: "list[int] | np.ndarray") -> np.ndarray:
     return b
 
 
-def _swept_panel_batch(
-    omega: np.ndarray, pivots: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot columns of the classically swept matrix, one pivot set per member.
+def _condition_gathered(
+    row_prec: np.ndarray,
+    col_prec: np.ndarray,
+    resid: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Condition the holes of stacked residual matrices on their observed entries.
 
-    Sweeping touches a full d x d matrix, but when only the pivot columns are
-    needed the updates close over those columns alone.  ``pivots`` has shape
-    (B, m); returns the (B, d, m) panels ``sweep(omega, pivots[b])[:, pivots[b]]``
-    in classical sign convention (pivot rows hold ``-inv(omega[Z, Z])``)
-    together with the per-member ``log det omega[Z, Z]``, accumulated from the
-    pivot values, which are the successive Schur complement diagonals.
+    The scale free precision of a column-stacked residual is
+    ``kron(col_prec, row_prec)``; it is never formed.  Member b has holes at
+    ``(rows[b], cols[b])``, ordered by stacked position ``col * p + row``.
+    Its missing block ``Omega_mm[a, c] = col_prec[cols[a], cols[c]] *
+    row_prec[rows[a], rows[c]]`` is gathered from the two factors, and
+    ``h = Omega_mo @ r_o`` is read off ``row_prec @ R0 @ col_prec`` at the
+    holes, where R0 is the residual with zeros there (the values ``resid``
+    holds at the holes are ignored).  This yields what sweeping the holes
+    out of the precision would.  One batched Cholesky ``Omega_mm = L L.T``
+    gives the sweep's pivot values, ``diag(L)**2``, and with them ``log det
+    Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the scale free
+    conditional covariance, and ``-free @ h`` the conditional mean shift.
+
+    Returns the (B, m) shifts, the (B, m, m) free blocks and the (B,) log
+    determinants.  Raises :class:`SingularPivotError` naming the stacked
+    position of the first pivot below 1e-12 in sweep order.
     """
-    b, m = pivots.shape
-    arange_b = np.arange(b)
-    panel = omega[:, pivots].transpose(1, 0, 2).copy()
-    logdet = np.zeros(b)
-    for t in range(m):
-        k = pivots[:, t]
-        d = panel[arange_b, k, t]
-        if np.any(d < _PIVOT_TOL):
-            bad = int(np.argmin(d))
-            raise SingularPivotError(int(k[bad]))
-        logdet += np.log(d)
-        col = panel[:, :, t].copy()
-        row = panel[arange_b, k, :].copy()
-        panel -= col[:, :, None] * row[:, None, :] / d[:, None, None]
-        panel[:, :, t] = col / d[:, None]
-        panel[arange_b, k, :] = row / d[:, None]
-        panel[arange_b, k, t] = -1.0 / d
-    return panel, logdet
+    p = row_prec.shape[0]
+    members = np.arange(rows.shape[0])[:, None]
+    block = (
+        col_prec[cols[:, :, None], cols[:, None, :]]
+        * row_prec[rows[:, :, None], rows[:, None, :]]
+    )
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(block), axis1=1, axis2=2) ** 2
+    except np.linalg.LinAlgError:
+        # Some block is not positive definite: eliminate step by step to get
+        # the pivots, the successive Schur complement diagonals.  Past a
+        # member's first bad pivot they are meaningless; only the first bad
+        # step is reported.
+        a = block.copy()
+        pivots = np.empty(rows.shape)
+        with np.errstate(all="ignore"):
+            for t in range(rows.shape[1]):
+                pivots[:, t] = a[:, t, t]
+                a -= a[:, :, t, None] * a[:, None, t, :] / pivots[:, t, None, None]
+    low = ~(pivots >= _PIVOT_TOL)
+    if low.any():
+        t = int(np.argmax(low.any(axis=0)))
+        b = int(np.argmax(low[:, t]))
+        raise SingularPivotError(int(cols[b, t]) * p + int(rows[b, t]))
+    free = np.linalg.inv(block)
+    free = (free + free.transpose(0, 2, 1)) / 2.0
+    zeroed = resid.copy()
+    zeroed[members, rows, cols] = 0.0
+    h = (row_prec @ zeroed @ col_prec)[members, rows, cols]
+    shift = -(free @ h[:, :, None])[:, :, 0]
+    return shift, free, np.log(pivots).sum(axis=1)
 
 
 def indicator_matrix(indices: np.ndarray, width: int) -> np.ndarray:

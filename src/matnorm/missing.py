@@ -7,9 +7,12 @@ Three fitters cover the usual quality/cost trade:
   cells sit exactly at the mean, so spread is understated.
 * :func:`fit_em` is expectation-maximization under the Kronecker structure.
   The E-step conditions each observation's missing block on its observed
-  block by sweeping the pivots of the scale free precision
-  ``kron(inv(col_cov), inv(row_cov))``, which yields the conditional mean,
-  the conditional covariance, and the observed likelihood term in one pass.
+  block under the scale free precision ``kron(inv(col_cov), inv(row_cov))``
+  without forming that pq x pq matrix: the missing block of the precision
+  is gathered entrywise from the two factor inverses, and its Cholesky
+  factor gives what sweeping those pivots would (the conditional mean, the
+  conditional covariance, and the observed likelihood term) at the cost of
+  an m x m factorization per observation with m missing entries.
   The M-step is the complete data update of :mod:`matnorm.mle` on the
   completions, plus each conditional covariance paired with the other
   factor's precision at the missing coordinates and scatter-added onto the
@@ -36,10 +39,9 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (
-    _swept_panel_batch,
+    _condition_gathered,
     ensure_spd,
     indicator_matrix,
-    kron,
     spd_cholesky,
     spd_inverse,
     unvec,
@@ -58,7 +60,7 @@ from .mle import (
     _rel_change,
     fit_mle,
 )
-from .model import DataError, MatrixNormalParams, ObservationSet
+from .model import DataError, MatrixNormalParams, ObservationSet, _quadratic_forms
 
 logger = logging.getLogger(__name__)
 
@@ -185,12 +187,13 @@ def conditional_moments(
     """Condition one observation's missing entries on its observed ones.
 
     ``miss`` lists positions into the column-stacked vector; by default it
-    is read off the NaN entries of ``x``.  Sweeping those pivots out of the
-    scale free precision ``kron(inv(col_cov), inv(row_cov))`` leaves the
-    inverse of its missing block (the scale free conditional covariance)
-    and the regression coefficients of missing on observed, which is the
-    textbook normal conditioning without ever forming the pq x pq
-    covariance inverse.
+    is read off the NaN entries of ``x``.  The missing block of the scale
+    free precision ``kron(inv(col_cov), inv(row_cov))`` is gathered from the
+    two factor inverses; its inverse is the scale free conditional
+    covariance, and the regression of missing on observed comes from the
+    residual weighted by both factor inverses, so neither the pq x pq
+    precision nor the pq x pq covariance is ever formed.  This is the
+    one-observation call of the kernel that :func:`fit_em` runs.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (params.p, params.q):
@@ -214,18 +217,13 @@ def conditional_moments(
 
     row_prec, _ = spd_inverse(params.row_cov)
     col_prec, _ = spd_inverse(params.col_cov)
-    omega = kron(col_prec, row_prec)
-    panels, _ = _swept_panel_batch(omega, miss[None])
-    panel = panels[0]
-    free = -panel[miss, :]
-    free = (free + free.T) / 2.0
-    mean_vec = vec(params.mean)
-    fill = mean_vec[miss] - panel[obs, :].T @ (x_vec[obs] - mean_vec[obs])
-    comp_vec = x_vec.copy()
-    comp_vec[miss] = fill
-    return ConditionalMoments(
-        unvec(comp_vec, params.p, params.q), params.scale * free
+    rows, cols = miss % params.p, miss // params.p
+    shift, free, _ = _condition_gathered(
+        row_prec, col_prec, (x - params.mean)[None], rows[None], cols[None]
     )
+    completion = x.copy()
+    completion[rows, cols] = params.mean[rows, cols] + shift[0]
+    return ConditionalMoments(completion, params.scale * free[0])
 
 
 def _e_step(
@@ -233,17 +231,20 @@ def _e_step(
 ) -> tuple[np.ndarray, list, float]:
     """Completions, per-group conditional covariances, observed log likelihood.
 
-    The likelihood of each observation's observed block falls out of the
-    sweep byproducts: the swept pivot values multiply to the determinant
-    correction between the full and marginal covariances, and the quadratic
-    form of the conditionally completed residual equals the marginal
-    quadratic form of the observed block.
+    Each missing-count group goes through one batched call of the gathered
+    conditioning kernel, which reads the missing precision block and its
+    coupling to the observed entries off the two factor inverses; the pq x
+    pq precision is never formed.  The likelihood of each observation's
+    observed block falls out of the same pass: the log determinant of the
+    missing precision block is the correction between the full and marginal
+    covariance determinants, and the quadratic form of the conditionally
+    completed residual equals the marginal quadratic form of the observed
+    block.
     """
     n, p, q = values.shape
     pq = p * q
     scale = params.scale
     mean = params.mean
-    mean_vec = vec(mean)
     row_prec, row_logdet = spd_inverse(params.row_cov)
     col_prec, col_logdet = spd_inverse(params.col_cov)
     base_logdet = p * col_logdet + q * row_logdet
@@ -255,33 +256,22 @@ def _e_step(
 
     ids0 = pattern._complete_ids
     if ids0.size:
-        resid = values[ids0] - mean
-        weighted = np.einsum("ij,njk,kl->nil", row_prec, resid, col_prec)
-        dist = np.einsum("nij,nij->n", resid, weighted)
+        dist = _quadratic_forms(values[ids0] - mean, row_prec, col_prec)
         loglik += float(
             -0.5 * ids0.size * (pq * log_tau + base_logdet)
             - 0.5 * dist.sum() / scale
         )
 
-    omega = np.kron(col_prec, row_prec)
     for g in pattern._groups:
         b = g.obs_ids.size
-        vmat = values[g.obs_ids]
-        vvec = vmat.transpose(0, 2, 1).reshape(b, pq)
-        panel, logdet_block = _swept_panel_batch(omega, g.miss)
-        free = -np.take_along_axis(panel, g.miss[:, :, None], axis=1)
-        free = (free + free.transpose(0, 2, 1)) / 2.0
+        resid = values[g.obs_ids] - mean
+        shift, free, logdet_block = _condition_gathered(
+            row_prec, col_prec, resid, g.rows, g.cols
+        )
         free_by_group.append(free)
-        panel_obs = np.take_along_axis(panel, g.observed[:, :, None], axis=1)
-        resid_obs = np.take_along_axis(vvec, g.observed, axis=1) - mean_vec[g.observed]
-        fill = mean_vec[g.miss] - np.einsum("bkm,bk->bm", panel_obs, resid_obs)
-        comp_vec = vvec.copy()
-        np.put_along_axis(comp_vec, g.miss, fill, axis=1)
-        comp = comp_vec.reshape(b, q, p).transpose(0, 2, 1)
-        completions[g.obs_ids] = comp
-        resid = comp - mean
-        weighted = np.einsum("ij,bjk,kl->bil", row_prec, resid, col_prec)
-        dist = np.einsum("bij,bij->b", resid, weighted)
+        completions[g.obs_ids[:, None], g.rows, g.cols] = mean[g.rows, g.cols] + shift
+        resid[np.arange(b)[:, None], g.rows, g.cols] = shift
+        dist = _quadratic_forms(resid, row_prec, col_prec)
         n_seen = pq - g.m
         loglik += float(
             -0.5 * b * (n_seen * log_tau + base_logdet)

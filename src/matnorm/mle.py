@@ -27,6 +27,7 @@ from .model import (
     MatrixNormalParams,
     ObservationSet,
     _first_missing,
+    _quadratic_forms,
     full_log_likelihood,
 )
 
@@ -134,6 +135,16 @@ def _normalized_spd_update(
     return mat, jittered
 
 
+def _scatter_add(idx: np.ndarray, contrib: np.ndarray, dim: int) -> np.ndarray:
+    """Sum ``contrib[b, a, c]`` onto a dim x dim grid at ``(idx[b, a], idx[b, c])``.
+
+    Repeated indices accumulate: one weighted count over the flattened grid.
+    """
+    flat = (idx[:, :, None] * dim + idx[:, None, :]).ravel()
+    grid = np.bincount(flat, weights=contrib.ravel(), minlength=dim * dim)
+    return grid.reshape(dim, dim)
+
+
 def _col_accumulator(
     groups: list,
     resid: np.ndarray,
@@ -143,17 +154,17 @@ def _col_accumulator(
 ) -> np.ndarray:
     """Expected column-side scatter: completed products plus conditional mass.
 
-    The conditional covariance of each missing block, paired entrywise with
-    the row precision values at the missing rows, scatters onto the column
-    grid at the missing column coordinates.  Repeated column indices must
-    accumulate, hence the unbuffered scatter-add.  ``groups`` and
-    ``free_by_group`` are empty for complete data.
+    The completed part is ``sum_n resid_n.T @ row_prec @ resid_n``.  The
+    conditional covariance of each missing block, paired entrywise with the
+    row precision values at the missing rows, scatters onto the column grid
+    at the missing column coordinates, repeated coordinates accumulating.
+    ``groups`` and ``free_by_group`` are empty for complete data.
     """
-    acc = np.einsum("nij,ik,nkl->jl", resid, row_prec, resid)
+    q = resid.shape[2]
+    acc = resid.reshape(-1, q).T @ (row_prec @ resid).reshape(-1, q)
     for g, free in zip(groups, free_by_group):
         sub = row_prec[g.rows[:, :, None], g.rows[:, None, :]]
-        contrib = (scale_old * free) * sub
-        np.add.at(acc, (g.cols[:, :, None], g.cols[:, None, :]), contrib)
+        acc += _scatter_add(g.cols, (scale_old * free) * sub, q)
     return (acc + acc.T) / 2.0
 
 
@@ -165,11 +176,12 @@ def _row_accumulator(
     scale_old: float,
 ) -> np.ndarray:
     """Row-side counterpart of :func:`_col_accumulator`."""
-    acc = np.einsum("nij,jk,nlk->il", resid, col_prec, resid)
+    q = resid.shape[2]
+    weighted = (resid.reshape(-1, q) @ col_prec).reshape(resid.shape)
+    acc = np.matmul(weighted, resid.transpose(0, 2, 1)).sum(axis=0)
     for g, free in zip(groups, free_by_group):
         sub = col_prec[g.cols[:, :, None], g.cols[:, None, :]]
-        contrib = (scale_old * free) * sub
-        np.add.at(acc, (g.rows[:, :, None], g.rows[:, None, :]), contrib)
+        acc += _scatter_add(g.rows, (scale_old * free) * sub, resid.shape[1])
     return (acc + acc.T) / 2.0
 
 
@@ -353,12 +365,12 @@ def stationarity_residual(data: ObservationSet, params: MatrixNormalParams) -> f
     row_prec, _ = spd_inverse(params.row_cov)
     col_prec, _ = spd_inverse(params.col_cov)
 
-    col_raw = np.einsum("nij,ik,nkl->jl", resid, row_prec, resid) / (p * n)
+    col_raw = _col_accumulator([], resid, row_prec, [], params.scale) / (p * n)
     col_hat = col_raw / col_raw[0, 0]
-    row_raw = np.einsum("nij,jk,nlk->il", resid, col_prec, resid) / (q * n)
+    row_raw = _row_accumulator([], resid, col_prec, [], params.scale) / (q * n)
     row_hat = row_raw / row_raw[0, 0]
-    weighted = np.einsum("ij,njk,kl->nil", row_prec, resid, col_prec)
-    scale_hat = float(np.einsum("nij,nij->", resid, weighted)) / (p * q * n)
+    dist = _quadratic_forms(resid, row_prec, col_prec)
+    scale_hat = float(np.sum(dist)) / (p * q * n)
 
     def rel(est: np.ndarray, ref: np.ndarray) -> float:
         est = np.atleast_2d(np.asarray(est, dtype=float))

@@ -173,19 +173,27 @@ def mahalanobis(x: np.ndarray, params: MatrixNormalParams) -> float:
     the scaled distance is wanted.
     """
     x = _check_observation(x, params)
-    resid = x - params.mean
     row_prec, _ = spd_inverse(params.row_cov)
     col_prec, _ = spd_inverse(params.col_cov)
-    return float(np.sum(resid * (row_prec @ resid @ col_prec)))
+    return float(_quadratic_forms(x - params.mean, row_prec, col_prec))
 
 
-def log_density(x: np.ndarray, params: MatrixNormalParams) -> float:
-    """Log density of one fully observed matrix."""
-    x = _check_observation(x, params)
-    resid = x - params.mean
+def _quadratic_forms(
+    resid: np.ndarray, row_prec: np.ndarray, col_prec: np.ndarray
+) -> np.ndarray:
+    """Scale free quadratic form of each residual matrix in a (..., p, q) stack."""
+    return np.sum(resid * (row_prec @ resid @ col_prec), axis=(-2, -1))
+
+
+def _log_densities(values: np.ndarray, params: MatrixNormalParams) -> np.ndarray:
+    """Log density of each matrix in a fully observed (..., p, q) stack.
+
+    Factors the covariance once for the whole stack; each entry depends on
+    its own observation and the parameters alone.
+    """
     row_prec, row_logdet = spd_inverse(params.row_cov)
     col_prec, col_logdet = spd_inverse(params.col_cov)
-    dist = float(np.sum(resid * (row_prec @ resid @ col_prec)))
+    dist = _quadratic_forms(values - params.mean, row_prec, col_prec)
     p, q = params.p, params.q
     return (
         -0.5 * p * q * math.log(2.0 * math.pi * params.scale)
@@ -193,6 +201,12 @@ def log_density(x: np.ndarray, params: MatrixNormalParams) -> float:
         - 0.5 * p * col_logdet
         - 0.5 * dist / params.scale
     )
+
+
+def log_density(x: np.ndarray, params: MatrixNormalParams) -> float:
+    """Log density of one fully observed matrix."""
+    x = _check_observation(x, params)
+    return float(_log_densities(x, params))
 
 
 def full_log_likelihood(data: ObservationSet, params: MatrixNormalParams) -> float:
@@ -213,18 +227,7 @@ def full_log_likelihood(data: ObservationSet, params: MatrixNormalParams) -> flo
             f"missing entries present (first at observation {i}, row {r}, "
             f"column {c}); use observed_log_likelihood"
         )
-    n, p, q = values.shape
-    resid = values - params.mean
-    row_prec, row_logdet = spd_inverse(params.row_cov)
-    col_prec, col_logdet = spd_inverse(params.col_cov)
-    weighted = np.einsum("ij,njk,kl->nil", row_prec, resid, col_prec)
-    dist_total = float(np.einsum("nij,nij->", resid, weighted))
-    return (
-        -0.5 * n * p * q * math.log(2.0 * math.pi * params.scale)
-        - 0.5 * n * q * row_logdet
-        - 0.5 * n * p * col_logdet
-        - 0.5 * dist_total / params.scale
-    )
+    return float(np.sum(_log_densities(values, params)))
 
 
 def observed_log_likelihood(data: ObservationSet, params: MatrixNormalParams) -> float:

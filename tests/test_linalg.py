@@ -3,7 +3,7 @@ import pytest
 
 from matnorm.linalg import (
     SingularPivotError,
-    _swept_panel_batch,
+    _condition_gathered,
     ensure_spd,
     indicator_matrix,
     kron,
@@ -188,29 +188,50 @@ def test_sweep_leaves_input_untouched():
 
 
 def test_swept_panel_matches_full_sweep_columns():
+    # the gathered kernel reads off the factors what sweeping the holes out
+    # of kron(col_prec, row_prec) leaves: the swept block inv(Omega_mm), the
+    # regression of missing on observed (fill), and log det Omega_mm
     rng = np.random.default_rng(10)
     for _ in range(30):
-        n = int(rng.integers(2, 9))
-        a = random_spd(rng, n)
-        m = int(rng.integers(1, n + 1))
+        p = int(rng.integers(1, 4))
+        q = int(rng.integers(1, 4))
+        row_prec = random_spd(rng, p)
+        col_prec = random_spd(rng, q)
+        omega = kron(col_prec, row_prec)
+        m = int(rng.integers(1, p * q + 1))
         pivots = np.stack(
-            [np.sort(rng.choice(n, size=m, replace=False)) for _ in range(3)]
+            [np.sort(rng.choice(p * q, size=m, replace=False)) for _ in range(3)]
         )
-        panels, logdets = _swept_panel_batch(a, pivots)
-        assert panels.shape == (3, n, m)
-        for piv, panel, logdet in zip(pivots, panels, logdets):
-            full = sweep(a, piv)
-            # panel keeps the classical sign: pivot rows hold -inv(A[Z, Z])
-            full[np.ix_(piv, piv)] *= -1.0
-            np.testing.assert_allclose(panel, full[:, piv], atol=1e-9)
-            assert abs(logdet - spd_logdet(a[np.ix_(piv, piv)])) < 1e-9
+        resid = rng.standard_normal((3, p, q))
+        shift, free, logdet = _condition_gathered(
+            row_prec, col_prec, resid, pivots % p, pivots // p
+        )
+        assert shift.shape == (3, m) and free.shape == (3, m, m)
+        for b, piv in enumerate(pivots):
+            swept = sweep(omega, piv)
+            obs = np.setdiff1d(np.arange(p * q), piv)
+            np.testing.assert_allclose(free[b], swept[np.ix_(piv, piv)], atol=1e-9)
+            fill = -swept[np.ix_(obs, piv)].T @ vec(resid[b])[obs]
+            np.testing.assert_allclose(shift[b], fill, atol=1e-9)
+            assert abs(logdet[b] - spd_logdet(omega[np.ix_(piv, piv)])) < 1e-9
 
 
 def test_swept_panel_rejects_nonpositive_pivot():
-    a = np.diag([1.0, -2.0, 3.0])
-    with pytest.raises(SingularPivotError) as info:
-        _swept_panel_batch(a, np.array([[0], [1]]))
-    assert info.value.pivot == 1
+    def culprit(row_prec, col_prec, pivots):
+        p, q = len(row_prec), len(col_prec)
+        with pytest.raises(SingularPivotError) as info:
+            _condition_gathered(
+                row_prec, col_prec, np.zeros((len(pivots), p, q)),
+                pivots % p, pivots // p,
+            )
+        return info.value.pivot
+
+    # negative pivot in the second member: the Cholesky fails
+    assert culprit(np.diag([1.0, -2.0, 3.0]), np.eye(2), np.array([[3], [4]])) == 4
+    # positive but below tolerance: the Cholesky succeeds, the check catches it
+    assert culprit(np.diag([1.0, 1e-13]), np.eye(2), np.array([[0], [3]])) == 3
+    # first pivot fine, second one zero: the report names the second hole
+    assert culprit(np.ones((2, 2)), np.eye(2), np.array([[2, 3]])) == 3
 
 
 def test_indicator_matrix_selects_entries():

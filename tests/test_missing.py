@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matnorm.linalg import kron, vec
+import matnorm.linalg
+from matnorm.linalg import _PIVOT_TOL, SingularPivotError, kron, vec
 from matnorm.mle import (
     EstimationError,
     FitConfig,
@@ -31,6 +32,7 @@ from matnorm.model import (
     observed_log_likelihood,
     sample,
 )
+from matnorm.spectral import LabeledObservationSet, fit_class_models
 
 TIGHT = FitConfig(max_iters=3000, tol=1e-13, inner_tol=1e-14)
 
@@ -277,6 +279,78 @@ def test_e_step_matches_references_on_adversarial_patterns(kind, p, q, seed):
     np.testing.assert_array_equal(pattern._complete_ids, complete)
     assert sorted(seen + complete.tolist()) == list(range(values.shape[0]))
     np.testing.assert_array_equal(completions[complete], values[complete])
+
+
+def _near_tolerance_case(factor):
+    """Observations whose hole at (row 1, column 0) has precision factor * tol.
+
+    The row factor makes that missing precision block, col_prec[0, 0] *
+    row_prec[1, 1], equal to ``factor * _PIVOT_TOL``; a second observation
+    misses an ordinary entry and two more are complete.
+    """
+    rng = np.random.default_rng(31)
+    col = random_params(rng, 2, 3).col_cov
+    c = 0.5
+    v = c * c + np.linalg.inv(col)[0, 0] / (factor * _PIVOT_TOL)
+    params = MatrixNormalParams(
+        rng.standard_normal((2, 3)), np.array([[1.0, c], [c, v]]), col, 1.3
+    )
+    values = sample(params, 4, rng).values
+    values[0, 1, 0] = np.nan
+    values[1, 0, 2] = np.nan
+    return values, params
+
+
+def test_conditioning_just_above_pivot_tolerance_matches_brute_force():
+    values, params = _near_tolerance_case(1.01)
+    pattern = detect_pattern(values)
+    completions, free_by_group, loglik = _e_step(values, pattern, params)
+    cov = params.full_covariance()
+    for g, free in zip(pattern._groups, free_by_group):
+        for b, i in enumerate(g.obs_ids):
+            x_vec = vec(values[i])
+            miss = np.flatnonzero(np.isnan(x_vec))
+            ref_mean, ref_cov = mvn_condition(x_vec, vec(params.mean), cov, miss)
+            np.testing.assert_allclose(vec(completions[i])[miss], ref_mean, rtol=1e-6)
+            np.testing.assert_allclose(params.scale * free[b], ref_cov, rtol=1e-6)
+            single = conditional_moments(values[i], params)
+            np.testing.assert_allclose(single.cond_cov, ref_cov, rtol=1e-6)
+    ref = observed_log_likelihood(ObservationSet(values), params)
+    assert abs(loglik - ref) <= 1e-8 * max(1.0, abs(ref))
+    assert np.isfinite(completions).all()
+
+
+def test_conditioning_just_below_pivot_tolerance_raises_with_position():
+    values, params = _near_tolerance_case(0.99)
+    # the hole at row 1, column 0 sits at stacked position 0 * p + 1
+    with pytest.raises(SingularPivotError) as info:
+        _e_step(values, detect_pattern(values), params)
+    assert info.value.pivot == 1
+    with pytest.raises(SingularPivotError) as info:
+        conditional_moments(values[0], params)
+    assert info.value.pivot == 1
+    # an observation whose holes avoid that entry still conditions cleanly
+    moments = conditional_moments(values[1], params)
+    assert np.isfinite(moments.mean_completion).all()
+
+
+def test_em_path_never_forms_the_kronecker_precision(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pq x pq Kronecker product was formed")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(matnorm.linalg, "kron", refuse)
+    rng = np.random.default_rng(32)
+    params = random_params(rng, 3, 4)
+    values = knock_out(sample(params, 40, rng).values, 0.2, rng)
+    cfg = FitConfig(max_iters=20)
+    result = fit_em(ObservationSet(values), cfg)
+    assert result.iterations >= 1
+    assert np.isfinite(result.loglik_trace).all()
+    labels = np.repeat([1, 2], 20)
+    model = fit_class_models(LabeledObservationSet(values, labels), "em", cfg)
+    assert model.iterations >= 1
+    assert np.isfinite(model.completions).all()
 
 
 def test_scatter_accumulators_match_mask_identity():
