@@ -136,6 +136,8 @@ def _condition_gathered(
     resid: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
+    first: "np.ndarray | None" = None,
+    pattern_of: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condition the holes of stacked residual matrices on their observed entries.
 
@@ -152,41 +154,55 @@ def _condition_gathered(
     Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the scale free
     conditional covariance, and ``-free @ h`` the conditional mean shift.
 
+    The block depends on the holes alone, so members with the same holes
+    share it.  Given ``first``, the member positions of the first member
+    with each distinct hole set in order of appearance, and ``pattern_of``,
+    each member's index into ``first``, only those U blocks are gathered,
+    factored, checked and inverted, and each member reads its free block
+    and log determinant through ``pattern_of``; ``h`` and the shift stay
+    per member.
+
     Returns the (B, m) shifts, the (B, m, m) free blocks and the (B,) log
     determinants.  Raises :class:`SingularPivotError` naming the stacked
-    position of the first pivot below 1e-12 in sweep order.
+    position of the first pivot below 1e-12 in sweep order, taking the
+    first member with a bad pivot at that step; sharing blocks leaves the
+    position unchanged, since each set's first member is its earliest.
     """
     p = row_prec.shape[0]
     members = np.arange(rows.shape[0])[:, None]
+    set_rows, set_cols = (rows, cols) if first is None else (rows[first], cols[first])
     block = (
-        col_prec[cols[:, :, None], cols[:, None, :]]
-        * row_prec[rows[:, :, None], rows[:, None, :]]
+        col_prec[set_cols[:, :, None], set_cols[:, None, :]]
+        * row_prec[set_rows[:, :, None], set_rows[:, None, :]]
     )
     try:
         pivots = np.diagonal(np.linalg.cholesky(block), axis1=1, axis2=2) ** 2
     except np.linalg.LinAlgError:
         # Some block is not positive definite: eliminate step by step to get
         # the pivots, the successive Schur complement diagonals.  Past a
-        # member's first bad pivot they are meaningless; only the first bad
+        # block's first bad pivot they are meaningless; only the first bad
         # step is reported.
         a = block.copy()
-        pivots = np.empty(rows.shape)
+        pivots = np.empty(set_rows.shape)
         with np.errstate(all="ignore"):
-            for t in range(rows.shape[1]):
+            for t in range(set_rows.shape[1]):
                 pivots[:, t] = a[:, t, t]
                 a -= a[:, :, t, None] * a[:, None, t, :] / pivots[:, t, None, None]
     low = ~(pivots >= _PIVOT_TOL)
     if low.any():
         t = int(np.argmax(low.any(axis=0)))
         b = int(np.argmax(low[:, t]))
-        raise SingularPivotError(int(cols[b, t]) * p + int(rows[b, t]))
+        raise SingularPivotError(int(set_cols[b, t]) * p + int(set_rows[b, t]))
     free = np.linalg.inv(block)
     free = (free + free.transpose(0, 2, 1)) / 2.0
+    logdet = np.log(pivots).sum(axis=1)
+    if first is not None:
+        free, logdet = free[pattern_of], logdet[pattern_of]
     zeroed = resid.copy()
     zeroed[members, rows, cols] = 0.0
     h = (row_prec @ zeroed @ col_prec)[members, rows, cols]
     shift = -(free @ h[:, :, None])[:, :, 0]
-    return shift, free, np.log(pivots).sum(axis=1)
+    return shift, free, logdet
 
 
 def indicator_matrix(indices: np.ndarray, width: int) -> np.ndarray:

@@ -12,7 +12,7 @@ Three fitters cover the usual quality/cost trade:
   is gathered entrywise from the two factor inverses, and its Cholesky
   factor gives what sweeping those pivots would (the conditional mean, the
   conditional covariance, and the observed likelihood term) at the cost of
-  an m x m factorization per observation with m missing entries.
+  an m x m factorization per distinct set of m missing entries.
   The M-step is the complete data update of :mod:`matnorm.mle` on the
   completions, plus each conditional covariance paired with the other
   factor's precision at the missing coordinates and scatter-added onto the
@@ -23,8 +23,13 @@ Three fitters cover the usual quality/cost trade:
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
-than a Python loop over the data set.  All three run the iteration loop of
-:func:`matnorm.mle._iterate`.
+than a Python loop over the data set.  Within a batch, observations with the
+same holes share one missing precision block: when a batch holds at most
+half as many distinct hole sets as observations (a dropout tail, a lost
+band), :func:`fit_em` factors each distinct block once and weights its
+conditional covariance by the number of observations sharing it; otherwise
+every observation's block is factored on its own.  All three run the
+iteration loop of :func:`matnorm.mle._iterate`.
 """
 
 from __future__ import annotations
@@ -58,11 +63,17 @@ from .mle import (
     _param_change,
     _pooled_m_step,
     _rel_change,
+    _scatter_add,
     fit_mle,
 )
 from .model import DataError, MatrixNormalParams, ObservationSet, _quadratic_forms
 
 logger = logging.getLogger(__name__)
+
+# A missing-count group conditions its distinct hole sets rather than its
+# members only when there are at most this share as many of them: below,
+# the saved factorizations outweigh the indirection (see CHANGES.md).
+_SHARED_HOLES_SHARE = 0.5
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -72,7 +83,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _PatternGroup:
-    """Observations sharing one missing entry count, stacked for batch work."""
+    """Observations sharing one missing entry count, stacked for batch work.
+
+    When the group holds at most ``_SHARED_HOLES_SHARE`` times as many
+    distinct hole sets as members, ``first`` holds the member position of
+    the first member with each set, in order of appearance, ``pattern_of``
+    each member's index into ``first``, and ``pattern_counts`` how many
+    members share each set; otherwise all three are None and every member
+    is conditioned on its own.
+    """
 
     m: int
     obs_ids: np.ndarray  # (B,)
@@ -80,6 +99,9 @@ class _PatternGroup:
     rows: np.ndarray  # (B, m)
     cols: np.ndarray  # (B, m)
     observed: np.ndarray  # (B, pq - m)
+    first: "np.ndarray | None" = None  # (U,)
+    pattern_of: "np.ndarray | None" = None  # (B,)
+    pattern_counts: "np.ndarray | None" = None  # (U,)
 
 
 @dataclass(eq=False)
@@ -153,8 +175,32 @@ class ConditionalMoments:
     cond_cov: np.ndarray
 
 
+def _hole_sets(holes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label the rows of a boolean matrix by their distinct sets of True entries.
+
+    Rows are packed into 64-bit words and sorted once; a stable sort puts
+    each run of equal rows in observation order.  Returns each row's label
+    and the first row carrying each label.
+    """
+    n, width = holes.shape
+    words = np.zeros((n, -(-width // 64) * 8), dtype=np.uint8)
+    words[:, : -(-width // 8)] = np.packbits(holes, axis=1)
+    words = words.view(np.uint64)
+    order = np.lexsort(words.T)
+    ranked = words[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    label = np.empty(n, dtype=np.intp)
+    label[order] = np.cumsum(starts) - 1
+    return label, order[starts]
+
+
 def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
-    """Group the observations by missing entry count and index their holes."""
+    """Group the observations by missing entry count and index their holes.
+
+    Groups whose members share few distinct hole sets also record them
+    (see :class:`_PatternGroup`); one sort over the whole set finds them.
+    """
     values = data.values if isinstance(data, ObservationSet) else np.asarray(data, float)
     if values.ndim != 3:
         raise ValueError(f"expected (n, p, q) values, got shape {values.shape}")
@@ -165,18 +211,43 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
     blank = np.flatnonzero(counts == pq)
     if blank.size:
         raise DataError(f"observation {int(blank[0])} has no observed entries")
+    label, lead = _hole_sets(holes)
+    lead_counts = counts[lead]
+    distinct = np.bincount(lead_counts, minlength=pq + 1)
+    sizes = np.bincount(counts, minlength=pq + 1)
+    # Members ranked by missing count, each group a contiguous run.
+    order = np.argsort(counts, kind="stable")
+    ranked = holes[order]
+    miss_all = np.nonzero(ranked)[1]
+    seen_all = np.nonzero(~ranked)[1]
+    rows_all, cols_all = miss_all % p, miss_all // p
+    at, hole_at, seen_at = sizes[0], 0, sizes[0] * pq
     groups = []
-    for m in np.unique(counts[counts > 0]):
-        ids = np.flatnonzero(counts == m)
-        miss = np.nonzero(holes[ids])[1].reshape(ids.size, m)
-        observed = np.nonzero(~holes[ids])[1].reshape(ids.size, pq - m)
-        groups.append(
-            _PatternGroup(
-                int(m),
-                *(_frozen(a) for a in (ids, miss, miss % p, miss // p, observed)),
-            )
-        )
-    return MissingPattern(p, q, n, _frozen(np.flatnonzero(counts == 0)), groups)
+    for m in np.flatnonzero(sizes[1:]) + 1:
+        b = sizes[m]
+        ids = order[at : at + b]
+        holes_of = slice(hole_at, hole_at + b * m)
+        fields = [
+            ids,
+            miss_all[holes_of].reshape(b, m),
+            rows_all[holes_of].reshape(b, m),
+            cols_all[holes_of].reshape(b, m),
+            seen_all[seen_at : seen_at + b * (pq - m)].reshape(b, pq - m),
+        ]
+        at, hole_at, seen_at = at + b, hole_at + b * m, seen_at + b * (pq - m)
+        if distinct[m] <= _SHARED_HOLES_SHARE * b:
+            sets = np.flatnonzero(lead_counts == m)
+            sets = sets[np.argsort(lead[sets])]
+            local = np.empty(lead.size, dtype=np.intp)
+            local[sets] = np.arange(sets.size)
+            pattern_of = local[label[ids]]
+            fields += [
+                np.searchsorted(ids, lead[sets]),
+                pattern_of,
+                np.bincount(pattern_of, minlength=sets.size),
+            ]
+        groups.append(_PatternGroup(int(m), *(_frozen(a) for a in fields)))
+    return MissingPattern(p, q, n, _frozen(order[: sizes[0]]), groups)
 
 
 def conditional_moments(
@@ -266,7 +337,7 @@ def _e_step(
         b = g.obs_ids.size
         resid = values[g.obs_ids] - mean
         shift, free, logdet_block = _condition_gathered(
-            row_prec, col_prec, resid, g.rows, g.cols
+            row_prec, col_prec, resid, g.rows, g.cols, g.first, g.pattern_of
         )
         free_by_group.append(free)
         completions[g.obs_ids[:, None], g.rows, g.cols] = mean[g.rows, g.cols] + shift
@@ -380,21 +451,6 @@ class UnstructuredParams:
         return unvec(self.mean, self.p, self.q)
 
 
-def _gem_conditional(
-    x_vec: np.ndarray, mean: np.ndarray, cov: np.ndarray, miss: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain covariance-side conditioning of missing on observed entries."""
-    obs = np.setdiff1d(np.arange(mean.size), miss, assume_unique=True)
-    chol = spd_cholesky(cov[np.ix_(obs, obs)])
-    cross = cov[np.ix_(miss, obs)]
-    resid = x_vec[obs] - mean[obs]
-    sol = scipy.linalg.cho_solve((chol, True), resid)
-    cond_mean = mean[miss] + cross @ sol
-    half = scipy.linalg.solve_triangular(chol, cross.T, lower=True)
-    cond_cov = cov[np.ix_(miss, miss)] - half.T @ half
-    return cond_mean, (cond_cov + cond_cov.T) / 2.0
-
-
 def _gem_e_step(
     vdata: np.ndarray, pattern: MissingPattern, mean: np.ndarray, cov: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -433,7 +489,7 @@ def _gem_e_step(
         filled = vdata[g.obs_ids].copy()
         np.put_along_axis(filled, g.miss, cond_mean, axis=1)
         completions[g.obs_ids] = filled
-        np.add.at(extra, (g.miss[:, :, None], g.miss[:, None, :]), cond_cov)
+        extra += _scatter_add(g.miss, cond_cov, d)
         logdet = 2.0 * np.sum(
             np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1
         )

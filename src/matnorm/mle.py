@@ -145,6 +145,18 @@ def _scatter_add(idx: np.ndarray, contrib: np.ndarray, dim: int) -> np.ndarray:
     return grid.reshape(dim, dim)
 
 
+def _conditional_mass(g, free: np.ndarray, scale_old: float) -> tuple:
+    """Hole rows, hole columns and scaled conditional covariances of a group.
+
+    A group that shares its blocks yields each distinct hole set once, its
+    covariance weighted by the number of members holding it.
+    """
+    if g.first is None:
+        return g.rows, g.cols, scale_old * free
+    weight = scale_old * g.pattern_counts
+    return g.rows[g.first], g.cols[g.first], weight[:, None, None] * free[g.first]
+
+
 def _col_accumulator(
     groups: list,
     resid: np.ndarray,
@@ -157,14 +169,16 @@ def _col_accumulator(
     The completed part is ``sum_n resid_n.T @ row_prec @ resid_n``.  The
     conditional covariance of each missing block, paired entrywise with the
     row precision values at the missing rows, scatters onto the column grid
-    at the missing column coordinates, repeated coordinates accumulating.
+    at the missing column coordinates, repeated coordinates accumulating;
+    a shared hole set scatters once, weighted by its member count.
     ``groups`` and ``free_by_group`` are empty for complete data.
     """
     q = resid.shape[2]
     acc = resid.reshape(-1, q).T @ (row_prec @ resid).reshape(-1, q)
     for g, free in zip(groups, free_by_group):
-        sub = row_prec[g.rows[:, :, None], g.rows[:, None, :]]
-        acc += _scatter_add(g.cols, (scale_old * free) * sub, q)
+        rows, cols, mass = _conditional_mass(g, free, scale_old)
+        sub = row_prec[rows[:, :, None], rows[:, None, :]]
+        acc += _scatter_add(cols, mass * sub, q)
     return (acc + acc.T) / 2.0
 
 
@@ -180,8 +194,9 @@ def _row_accumulator(
     weighted = (resid.reshape(-1, q) @ col_prec).reshape(resid.shape)
     acc = np.matmul(weighted, resid.transpose(0, 2, 1)).sum(axis=0)
     for g, free in zip(groups, free_by_group):
-        sub = col_prec[g.cols[:, :, None], g.cols[:, None, :]]
-        acc += _scatter_add(g.rows, (scale_old * free) * sub, resid.shape[1])
+        rows, cols, mass = _conditional_mass(g, free, scale_old)
+        sub = col_prec[cols[:, :, None], cols[:, None, :]]
+        acc += _scatter_add(rows, mass * sub, resid.shape[1])
     return (acc + acc.T) / 2.0
 
 

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matnorm.linalg
-from matnorm.linalg import _PIVOT_TOL, SingularPivotError, kron, vec
+from matnorm.linalg import (
+    _PIVOT_TOL,
+    SingularPivotError,
+    _condition_gathered,
+    kron,
+    spd_inverse,
+    vec,
+)
 from matnorm.mle import (
     EstimationError,
     FitConfig,
@@ -18,7 +25,7 @@ from matnorm.mle import (
 from matnorm.missing import (
     ConditionalMoments,
     _e_step,
-    _gem_conditional,
+    _gem_e_step,
     conditional_moments,
     detect_pattern,
     fit_em,
@@ -232,6 +239,12 @@ def _adversarial_values(kind, p, q, rng):
     elif kind == "one_per_group":
         # distinct missing counts, so every group holds one observation
         counts = rng.permutation(pq)[: min(pq, 5)]
+    elif kind == "repeated_pattern":
+        # one count group: six members lose the same tail of columns
+        # (longitudinal dropout), two others as many entries anywhere
+        tail = int(rng.integers(1, q))
+        counts = [p * tail] * 8
+        dropped = rng.permutation(8) < 6
     else:  # "cell_never_observed"
         counts = rng.integers(1, pq, size=5)
     values = sample(params, len(counts), rng).values
@@ -240,15 +253,24 @@ def _adversarial_values(kind, p, q, rng):
         if kind == "cell_never_observed":
             others = rng.choice(np.delete(np.arange(pq), cell), m - 1, replace=False)
             holes = np.append(others, cell)
+        elif kind == "repeated_pattern" and dropped[i]:
+            holes = np.arange(pq - m, pq)
         else:
             holes = rng.choice(pq, m, replace=False)
         values[i, holes % p, holes // p] = np.nan
     return values
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(
-    kind=st.sampled_from(["one_observed_entry", "one_per_group", "cell_never_observed"]),
+    kind=st.sampled_from(
+        [
+            "one_observed_entry",
+            "one_per_group",
+            "cell_never_observed",
+            "repeated_pattern",
+        ]
+    ),
     p=st.integers(1, 4),
     q=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
@@ -258,6 +280,10 @@ def test_e_step_matches_references_on_adversarial_patterns(kind, p, q, seed):
     values = _adversarial_values(kind, p, q, rng)
     at = random_params(rng, p, q)
     pattern = detect_pattern(values)
+    if kind == "repeated_pattern":
+        (group,) = pattern._groups
+        assert group.first is not None  # the shared blocks are conditioned once
+        assert group.pattern_counts.sum() == 8
     completions, free_by_group, loglik = _e_step(values, pattern, at)
 
     ref = observed_log_likelihood(ObservationSet(values), at)
@@ -334,6 +360,73 @@ def test_conditioning_just_below_pivot_tolerance_raises_with_position():
     assert np.isfinite(moments.mean_completion).all()
 
 
+def test_shared_block_below_pivot_tolerance_raises_at_per_member_position():
+    _, params = _near_tolerance_case(0.99)
+    values = sample(params, 6, np.random.default_rng(33)).values
+    # the bad hole (row 1, column 0) is the third distinct set but belongs
+    # to members 4 and 5, so a set index read as a member index shows
+    for i, (r, c) in enumerate([(0, 2), (0, 2), (0, 1), (0, 1), (1, 0), (1, 0)]):
+        values[i, r, c] = np.nan
+    pattern = detect_pattern(values)
+    (g,) = pattern._groups
+    np.testing.assert_array_equal(g.first, [0, 2, 4])
+    row_prec, _ = spd_inverse(params.row_cov)
+    col_prec, _ = spd_inverse(params.col_cov)
+    resid = values[g.obs_ids] - params.mean
+    with pytest.raises(SingularPivotError) as per_member:
+        _condition_gathered(row_prec, col_prec, resid, g.rows, g.cols)
+    with pytest.raises(SingularPivotError) as shared:
+        _e_step(values, pattern, params)
+    assert per_member.value.pivot == 1
+    assert shared.value.pivot == per_member.value.pivot
+
+
+def _dropout_values(rng, p, q, n):
+    """Most members lose a tail of 1-3 columns, every tenth as many entries anywhere."""
+    values = sample(random_params(rng, p, q), n, rng).values
+    for i in range(n):
+        tail = 1 + i % 3
+        if i % 10 == 9:
+            holes = rng.choice(p * q, p * tail, replace=False)
+            values[i, holes % p, holes // p] = np.nan
+        else:
+            values[i, :, q - tail :] = np.nan
+    return values
+
+
+def test_e_step_factors_each_distinct_hole_set_once(monkeypatch):
+    rng = np.random.default_rng(34)
+    params = random_params(rng, 3, 5)
+    dropout = _dropout_values(rng, 3, 5, 60)
+    mcar = knock_out(sample(params, 40, rng).values, 0.2, rng)
+    batches = []
+    for name in ("cholesky", "inv"):
+        def record(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            batches.append((_name, a.shape[0]))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+
+    for values, all_distinct in ((dropout, False), (mcar, True)):
+        pattern = detect_pattern(values)
+        sizes = [g.obs_ids.size for g in pattern._groups]
+        distinct = [len({tuple(holes) for holes in g.miss}) for g in pattern._groups]
+        assert (distinct == sizes) == all_distinct
+        batches.clear()
+        completions, free_by_group, _ = _e_step(values, pattern, params)
+        expected = sizes if all_distinct else distinct
+        assert [size for name, size in batches if name == "cholesky"] == expected
+        assert [size for name, size in batches if name == "inv"] == expected
+        # each member still reads its own block
+        for g, free in zip(pattern._groups, free_by_group):
+            assert free.shape == (g.obs_ids.size, g.m, g.m)
+            for b, i in enumerate(g.obs_ids):
+                ref = conditional_moments(values[i], params)
+                np.testing.assert_allclose(
+                    params.scale * free[b], ref.cond_cov, atol=1e-10
+                )
+
+
 def test_em_path_never_forms_the_kronecker_precision(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pq x pq Kronecker product was formed")
@@ -353,39 +446,54 @@ def test_em_path_never_forms_the_kronecker_precision(monkeypatch):
     assert np.isfinite(model.completions).all()
 
 
+def _assert_accumulators_match_masks(values, params):
+    """The scattered conditional mass against the explicit masked form.
+
+    E_col.T @ (cond_cov * (E_row @ row_prec @ E_row.T)) @ E_col summed over
+    observations, and its row-side mirror.
+    """
+    p, q = values.shape[1:]
+    pattern = detect_pattern(values)
+    completions, free_by_group, _ = _e_step(values, pattern, params)
+    resid = np.zeros_like(completions)  # isolate the conditional mass
+    row_prec = np.linalg.inv(params.row_cov)
+    col_prec = np.linalg.inv(params.col_cov)
+
+    groups = pattern._groups
+    col_got = _col_accumulator(groups, resid, row_prec, free_by_group, params.scale)
+    row_got = _row_accumulator(groups, resid, col_prec, free_by_group, params.scale)
+
+    col_ref = np.zeros((q, q))
+    row_ref = np.zeros((p, p))
+    cov_by_obs = {}
+    for g, free in zip(pattern._groups, free_by_group):
+        for b, i in enumerate(g.obs_ids):
+            cov_by_obs[int(i)] = params.scale * free[b]
+    for i, cond_cov in cov_by_obs.items():
+        e_row = pattern.row_masks[i]
+        e_col = pattern.col_masks[i]
+        col_ref += e_col.T @ (cond_cov * (e_row @ row_prec @ e_row.T)) @ e_col
+        row_ref += e_row.T @ (cond_cov * (e_col @ col_prec @ e_col.T)) @ e_row
+    np.testing.assert_allclose(col_got, col_ref, atol=1e-12)
+    np.testing.assert_allclose(row_got, row_ref, atol=1e-12)
+
+
 def test_scatter_accumulators_match_mask_identity():
-    # the scattered conditional mass must equal the explicit masked form
-    # E_col.T @ (cond_cov * (E_row @ row_prec @ E_row.T)) @ E_col summed over
-    # observations, and its row-side mirror
     rng = np.random.default_rng(9)
     for _ in range(10):
         p = int(rng.integers(2, 4))
         q = int(rng.integers(2, 5))
         params = random_params(rng, p, q)
         values = knock_out(sample(params, 8, rng).values, 0.3, rng)
-        pattern = detect_pattern(values)
-        completions, free_by_group, _ = _e_step(values, pattern, params)
-        resid = np.zeros_like(completions)  # isolate the conditional mass
-        row_prec = np.linalg.inv(params.row_cov)
-        col_prec = np.linalg.inv(params.col_cov)
+        _assert_accumulators_match_masks(values, params)
 
-        groups = pattern._groups
-        col_got = _col_accumulator(groups, resid, row_prec, free_by_group, params.scale)
-        row_got = _row_accumulator(groups, resid, col_prec, free_by_group, params.scale)
 
-        col_ref = np.zeros((q, q))
-        row_ref = np.zeros((p, p))
-        cov_by_obs = {}
-        for g, free in zip(pattern._groups, free_by_group):
-            for b, i in enumerate(g.obs_ids):
-                cov_by_obs[int(i)] = params.scale * free[b]
-        for i, cond_cov in cov_by_obs.items():
-            e_row = pattern.row_masks[i]
-            e_col = pattern.col_masks[i]
-            col_ref += e_col.T @ (cond_cov * (e_row @ row_prec @ e_row.T)) @ e_col
-            row_ref += e_row.T @ (cond_cov * (e_col @ col_prec @ e_col.T)) @ e_row
-        np.testing.assert_allclose(col_got, col_ref, atol=1e-12)
-        np.testing.assert_allclose(row_got, row_ref, atol=1e-12)
+def test_scatter_accumulators_weight_shared_hole_sets():
+    rng = np.random.default_rng(35)
+    values = _dropout_values(rng, 3, 5, 30)
+    pattern = detect_pattern(values)
+    assert all(g.first is not None for g in pattern._groups)
+    _assert_accumulators_match_masks(values, random_params(rng, 3, 5))
 
 
 class TestFitEm:
@@ -519,7 +627,7 @@ class TestFitGem:
 
     def test_conditioning_agrees_with_kronecker_route(self):
         # with the covariance built from the factored parameters, the
-        # unstructured conditioning must reproduce conditional_moments
+        # unstructured E-step must reproduce conditional_moments
         rng = np.random.default_rng(19)
         for _ in range(10):
             p = int(rng.integers(2, 4))
@@ -529,15 +637,21 @@ class TestFitGem:
             m = int(rng.integers(1, p * q))
             miss = np.sort(rng.choice(p * q, size=m, replace=False))
             x_vec = vec(x)
-            cond_mean, cond_cov = _gem_conditional(
-                x_vec, vec(params.mean), params.full_covariance(), miss
-            )
             x_vec[miss] = np.nan
-            ref = conditional_moments(x_vec.reshape(q, p).T, params)
-            np.testing.assert_allclose(
-                cond_mean, vec(ref.mean_completion)[miss], atol=1e-9
+            x_nan = x_vec.reshape(q, p).T
+            completions, extra, _ = _gem_e_step(
+                x_vec[None],
+                detect_pattern(x_nan[None]),
+                vec(params.mean),
+                params.full_covariance(),
             )
-            np.testing.assert_allclose(cond_cov, ref.cond_cov, atol=1e-9)
+            ref = conditional_moments(x_nan, params)
+            np.testing.assert_allclose(
+                completions[0, miss], vec(ref.mean_completion)[miss], atol=1e-9
+            )
+            np.testing.assert_allclose(
+                extra[np.ix_(miss, miss)], ref.cond_cov, atol=1e-9
+            )
 
     def test_observed_loglik_never_decreases(self):
         rng = np.random.default_rng(20)
