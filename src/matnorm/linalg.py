@@ -141,16 +141,36 @@ def _condition_gathered(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condition the holes of stacked residual matrices on their observed entries.
 
+    ``h`` is read off ``row_prec @ R0 @ col_prec`` at the holes, R0 being
+    ``resid`` with zeros there, and :func:`_condition_block` does the rest.
+    """
+    members = np.arange(rows.shape[0])[:, None]
+    zeroed = resid.copy()
+    zeroed[members, rows, cols] = 0.0
+    h = (row_prec @ zeroed @ col_prec)[members, rows, cols]
+    return _condition_block(row_prec, col_prec, h, rows, cols, first, pattern_of)
+
+
+def _condition_block(
+    row_prec: np.ndarray,
+    col_prec: np.ndarray,
+    h: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    first: "np.ndarray | None",
+    pattern_of: "np.ndarray | None",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditional shifts, free blocks and log dets of stacked hole sets.
+
     The scale free precision of a column-stacked residual is
     ``kron(col_prec, row_prec)``; it is never formed.  Member b has holes at
-    ``(rows[b], cols[b])``, ordered by stacked position ``col * p + row``.
-    Its missing block ``Omega_mm[a, c] = col_prec[cols[a], cols[c]] *
-    row_prec[rows[a], rows[c]]`` is gathered from the two factors, and
-    ``h = Omega_mo @ r_o`` is read off ``row_prec @ R0 @ col_prec`` at the
-    holes, where R0 is the residual with zeros there (the values ``resid``
-    holds at the holes are ignored).  This yields what sweeping the holes
-    out of the precision would.  One batched Cholesky ``Omega_mm = L L.T``
-    gives the sweep's pivot values, ``diag(L)**2``, and with them ``log det
+    ``(rows[b], cols[b])``, ordered by stacked position ``col * p + row``,
+    and ``h[b] = Omega_mo @ r_o``, its observed residual weighted by the
+    precision at the holes.  Its missing block ``Omega_mm[a, c] =
+    col_prec[cols[a], cols[c]] * row_prec[rows[a], rows[c]]`` is gathered
+    from the two factors.  This yields what sweeping the holes out of the
+    precision would.  One batched Cholesky ``Omega_mm = L L.T`` gives the
+    sweep's pivot values, ``diag(L)**2``, and with them ``log det
     Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the scale free
     conditional covariance, and ``-free @ h`` the conditional mean shift.
 
@@ -169,7 +189,6 @@ def _condition_gathered(
     position unchanged, since each set's first member is its earliest.
     """
     p = row_prec.shape[0]
-    members = np.arange(rows.shape[0])[:, None]
     set_rows, set_cols = (rows, cols) if first is None else (rows[first], cols[first])
     block = (
         col_prec[set_cols[:, :, None], set_cols[:, None, :]]
@@ -198,9 +217,6 @@ def _condition_gathered(
     logdet = np.log(pivots).sum(axis=1)
     if first is not None:
         free, logdet = free[pattern_of], logdet[pattern_of]
-    zeroed = resid.copy()
-    zeroed[members, rows, cols] = 0.0
-    h = (row_prec @ zeroed @ col_prec)[members, rows, cols]
     shift = -(free @ h[:, :, None])[:, :, 0]
     return shift, free, logdet
 

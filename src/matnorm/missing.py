@@ -12,7 +12,9 @@ Three fitters cover the usual quality/cost trade:
   is gathered entrywise from the two factor inverses, and its Cholesky
   factor gives what sweeping those pivots would (the conditional mean, the
   conditional covariance, and the observed likelihood term) at the cost of
-  an m x m factorization per distinct set of m missing entries.
+  an m x m factorization per distinct set of m missing entries.  The
+  E-step makes one pass over the data with the factor inverses the last
+  M-step handed on, so each factor is factored once per iteration.
   The M-step is the complete data update of :mod:`matnorm.mle` on the
   completions, plus each conditional covariance paired with the other
   factor's precision at the missing coordinates and scatter-added onto the
@@ -44,11 +46,11 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (
+    _condition_block,
     _condition_gathered,
     ensure_spd,
     indicator_matrix,
     spd_cholesky,
-    spd_inverse,
     unvec,
     vec,
 )
@@ -66,7 +68,13 @@ from .mle import (
     _scatter_add,
     fit_mle,
 )
-from .model import DataError, MatrixNormalParams, ObservationSet, _quadratic_forms
+from .model import (
+    DataError,
+    MatrixNormalParams,
+    ObservationSet,
+    _precisions,
+    _quadratic_forms,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -273,11 +281,17 @@ def conditional_moments(
             f"({params.p}, {params.q})"
         )
     x_vec = x.ravel(order="F")
+    pq = x_vec.size
     if miss is None:
         miss = np.flatnonzero(np.isnan(x_vec))
     else:
         miss = np.sort(np.asarray(miss, dtype=int))
-    pq = x_vec.size
+        bad = miss[(miss < 0) | (miss >= pq)]
+        if bad.size:
+            raise ValueError(f"missing position {bad[0]} is outside 0..{pq - 1}")
+        twice = miss[1:][miss[1:] == miss[:-1]]
+        if twice.size:
+            raise ValueError(f"missing position {twice[0]} is listed more than once")
     if miss.size == pq:
         raise DataError("observation has no observed entries")
     if miss.size == 0:
@@ -286,8 +300,7 @@ def conditional_moments(
     if np.isnan(x_vec[obs]).any():
         raise DataError("entries outside the missing set must be observed")
 
-    row_prec, _ = spd_inverse(params.row_cov)
-    col_prec, _ = spd_inverse(params.col_cov)
+    (row_prec, _), (col_prec, _) = _precisions(params)
     rows, cols = miss % params.p, miss // params.p
     shift, free, _ = _condition_gathered(
         row_prec, col_prec, (x - params.mean)[None], rows[None], cols[None]
@@ -302,54 +315,43 @@ def _e_step(
 ) -> tuple[np.ndarray, list, float]:
     """Completions, per-group conditional covariances, observed log likelihood.
 
-    Each missing-count group goes through one batched call of the gathered
-    conditioning kernel, which reads the missing precision block and its
-    coupling to the observed entries off the two factor inverses; the pq x
-    pq precision is never formed.  The likelihood of each observation's
-    observed block falls out of the same pass: the log determinant of the
-    missing precision block is the correction between the full and marginal
-    covariance determinants, and the quadratic form of the conditionally
-    completed residual equals the marginal quadratic form of the observed
-    block.
+    One pass over all n observations: the residual with zeros at the holes,
+    R0, is weighted once as ``row_prec @ R0 @ col_prec``, and each
+    missing-count group reads its ``h = Omega_mo @ r_o`` off that product
+    and goes through one call of the block kernel; the pq x pq precision is
+    never formed.  With every shift written into the residual, one
+    quadratic form over all n gives each observed block's marginal form,
+    and the log determinants of the missing precision blocks correct the
+    full covariance determinant to the marginal ones.
     """
     n, p, q = values.shape
-    pq = p * q
-    scale = params.scale
     mean = params.mean
-    row_prec, row_logdet = spd_inverse(params.row_cov)
-    col_prec, col_logdet = spd_inverse(params.col_cov)
-    base_logdet = p * col_logdet + q * row_logdet
-    log_tau = math.log(2.0 * math.pi * scale)
-
+    (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
+    resid = values - mean
+    resid[np.isnan(resid)] = 0.0
+    weighted = row_prec @ resid @ col_prec
     completions = values.copy()
     free_by_group = []
-    loglik = 0.0
-
-    ids0 = pattern._complete_ids
-    if ids0.size:
-        dist = _quadratic_forms(values[ids0] - mean, row_prec, col_prec)
-        loglik += float(
-            -0.5 * ids0.size * (pq * log_tau + base_logdet)
-            - 0.5 * dist.sum() / scale
-        )
-
+    n_seen, block_logdet = n * p * q, 0.0
     for g in pattern._groups:
-        b = g.obs_ids.size
-        resid = values[g.obs_ids] - mean
-        shift, free, logdet_block = _condition_gathered(
-            row_prec, col_prec, resid, g.rows, g.cols, g.first, g.pattern_of
+        at = (g.obs_ids[:, None], g.rows, g.cols)
+        shift, free, logdet = _condition_block(
+            row_prec, col_prec, weighted[at], g.rows, g.cols, g.first, g.pattern_of
         )
         free_by_group.append(free)
-        completions[g.obs_ids[:, None], g.rows, g.cols] = mean[g.rows, g.cols] + shift
-        resid[np.arange(b)[:, None], g.rows, g.cols] = shift
-        dist = _quadratic_forms(resid, row_prec, col_prec)
-        n_seen = pq - g.m
-        loglik += float(
-            -0.5 * b * (n_seen * log_tau + base_logdet)
-            - 0.5 * logdet_block.sum()
-            - 0.5 * dist.sum() / scale
-        )
-    return completions, free_by_group, loglik
+        completions[at] = mean[g.rows, g.cols] + shift
+        resid[at] = shift
+        n_seen -= g.rows.size
+        block_logdet += logdet.sum()
+    del weighted  # not held while the quadratic form takes its own products
+    dist = _quadratic_forms(resid, row_prec, col_prec)
+    loglik = (
+        -0.5 * n_seen * math.log(2.0 * math.pi * params.scale)
+        - 0.5 * n * (p * col_logdet + q * row_logdet)
+        - 0.5 * block_logdet
+        - 0.5 * dist.sum() / params.scale
+    )
+    return completions, free_by_group, float(loglik)
 
 
 def _m_step(

@@ -10,6 +10,9 @@ The missing-data and class fits share this machinery: ``_iterate`` is the
 one iteration loop (trace, convergence test, timing, fit record), and
 ``_pooled_m_step`` the one closed form update, which adds the conditional
 covariance terms of missing entries and pools the row factor over classes.
+Each factor is factored once per iteration: the Cholesky factorization
+that checks a new factor also gives the inverse and log determinant that
+the next E-step and M-step read.
 """
 
 from __future__ import annotations
@@ -21,14 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spd_cholesky, spd_inverse
+from .linalg import spd_inverse
 from .model import (
     DataError,
     MatrixNormalParams,
     ObservationSet,
     _first_missing,
+    _log_densities,
+    _precisions,
     _quadratic_forms,
-    full_log_likelihood,
 )
 
 logger = logging.getLogger(__name__)
@@ -103,36 +107,31 @@ def _param_change(new: MatrixNormalParams, old: MatrixNormalParams) -> float:
     )
 
 
-def _normalized_spd_update(
-    raw: np.ndarray, jitter: float, name: str
-) -> tuple[np.ndarray, bool]:
+def _normalized_spd_update(raw: np.ndarray, jitter: float, name: str) -> tuple:
     """Scale a raw scatter style update to unit top-left entry, jitter once.
 
-    Returns the normalized matrix and whether jitter was needed; the caller
-    must recompute anything derived from the raw matrix when it was.
+    Returns the normalized matrix, its (inverse, log determinant) from the
+    Cholesky factorization that checks it, and the scale split off: the
+    top-left entry, or after jitter ``sum(inverse * raw) / dim``, the scale
+    that maximizes the likelihood at the jittered shape.
     """
-    jittered = False
-    if not raw[0, 0] > _SCALE_FLOOR:
-        raw = raw + jitter * np.eye(raw.shape[0])
-        jittered = True
-        logger.warning("added jitter %g to a degenerate %s update", jitter, name)
-        if not raw[0, 0] > _SCALE_FLOOR:
-            raise SingularUpdateError(f"{name} update is singular even after jitter")
-    mat = raw / raw[0, 0]
-    try:
-        spd_cholesky(mat)
-    except np.linalg.LinAlgError:
+    dim = raw.shape[0]
+    for jittered in (False, True):
+        shape = raw + jitter * np.eye(dim) if jittered else raw
         if jittered:
-            raise SingularUpdateError(f"{name} update is singular even after jitter")
-        raw = raw + jitter * np.eye(raw.shape[0])
-        jittered = True
-        logger.warning("added jitter %g to a degenerate %s update", jitter, name)
-        mat = raw / raw[0, 0]
+            logger.warning("added jitter %g to a degenerate %s update", jitter, name)
+        if not shape[0, 0] > _SCALE_FLOOR:
+            continue
+        mat = shape / shape[0, 0]
         try:
-            spd_cholesky(mat)
+            fac = spd_inverse(mat)
         except np.linalg.LinAlgError:
-            raise SingularUpdateError(f"{name} update is singular even after jitter")
-    return mat, jittered
+            continue
+        scale = float(np.sum(fac[0] * raw)) / dim if jittered else float(raw[0, 0])
+        if not scale > _SCALE_FLOOR:
+            raise SingularUpdateError(f"{name} update collapsed to zero")
+        return mat, fac, scale
+    raise SingularUpdateError(f"{name} update is singular even after jitter")
 
 
 def _scatter_add(idx: np.ndarray, contrib: np.ndarray, dim: int) -> np.ndarray:
@@ -220,10 +219,12 @@ def _pooled_m_step(
     Renormalizing the pooled factor moves a constant into every class
     scale, which leaves the class covariances unchanged.  With one class
     this is the Kronecker EM update, and with complete data the flip-flop.
+    The old row precision is the one ``old`` carries; each new factor
+    leaves with the inverse and log determinant of its checking Cholesky.
     """
     p, q = completions[0].shape[1:]
     n_total = sum(comp.shape[0] for comp in completions)
-    row_prec_old, _ = spd_inverse(old[0].row_cov)
+    (row_prec_old, _), _ = _precisions(old[0])
 
     pooled = np.zeros((p, p))
     blocks = []
@@ -232,30 +233,18 @@ def _pooled_m_step(
         resid = comp - mean_new
         col_raw = _col_accumulator(grp, resid, row_prec_old, free, prm.scale)
         col_raw = col_raw / (p * comp.shape[0])
-        col_new, jittered = _normalized_spd_update(col_raw, jitter, "column covariance")
-        col_prec_new, _ = spd_inverse(col_new)
-        if jittered:
-            scale_mid = float(np.sum(col_prec_new * col_raw)) / q
-        else:
-            scale_mid = float(col_raw[0, 0])
-        if not scale_mid > _SCALE_FLOOR:
-            raise SingularUpdateError("variance scale collapsed to zero")
-        pooled += _row_accumulator(grp, resid, col_prec_new, free, prm.scale) / scale_mid
-        blocks.append((mean_new, col_new, scale_mid))
+        col_new, col_fac, scale_mid = _normalized_spd_update(
+            col_raw, jitter, "column covariance"
+        )
+        pooled += _row_accumulator(grp, resid, col_fac[0], free, prm.scale) / scale_mid
+        blocks.append((mean_new, col_new, col_fac, scale_mid))
 
     row_raw = pooled / (q * n_total)
-    row_new, jittered = _normalized_spd_update(row_raw, jitter, "row covariance")
-    if jittered:
-        row_prec_new, _ = spd_inverse(row_new)
-        kappa = float(np.sum(row_prec_new * row_raw)) / p
-    else:
-        kappa = float(row_raw[0, 0])
-    if not kappa > _SCALE_FLOOR:
-        raise SingularUpdateError("row covariance update collapsed to zero")
+    row_new, row_fac, kappa = _normalized_spd_update(row_raw, jitter, "row covariance")
     # The same row_new object goes into every class.
     return [
-        MatrixNormalParams(mean, row_new, col, kappa * scale_mid)
-        for mean, col, scale_mid in blocks
+        MatrixNormalParams._factored(mean, row_new, col, kappa * mid, row_fac, col_fac)
+        for mean, col, col_fac, mid in blocks
     ]
 
 
@@ -315,14 +304,16 @@ def _observed_cell_means(values: np.ndarray) -> np.ndarray:
 
 
 def _initial_params(values: np.ndarray) -> MatrixNormalParams:
-    """Identity shapes around the cell means, scale from pooled spread."""
+    """Identity shapes (their own inverses) at the cell means, pooled spread as scale."""
     n, p, q = values.shape
     mean = _observed_cell_means(values)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=RuntimeWarning)
         sq_dev = np.nanmean((values - mean) ** 2)
     scale = float(sq_dev) if sq_dev > 0 else 1.0
-    return MatrixNormalParams(mean, np.eye(p), np.eye(q), scale)
+    return MatrixNormalParams._factored(
+        mean, np.eye(p), np.eye(q), scale, (np.eye(p), 0.0), (np.eye(q), 0.0)
+    )
 
 
 def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
@@ -352,7 +343,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
         )
 
     def e_step(params):
-        return (full_log_likelihood(data, params),)
+        return (float(np.sum(_log_densities(values, params))),)
 
     def m_step(params, moments):
         return _pooled_m_step([()], [values], [()], [params], cfg.jitter)[0]
@@ -377,8 +368,7 @@ def stationarity_residual(data: ObservationSet, params: MatrixNormalParams) -> f
     n, p, q = values.shape
     mean_hat = values.mean(axis=0)
     resid = values - mean_hat
-    row_prec, _ = spd_inverse(params.row_cov)
-    col_prec, _ = spd_inverse(params.col_cov)
+    (row_prec, _), (col_prec, _) = _precisions(params)
 
     col_raw = _col_accumulator([], resid, row_prec, [], params.scale) / (p * n)
     col_hat = col_raw / col_raw[0, 0]

@@ -88,6 +88,15 @@ class MatrixNormalParams:
                         "normalized to 1 at the top-left entry"
                     )
 
+    @classmethod
+    def _factored(cls, mean, row_cov, col_cov, scale, row_fac, col_fac):
+        """A fit's update, unchecked, with each factor's (inverse, log determinant)."""
+        params = cls.__new__(cls)
+        params.mean, params.row_cov, params.col_cov = mean, row_cov, col_cov
+        params.scale, params.require_normalized = scale, True
+        params._factors = ((row_cov, *row_fac), (col_cov, *col_fac))
+        return params
+
     @property
     def p(self) -> int:
         return self.mean.shape[0]
@@ -173,9 +182,21 @@ def mahalanobis(x: np.ndarray, params: MatrixNormalParams) -> float:
     the scaled distance is wanted.
     """
     x = _check_observation(x, params)
-    row_prec, _ = spd_inverse(params.row_cov)
-    col_prec, _ = spd_inverse(params.col_cov)
+    (row_prec, _), (col_prec, _) = _precisions(params)
     return float(_quadratic_forms(x - params.mean, row_prec, col_prec))
+
+
+def _precisions(params: MatrixNormalParams) -> tuple:
+    """((row inverse, row log det), (column inverse, column log det)).
+
+    A fit's set carries them; they are used while the factor attribute is
+    the very object they came from, and a reassigned factor is factored here.
+    """
+    row, col = getattr(params, "_factors", ((None,) * 3,) * 2)
+    return (
+        row[1:] if row[0] is params.row_cov else spd_inverse(params.row_cov),
+        col[1:] if col[0] is params.col_cov else spd_inverse(params.col_cov),
+    )
 
 
 def _quadratic_forms(
@@ -188,11 +209,10 @@ def _quadratic_forms(
 def _log_densities(values: np.ndarray, params: MatrixNormalParams) -> np.ndarray:
     """Log density of each matrix in a fully observed (..., p, q) stack.
 
-    Factors the covariance once for the whole stack; each entry depends on
-    its own observation and the parameters alone.
+    Factors the covariance at most once for the whole stack; each entry
+    depends on its own observation and the parameters alone.
     """
-    row_prec, row_logdet = spd_inverse(params.row_cov)
-    col_prec, col_logdet = spd_inverse(params.col_cov)
+    (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
     dist = _quadratic_forms(values - params.mean, row_prec, col_prec)
     p, q = params.p, params.q
     return (

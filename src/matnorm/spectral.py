@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .linalg import spd_cholesky, spd_inverse
 from .mle import (
     EstimationError,
     FitConfig,
+    _initial_params,
     _iterate,
     _observed_cell_means,
     _param_change,
@@ -128,7 +128,6 @@ def fit_class_models(
     method = method.lower()
     if method not in ("mm", "em"):
         raise ValueError(f"method must be 'mm' or 'em', got {method!r}")
-    n, p, q = data.values.shape
     k_classes = data.n_classes
 
     class_values = []
@@ -142,17 +141,7 @@ def fit_class_models(
             vals = np.where(np.isnan(vals), fills, vals)
         class_values.append(vals)
     patterns = [detect_pattern(v) for v in class_values]
-
-    row_cov = np.eye(p)
-    class_params = []
-    for vals in class_values:
-        mean = _observed_cell_means(vals)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=RuntimeWarning)
-            sq_dev = float(np.nanmean((vals - mean) ** 2))
-        class_params.append(
-            MatrixNormalParams(mean, row_cov, np.eye(q), sq_dev if sq_dev > 0 else 1.0)
-        )
+    class_params = [_initial_params(vals) for vals in class_values]
 
     def e_step(params_list):
         completions, frees, total = [], [], 0.0

@@ -1,0 +1,110 @@
+"""Each covariance factor is factored once per iteration, and handed on safely.
+
+A fit builds every parameter set inside its loop with the inverse and log
+determinant of the Cholesky factorization that checked each new factor;
+the E-step and the next M-step read them instead of factoring again.
+"""
+
+import logging
+
+import numpy as np
+import pytest
+
+from matnorm import linalg, missing, mle, model, spectral
+from matnorm.missing import _e_step, detect_pattern, fit_em, fit_mm
+from matnorm.mle import FitConfig, fit_mle
+from matnorm.model import MatrixNormalParams, ObservationSet, _log_densities, sample
+from matnorm.simulate import inject_missing, random_params
+from matnorm.spectral import LabeledObservationSet, fit_class_models
+
+CLEAN = sample(random_params(3, 5, 41), 120, 42).values
+MASKED = inject_missing(ObservationSet(CLEAN), 0.15, 43).values
+CLEAN_SET = ObservationSet(CLEAN)
+MASKED_SET = ObservationSet(MASKED)
+LABELED_SET = LabeledObservationSet(MASKED, np.repeat([1, 2, 3], 40))
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call of ``matnorm.linalg.<name>``, through every binding."""
+    real = getattr(linalg, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for module in (linalg, model, mle, missing, spectral):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fit, factors_per_iteration",
+    [
+        (lambda: fit_mle(CLEAN_SET), 2),
+        (lambda: fit_em(MASKED_SET), 2),
+        (lambda: fit_class_models(LABELED_SET, "em"), 1 + 3),
+    ],
+    ids=["fit_mle", "fit_em", "fit_class_models"],
+)
+def test_each_iteration_factors_each_new_factor_once(monkeypatch, fit, factors_per_iteration):
+    choleskys = _count_calls(monkeypatch, "spd_cholesky")
+    checks = _count_calls(monkeypatch, "ensure_spd")
+    result = fit()
+    assert result.iterations >= 3
+    # the identity start needs no factorization, and every later set
+    # arrives with the factorization that checked it: one Cholesky for the
+    # row factor and one for each class's column factor per iteration
+    assert len(choleskys) == factors_per_iteration * result.iterations
+    assert checks == []
+
+
+def _degenerate_values():
+    """Complete data whose third column never varies: the column update is singular."""
+    values = sample(random_params(2, 3, 44), 40, 45).values
+    values[:, :, 2] = 1.5
+    return values
+
+
+def test_fitted_sets_pass_the_public_checks_unchanged(caplog):
+    with caplog.at_level(logging.WARNING, logger="matnorm.mle"):
+        jittered = fit_mle(ObservationSet(_degenerate_values()), FitConfig(max_iters=3))
+    assert "added jitter" in caplog.text
+    fitted = [
+        fit_mle(CLEAN_SET).params,
+        fit_mm(MASKED_SET).params,
+        fit_em(MASKED_SET).params,
+        jittered.params,
+        *fit_class_models(LABELED_SET, "em").class_params,
+    ]
+    for params in fitted:
+        rebuilt = MatrixNormalParams(
+            params.mean, params.row_cov, params.col_cov, params.scale
+        )
+        for name in ("mean", "row_cov", "col_cov"):
+            assert getattr(rebuilt, name) is getattr(params, name)
+        for cov in (params.row_cov, params.col_cov):
+            np.testing.assert_array_equal(cov, cov.T)
+            assert cov[0, 0] == 1.0
+            np.linalg.cholesky(cov)
+        assert rebuilt.scale == params.scale
+        assert type(params.scale) is float
+
+
+@pytest.mark.parametrize("factor", ["row_cov", "col_cov"])
+def test_reassigned_factor_is_factored_again(factor):
+    fitted = fit_em(MASKED_SET).params
+    p, q = fitted.p, fitted.q
+    other = random_params(p, q, 46)
+    setattr(fitted, factor, getattr(other, factor))
+    fresh = MatrixNormalParams(fitted.mean, fitted.row_cov, fitted.col_cov, fitted.scale)
+    np.testing.assert_array_equal(
+        _log_densities(CLEAN, fitted), _log_densities(CLEAN, fresh)
+    )
+    pattern = detect_pattern(MASKED)
+    got, want = _e_step(MASKED, pattern, fitted), _e_step(MASKED, pattern, fresh)
+    np.testing.assert_array_equal(got[0], want[0])
+    for a, b in zip(got[1], want[1]):
+        np.testing.assert_array_equal(a, b)
+    assert got[2] == want[2]

@@ -177,6 +177,19 @@ class TestConditionalMoments:
         with pytest.raises(DataError):
             conditional_moments(x, params, miss=np.array([0]))
 
+    @pytest.mark.parametrize(
+        "miss, named",
+        [([5, 1, 5], "position 5 is listed more than once"),
+         ([2, 12], "position 12 is outside 0..11"),
+         ([-1], "position -1 is outside 0..11")],
+    )
+    def test_rejects_bad_explicit_position(self, miss, named):
+        # a repeat used to surface as a singular pivot, 12 as a bare
+        # IndexError, and -1 wrapped silently to the last entry
+        params = random_params(np.random.default_rng(5), 3, 4)
+        with pytest.raises(ValueError, match=named):
+            conditional_moments(np.zeros((3, 4)), params, miss=np.array(miss))
+
     def test_single_missing_entry_shrinks_variance(self):
         # conditioning can only reduce the variance of a missing entry
         rng = np.random.default_rng(5)
