@@ -16,6 +16,7 @@ reproduces x bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
@@ -27,6 +28,7 @@ from .model import MatrixNormalParams
 
 _COLUMN_RE = re.compile(r"^x_r(\d+)_c(\d+)$")
 _MISSING_FIELDS = ("", "NA")
+_NAN = float("nan")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -72,8 +74,80 @@ def _parse_header(fields: list) -> tuple[bool, int, int]:
     return has_label, p, q
 
 
+def _first_bad_field(path: str, lineno: int, names: list, fields: list) -> str:
+    """Message for the first unparsable or non-finite value field of a line."""
+    for name, field in zip(names, fields):
+        if field in _MISSING_FIELDS:
+            continue
+        try:
+            value = float(field)
+        except ValueError:
+            return (
+                f"{path}: line {lineno}, column {name}: "
+                f"cannot parse {field!r} as a number"
+            )
+        if not math.isfinite(value):
+            return (
+                f"{path}: line {lineno}, column {name}: value must be "
+                "finite (encode missing entries as empty or NA)"
+            )
+    return ""
+
+
+def _parse_line(
+    path: str, lineno: int, line: str, width: int, names: list, has_label: bool
+) -> tuple:
+    """(label or None, values with NaN for missing, missing count) of a data line.
+
+    Raises for a ragged line, a bad label or an unparsable value; a
+    non-finite value is left for the caller to find.
+    """
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != width:
+        raise ValueError(
+            f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
+        )
+    label = None
+    if has_label:
+        try:
+            label = int(fields[0])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: label {fields[0]!r} is not an integer"
+            ) from None
+        fields = fields[1:]
+    try:
+        row = [_NAN if f in _MISSING_FIELDS else float(f) for f in fields]
+    except ValueError:
+        raise ValueError(_first_bad_field(path, lineno, names, fields)) from None
+    return label, row, sum(fields.count(m) for m in _MISSING_FIELDS)
+
+
+def _check_finite(
+    path: str, lines: list, names: list, line_numbers: list, rows: list, missing: list
+) -> np.ndarray:
+    """The rows as one (n, width) array; raises naming the first non-finite value."""
+    stacked = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    # each missing field reads as one NaN, so a row holds a bad value
+    # exactly when it has more non-finite entries than missing fields
+    nonfinite = np.count_nonzero(~np.isfinite(stacked), axis=1)
+    bad = np.flatnonzero(nonfinite > np.asarray(missing, dtype=int))
+    if bad.size:
+        lineno = line_numbers[bad[0]]
+        fields = [f.strip() for f in lines[lineno - 1].split(",")]
+        raise ValueError(
+            _first_bad_field(path, lineno, names, fields[len(fields) - len(names):])
+        )
+    return stacked
+
+
 def load_dataset(path: str) -> tuple[np.ndarray, "np.ndarray | None"]:
-    """Read a dataset CSV; returns (values (n, p, q), labels or None)."""
+    """Read a dataset CSV; returns (values (n, p, q), labels or None).
+
+    Lines are parsed into Python floats and stacked into one array, whose
+    finiteness is checked at once.  An error names the first bad field in
+    file order.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines:
@@ -83,46 +157,23 @@ def load_dataset(path: str) -> tuple[np.ndarray, "np.ndarray | None"]:
     width = len(header)
     names = header[1:] if has_label else header
 
-    rows = []
-    labels = [] if has_label else None
+    labels, rows, line_numbers, missing = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != width:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
-            )
-        if has_label:
-            try:
-                labels.append(int(fields[0]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: label {fields[0]!r} is not an integer"
-                )
-            fields = fields[1:]
-        row = np.empty(p * q)
-        for j, field in enumerate(fields):
-            if field in _MISSING_FIELDS:
-                row[j] = np.nan
-                continue
-            try:
-                value = float(field)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}, column {names[j]}: "
-                    f"cannot parse {field!r} as a number"
-                )
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"{path}: line {lineno}, column {names[j]}: value must be "
-                    "finite (encode missing entries as empty or NA)"
-                )
-            row[j] = value
+        try:
+            label, row, holes = _parse_line(path, lineno, line, width, names, has_label)
+        except ValueError:
+            # a non-finite value on an earlier line comes first in file order
+            _check_finite(path, lines, names, line_numbers, rows, missing)
+            raise
+        labels.append(label)
         rows.append(row)
+        line_numbers.append(lineno)
+        missing.append(holes)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    stacked = np.vstack(rows)
+    stacked = _check_finite(path, lines, names, line_numbers, rows, missing)
     values = stacked.reshape(len(rows), q, p).transpose(0, 2, 1)
     return values, (np.asarray(labels, dtype=int) if has_label else None)
 

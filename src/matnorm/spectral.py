@@ -6,7 +6,8 @@ factor is then eigen-decomposed, observations are projected onto its
 leading directions (reducing the row dimension while keeping every column),
 and classes are compared in that projected space: a symmetric two-sided
 Mahalanobis distance between class centers, hierarchical clustering of the
-resulting distance matrix, and a maximum likelihood classifier.
+resulting distance matrix, and a maximum likelihood classifier that
+scores each class once over the whole stack of projected observations.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .mle import (
     _pooled_m_step,
 )
 from .missing import _e_step, detect_pattern
-from .model import DataError, MatrixNormalParams, ObservationSet, log_density
+from .model import DataError, MatrixNormalParams, ObservationSet, _log_densities
+from .model import log_density  # noqa: F401  (spectral.log_density stays a public binding)
 
 
 @dataclass(eq=False)
@@ -395,20 +397,29 @@ def mle_classify(
 
     Accepts one p x q matrix (returns an integer label) or a stack
     (returns an integer array); ties resolve to the lower class label.
+    Each class is scored once over the whole projected stack, so its
+    covariance is factored once per call, however many observations there
+    are; every score still depends on its own observation alone.
     """
     if k is None:
         k = pca.k
     p = pca.eigenvectors.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"k must lie in [1, {p}], got {k}")
+    shape = np.shape(getattr(x, "values", x))
+    q = model.class_params[0].q
+    if shape[-1:] != (q,):
+        raise ValueError(
+            f"observation shape {shape} does not match the model's "
+            f"{p} x {q} observations"
+        )
     proj = project(x, pca, k)
     single = proj.ndim == 2
     if single:
         proj = proj[None]
-    projected_params = _projected_params(model, pca, k)
-    scores = np.empty((proj.shape[0], len(projected_params)))
-    for c, params in enumerate(projected_params):
-        for i in range(proj.shape[0]):
-            scores[i, c] = log_density(proj[i], params)
+    scores = np.stack(
+        [_log_densities(proj, params) for params in _projected_params(model, pca, k)],
+        axis=1,
+    )
     labels = np.argmax(scores, axis=1) + 1
     return int(labels[0]) if single else labels

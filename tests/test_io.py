@@ -145,6 +145,62 @@ class TestDatasetErrors:
             load_dataset(path)
 
 
+class TestDatasetParsing:
+    """Errors name the first bad field in file order; values load bit for bit."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,1.5,inf\n2,two,1\n", "line 3, column x_r2_c1: value must be finite"),
+            ("1,1,two\n2,1.5,inf\n", "line 3, column x_r2_c1: cannot parse 'two'"),
+            ("1,inf,two\n", "line 3, column x_r1_c1: value must be finite"),
+            ("1,two,inf\n", "line 3, column x_r1_c1: cannot parse 'two'"),
+            ("1,,nan\n2,1\n", "line 3, column x_r2_c1: value must be finite"),
+            ("1,NA,1\nx,1,2\n", "line 4: label 'x' is not an integer"),
+        ],
+        ids=[
+            "non-finite-line-first",
+            "unparsable-line-first",
+            "non-finite-field-first",
+            "unparsable-field-first",
+            "non-finite-before-ragged-line",
+            "bad-label-after-holes",
+        ],
+    )
+    def test_first_bad_field_in_file_order(self, tmp_path, body, message):
+        # line 2 is good and holds a hole; the body starts at line 3
+        path = str(tmp_path / "data.csv")
+        atomic_write_text(path, "label,x_r1_c1,x_r2_c1\n1,0.5,NA\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_literals_name_line_and_column(self, tmp_path, literal):
+        path = str(tmp_path / "data.csv")
+        atomic_write_text(path, f"x_r1_c1,x_r2_c1\n1,\n2,NA\n3,{literal}\n")
+        with pytest.raises(
+            ValueError,
+            match=(
+                r"line 4, column x_r2_c1: value must be finite "
+                r"\(encode missing entries as empty or NA\)"
+            ),
+        ):
+            load_dataset(path)
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = random_values(rng, 40, 3, 5, miss=0.25)
+        values[0, 1, 1] = -0.0
+        values[1, 2, 3] = 5e-324
+        values[2, 0, 4] = 1.7976931348623157e308
+        values[3, 1, 0] = -1.7976931348623157e308
+        path = str(tmp_path / "data.csv")
+        save_dataset(path, values, np.arange(40) % 3 + 1)
+        loaded, labels = load_dataset(path)
+        assert loaded.shape == values.shape
+        np.testing.assert_array_equal(loaded.view(np.uint64), values.view(np.uint64))
+        np.testing.assert_array_equal(labels, np.arange(40) % 3 + 1)
+
 class TestParamsRoundTrip:
     def test_matrix_normal_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -1,16 +1,20 @@
 """Class models, projection, distances, clustering, classification."""
 
+import re
+
 import numpy as np
 import pytest
+from test_factors import _count_calls
 
 from matnorm.mle import FitConfig
 from matnorm.missing import fit_em
-from matnorm.model import DataError, MatrixNormalParams, ObservationSet, sample
+from matnorm.model import DataError, MatrixNormalParams, ObservationSet, log_density, sample
 from matnorm.spectral import (
     ClassModel,
     ClusterMerge,
     LabeledObservationSet,
     PcaResult,
+    _projected_params,
     class_distance,
     distance_matrix,
     fit_class_models,
@@ -399,3 +403,92 @@ class TestMleClassify:
         pca = pca_row_cov(model, data.p)
         direct = mle_classify(model.completions, model, pca, k=data.p)
         assert set(np.unique(direct)) <= {1, 2}
+
+
+def three_class_data(rng, holes, p=4, q=6, n_per=60):
+    """Three classes sharing a row factor, with MCAR holes or longitudinal dropout."""
+    row_cov = shape_matrix(rng, p)
+    base = rng.standard_normal((p, q))
+    classes = [
+        MatrixNormalParams(base + 0.8 * rng.standard_normal((p, q)), row_cov,
+                           shape_matrix(rng, q), scale)
+        for scale in (1.0, 1.4, 0.8)
+    ]
+    values = np.concatenate([sample(c, n_per, rng).values for c in classes])
+    labels = np.repeat([1, 2, 3], n_per)
+    if holes == "mcar":
+        values = knock_out(values, 0.1, rng)
+    else:
+        for i in np.flatnonzero(rng.random(values.shape[0]) < 0.6):
+            values[i, :, rng.integers(q // 2, q):] = np.nan
+    return LabeledObservationSet(values, labels)
+
+
+class TestMleClassifyBatched:
+    """One score per class over the whole stack, equal to scoring one at a time."""
+
+    @pytest.mark.parametrize("holes", ["mcar", "dropout"])
+    def test_labels_match_per_observation_log_density(self, holes):
+        data = three_class_data(np.random.default_rng(19), holes)
+        model = fit_class_models(data, method="em")
+        pca = pca_row_cov(model, 2)
+        rng = np.random.default_rng(20)
+        stack = model.completions + 0.5 * rng.standard_normal(model.completions.shape)
+        proj = project(stack, pca, 2)
+        scores = np.array(
+            [
+                [log_density(x, params) for params in _projected_params(model, pca, 2)]
+                for x in proj
+            ]
+        )
+        want = np.argmax(scores, axis=1) + 1
+        got = mle_classify(stack, model, pca, 2)
+        assert got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, want)
+        assert set(np.unique(got)) == {1, 2, 3}
+        for i in (0, 70, 179):
+            label = mle_classify(stack[i], model, pca, 2)
+            assert type(label) is int
+            assert label == want[i]
+
+    def test_ties_in_a_stack_go_to_lower_label(self):
+        far = MatrixNormalParams(np.full((2, 2), 50.0), np.eye(2), np.eye(2), 1.0)
+        near = MatrixNormalParams(np.zeros((2, 2)), np.eye(2), np.eye(2), 1.0)
+        model = ClassModel(
+            class_params=[far, near, near],
+            completions=np.zeros((6, 2, 2)),
+            labels=np.repeat([1, 2, 3], 2),
+            method="em",
+            loglik_trace=np.zeros(1),
+            iterations=0,
+            wall_time=0.0,
+            converged=True,
+        )
+        pca = pca_row_cov(np.eye(2), 2)
+        stack = np.stack([np.ones((2, 2)), -np.ones((2, 2)), np.zeros((2, 2))])
+        np.testing.assert_array_equal(mle_classify(stack, model, pca), [2, 2, 2])
+        assert mle_classify(stack[0], model, pca) == 2
+
+    def test_factorizations_do_not_grow_with_the_stack(self, monkeypatch):
+        data, _, _ = two_class_data(np.random.default_rng(21), n_per=40)
+        model = fit_class_models(data, method="em")
+        pca = pca_row_cov(model, 2)
+        inverses = _count_calls(monkeypatch, "spd_inverse")
+        choleskys = _count_calls(monkeypatch, "spd_cholesky")
+        rng = np.random.default_rng(22)
+        for n in (10, 1000):
+            del inverses[:], choleskys[:]
+            mle_classify(model.completions[rng.integers(0, data.n_obs, n)], model, pca)
+            # both factors of each class, once per call, each through one Cholesky
+            assert len(inverses) == len(choleskys) == 2 * model.n_classes
+
+    @pytest.mark.parametrize(
+        "shape", [(5, 3, 1), (3, 1), (5, 3, 5)], ids=["stack-one-column", "one-column", "extra-column"]
+    )
+    def test_rejects_a_column_count_other_than_the_models(self, shape):
+        data, _, _ = two_class_data(np.random.default_rng(23), p=3, q=4, n_per=30)
+        model = fit_class_models(data, method="em")
+        pca = pca_row_cov(model, 2)
+        message = rf"{re.escape(str(shape))}.*3 x 4"
+        with pytest.raises(ValueError, match=message):
+            mle_classify(np.ones(shape), model, pca)
