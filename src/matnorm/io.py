@@ -94,33 +94,45 @@ def _first_bad_field(path: str, lineno: int, names: list, fields: list) -> str:
     return ""
 
 
+def _parse_fields(fields: list, has_label: bool) -> tuple:
+    label = int(fields[0]) if has_label else None
+    values = fields[1:] if has_label else fields
+    row = [_NAN if f in _MISSING_FIELDS else float(f) for f in values]
+    return label, row, sum(values.count(m) for m in _MISSING_FIELDS)
+
+
 def _parse_line(
     path: str, lineno: int, line: str, width: int, names: list, has_label: bool
 ) -> tuple:
     """(label or None, values with NaN for missing, missing count) of a data line.
 
-    Raises for a ragged line, a bad label or an unparsable value; a
-    non-finite value is left for the caller to find.
+    The fields are parsed as they stand first, since ``int`` and ``float``
+    accept surrounding blanks; only a line where that fails, from a bad
+    field or a padded ``NA`` or blank field, is parsed again with its
+    fields stripped.  Raises for a ragged line, a bad label or an
+    unparsable value; a non-finite value is left for the caller to find.
     """
-    fields = [f.strip() for f in line.split(",")]
+    fields = line.split(",")
     if len(fields) != width:
         raise ValueError(
             f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
         )
-    label = None
+    try:
+        return _parse_fields(fields, has_label)
+    except ValueError:
+        fields = [f.strip() for f in fields]
     if has_label:
         try:
-            label = int(fields[0])
+            int(fields[0])
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: label {fields[0]!r} is not an integer"
             ) from None
-        fields = fields[1:]
     try:
-        row = [_NAN if f in _MISSING_FIELDS else float(f) for f in fields]
+        return _parse_fields(fields, has_label)
     except ValueError:
-        raise ValueError(_first_bad_field(path, lineno, names, fields)) from None
-    return label, row, sum(fields.count(m) for m in _MISSING_FIELDS)
+        values = fields[1:] if has_label else fields
+        raise ValueError(_first_bad_field(path, lineno, names, values)) from None
 
 
 def _check_finite(

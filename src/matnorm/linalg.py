@@ -136,51 +136,53 @@ def _condition_gathered(
     resid: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-    first: "np.ndarray | None" = None,
-    pattern_of: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Condition the holes of stacked residual matrices on their observed entries.
 
     ``h`` is read off ``row_prec @ R0 @ col_prec`` at the holes, R0 being
-    ``resid`` with zeros there, and :func:`_condition_block` does the rest.
+    ``resid`` with zeros there, the missing precision block is gathered
+    from the two factors, and :func:`_condition_block` does the rest.
     """
     members = np.arange(rows.shape[0])[:, None]
     zeroed = resid.copy()
     zeroed[members, rows, cols] = 0.0
     h = (row_prec @ zeroed @ col_prec)[members, rows, cols]
-    return _condition_block(row_prec, col_prec, h, rows, cols, first, pattern_of)
+    block = (
+        col_prec[cols[:, :, None], cols[:, None, :]]
+        * row_prec[rows[:, :, None], rows[:, None, :]]
+    )
+    return _condition_block(block, h, cols * row_prec.shape[0] + rows)
 
 
 def _condition_block(
-    row_prec: np.ndarray,
-    col_prec: np.ndarray,
+    block: np.ndarray,
     h: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    first: "np.ndarray | None",
-    pattern_of: "np.ndarray | None",
+    miss: np.ndarray,
+    first: "np.ndarray | None" = None,
+    pattern_of: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional shifts, free blocks and log dets of stacked hole sets.
 
     The scale free precision of a column-stacked residual is
-    ``kron(col_prec, row_prec)``; it is never formed.  Member b has holes at
-    ``(rows[b], cols[b])``, ordered by stacked position ``col * p + row``,
+    ``kron(col_prec, row_prec)``; it is never formed.  Member b has holes
+    at the stacked positions ``miss[b]`` (``col * p + row``, ascending),
     and ``h[b] = Omega_mo @ r_o``, its observed residual weighted by the
-    precision at the holes.  Its missing block ``Omega_mm[a, c] =
-    col_prec[cols[a], cols[c]] * row_prec[rows[a], rows[c]]`` is gathered
-    from the two factors.  This yields what sweeping the holes out of the
-    precision would.  One batched Cholesky ``Omega_mm = L L.T`` gives the
-    sweep's pivot values, ``diag(L)**2``, and with them ``log det
-    Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the scale free
-    conditional covariance, and ``-free @ h`` the conditional mean shift.
+    precision at the holes.  ``block`` holds the missing precision blocks
+    ``Omega_mm[a, c] = col_prec[cols[a], cols[c]] * row_prec[rows[a],
+    rows[c]]``, gathered by the caller from the two factors.  This yields
+    what sweeping the holes out of the precision would.  One batched
+    Cholesky ``Omega_mm = L L.T`` gives the sweep's pivot values,
+    ``diag(L)**2``, and with them ``log det Omega_mm``; the swept block
+    ``free = inv(Omega_mm)`` is the scale free conditional covariance, and
+    ``-free @ h`` the conditional mean shift.
 
     The block depends on the holes alone, so members with the same holes
     share it.  Given ``first``, the member positions of the first member
     with each distinct hole set in order of appearance, and ``pattern_of``,
-    each member's index into ``first``, only those U blocks are gathered,
-    factored, checked and inverted, and each member reads its free block
-    and log determinant through ``pattern_of``; ``h`` and the shift stay
-    per member.
+    each member's index into ``first``, ``block`` holds only those U
+    blocks, which are factored, checked and inverted once, and each member
+    reads its free block and log determinant through ``pattern_of``; ``h``
+    and the shift stay per member.
 
     Returns the (B, m) shifts, the (B, m, m) free blocks and the (B,) log
     determinants.  Raises :class:`SingularPivotError` naming the stacked
@@ -188,12 +190,6 @@ def _condition_block(
     first member with a bad pivot at that step; sharing blocks leaves the
     position unchanged, since each set's first member is its earliest.
     """
-    p = row_prec.shape[0]
-    set_rows, set_cols = (rows, cols) if first is None else (rows[first], cols[first])
-    block = (
-        col_prec[set_cols[:, :, None], set_cols[:, None, :]]
-        * row_prec[set_rows[:, :, None], set_rows[:, None, :]]
-    )
     try:
         pivots = np.diagonal(np.linalg.cholesky(block), axis1=1, axis2=2) ** 2
     except np.linalg.LinAlgError:
@@ -202,16 +198,16 @@ def _condition_block(
         # block's first bad pivot they are meaningless; only the first bad
         # step is reported.
         a = block.copy()
-        pivots = np.empty(set_rows.shape)
+        pivots = np.empty(block.shape[:2])
         with np.errstate(all="ignore"):
-            for t in range(set_rows.shape[1]):
+            for t in range(block.shape[1]):
                 pivots[:, t] = a[:, t, t]
                 a -= a[:, :, t, None] * a[:, None, t, :] / pivots[:, t, None, None]
     low = ~(pivots >= _PIVOT_TOL)
     if low.any():
         t = int(np.argmax(low.any(axis=0)))
         b = int(np.argmax(low[:, t]))
-        raise SingularPivotError(int(set_cols[b, t]) * p + int(set_rows[b, t]))
+        raise SingularPivotError(int(miss[b if first is None else first[b], t]))
     free = np.linalg.inv(block)
     free = (free + free.transpose(0, 2, 1)) / 2.0
     logdet = np.log(pivots).sum(axis=1)

@@ -14,11 +14,14 @@ Three fitters cover the usual quality/cost trade:
   conditional covariance, and the observed likelihood term) at the cost of
   an m x m factorization per distinct set of m missing entries.  The
   E-step makes one pass over the data with the factor inverses the last
-  M-step handed on, so each factor is factored once per iteration.
-  The M-step is the complete data update of :mod:`matnorm.mle` on the
-  completions, plus each conditional covariance paired with the other
-  factor's precision at the missing coordinates and scatter-added onto the
-  factor grids.
+  M-step handed on, so each factor is factored once per iteration.  It
+  reads and writes the holes through flat positions indexed once per
+  pattern (:attr:`MissingPattern._holes`), which also locate each hole
+  set's missing precision block in the two factors.  The M-step is the
+  complete data update of :mod:`matnorm.mle` on the completions, plus the
+  conditional covariances: one scatter sums them all onto a single
+  conditional-covariance grid, which each factor update contracts with the
+  other factor's precision.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
   Kronecker assumption.  The flexible but slow baseline.
@@ -41,6 +44,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -59,6 +63,7 @@ from .mle import (
     FitConfig,
     FitResult,
     SingularUpdateError,
+    _grid_pairs,
     _initial_params,
     _iterate,
     _observed_cell_means,
@@ -93,12 +98,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _PatternGroup:
     """Observations sharing one missing entry count, stacked for batch work.
 
-    When the group holds at most ``_SHARED_HOLES_SHARE`` times as many
-    distinct hole sets as members, ``first`` holds the member position of
-    the first member with each set, in order of appearance, ``pattern_of``
-    each member's index into ``first``, and ``pattern_counts`` how many
-    members share each set; otherwise all three are None and every member
-    is conditioned on its own.
+    ``miss``, ``rows`` and ``cols`` list each member's holes; the em fits
+    read and write them through the flat positions of
+    :attr:`MissingPattern._holes`, and read ``miss`` again only to name a
+    singular pivot.  When the group holds at most ``_SHARED_HOLES_SHARE``
+    times as many distinct hole sets as members, ``first`` holds the
+    member position of the first member with each set, in order of
+    appearance, ``pattern_of`` each member's index into ``first``, and
+    ``pattern_counts`` how many members share each set; otherwise all
+    three are None and every member is conditioned on its own.
     """
 
     m: int
@@ -113,18 +121,44 @@ class _PatternGroup:
 
 
 @dataclass(eq=False)
+class _HoleIndex:
+    """Flat positions of every hole of a pattern, read by the em fits.
+
+    ``at`` holds each hole's position in the C-ordered (n, p, q) values
+    and ``cells`` its position in the p x q mean, group after group,
+    member after member, each member's holes in ascending stacked order;
+    ``spans[k]`` is group k's slice of both.  ``pairs`` holds, for every
+    hole set the E-step factors (each distinct set of a sharing group,
+    else each member's), the position of each pair of its holes on the
+    (q, q, p, p) conditional-covariance grid, ``(ca * q + cc) * p * p + ra
+    * p + rc``; ``divmod`` by ``p * p`` splits it into the positions of
+    that pair in the column and row factors, which gather the missing
+    precision block.  ``pairs_by_group[k]`` is group k's (U, m, m) view.
+    """
+
+    at: np.ndarray
+    cells: np.ndarray
+    spans: list
+    pairs: np.ndarray
+    pairs_by_group: list
+
+
+@dataclass(eq=False)
 class MissingPattern:
     """Index bookkeeping for the missing entries of an observation set.
 
     The fitters read only ``_groups``, one :class:`_PatternGroup` per
-    missing entry count present, and ``_complete_ids``, the observations
-    with nothing missing.  The per observation views are read-only and
-    built from the groups when read: ``miss[i]`` holds the ascending
-    positions of observation i's missing entries within the column-stacked
-    vector; ``rows[i]`` and ``cols[i]`` are the matching row and column
-    coordinates (position = col * p + row); ``observed[i]`` holds the other
-    positions; ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector
-    matrices built from the coordinates.
+    missing entry count present, ``_complete_ids``, the observations with
+    nothing missing, and, the em fits alone, ``_holes``: the flat positions
+    of every hole (:class:`_HoleIndex`), built on first read, so one fit
+    indexes them once and :func:`fit_gem`, which never reads them, never
+    pays for them.  The per observation views are read-only and built from
+    the groups when read: ``miss[i]`` holds the ascending positions of
+    observation i's missing entries within the column-stacked vector;
+    ``rows[i]`` and ``cols[i]`` are the matching row and column coordinates
+    (position = col * p + row); ``observed[i]`` holds the other positions;
+    ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector matrices
+    built from the coordinates.
     """
 
     p: int
@@ -136,6 +170,34 @@ class MissingPattern:
     @property
     def any_missing(self) -> bool:
         return bool(self._groups)
+
+    @cached_property
+    def _holes(self) -> _HoleIndex:
+        p, q, groups = self.p, self.q, self._groups
+        none = np.zeros(0, dtype=np.intp)  # a complete class has no groups
+        ids = np.concatenate([none, *(np.repeat(g.obs_ids, g.m) for g in groups)])
+        cells = np.concatenate([none, *((g.rows * q + g.cols).ravel() for g in groups)])
+        ends = np.cumsum([0, *(g.rows.size for g in groups)])
+        sets = [
+            (g.rows, g.cols) if g.first is None else (g.rows[g.first], g.cols[g.first])
+            for g in groups
+        ]
+        size = sum(rows.size * rows.shape[1] for rows, _ in sets)
+        pairs = np.empty(size, dtype=np.intp)
+        pairs_by_group, lo = [], 0
+        for rows, cols in sets:
+            u, m = rows.shape
+            view = pairs[lo : lo + u * m * m].reshape(u, m, m)
+            np.add(_grid_pairs(cols, q) * (p * p), _grid_pairs(rows, p), out=view)
+            pairs_by_group.append(view)
+            lo += view.size
+        return _HoleIndex(
+            at=ids * (p * q) + cells,
+            cells=cells,
+            spans=[slice(a, b) for a, b in zip(ends[:-1], ends[1:])],
+            pairs=pairs,
+            pairs_by_group=pairs_by_group,
+        )
 
     def _by_obs(self, name: str, blank: np.ndarray) -> tuple:
         out = [blank] * self.n_obs
@@ -316,42 +378,71 @@ def _e_step(
     """Completions, per-group conditional covariances, observed log likelihood.
 
     One pass over all n observations: the residual with zeros at the holes,
-    R0, is weighted once as ``row_prec @ R0 @ col_prec``, and each
-    missing-count group reads its ``h = Omega_mo @ r_o`` off that product
-    and goes through one call of the block kernel; the pq x pq precision is
-    never formed.  With every shift written into the residual, one
-    quadratic form over all n gives each observed block's marginal form,
-    and the log determinants of the missing precision blocks correct the
-    full covariance determinant to the marginal ones.
+    R0, is weighted once as ``row_prec @ R0 @ col_prec``, every hole's
+    ``h = Omega_mo @ r_o`` is read off that product in one gather, and each
+    missing-count group gathers its missing precision blocks from the two
+    factors and goes through one call of the block kernel; the pq x pq
+    precision is never formed.  All reads and writes go through the flat
+    positions of :attr:`MissingPattern._holes`, built once per pattern.
+    With every shift written into the residual, one quadratic form over all
+    n gives each observed block's marginal form, and the log determinants
+    of the missing precision blocks correct the full covariance determinant
+    to the marginal ones.
     """
     n, p, q = values.shape
-    mean = params.mean
+    holes = pattern._holes
     (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
-    resid = values - mean
-    resid[np.isnan(resid)] = 0.0
-    weighted = row_prec @ resid @ col_prec
-    completions = values.copy()
-    free_by_group = []
-    n_seen, block_logdet = n * p * q, 0.0
-    for g in pattern._groups:
-        at = (g.obs_ids[:, None], g.rows, g.cols)
-        shift, free, logdet = _condition_block(
-            row_prec, col_prec, weighted[at], g.rows, g.cols, g.first, g.pattern_of
+    resid = values - params.mean
+    np.put(resid, holes.at, 0.0)
+    h = np.take(row_prec @ resid @ col_prec, holes.at)
+    shift = np.empty_like(h)
+    free_by_group, block_logdet = [], 0.0
+    for g, span, pairs in zip(pattern._groups, holes.spans, holes.pairs_by_group):
+        col_at, row_at = np.divmod(pairs, p * p)
+        block = np.take(col_prec, col_at) * np.take(row_prec, row_at)
+        g_shift, free, logdet = _condition_block(
+            block, h[span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
         )
+        shift[span] = g_shift.ravel()
         free_by_group.append(free)
-        completions[at] = mean[g.rows, g.cols] + shift
-        resid[at] = shift
-        n_seen -= g.rows.size
         block_logdet += logdet.sum()
-    del weighted  # not held while the quadratic form takes its own products
+    completions = values.copy()
+    np.put(completions, holes.at, np.take(params.mean, holes.cells) + shift)
+    np.put(resid, holes.at, shift)
     dist = _quadratic_forms(resid, row_prec, col_prec)
     loglik = (
-        -0.5 * n_seen * math.log(2.0 * math.pi * params.scale)
+        -0.5 * (n * p * q - h.size) * math.log(2.0 * math.pi * params.scale)
         - 0.5 * n * (p * col_logdet + q * row_logdet)
         - 0.5 * block_logdet
         - 0.5 * dist.sum() / params.scale
     )
     return completions, free_by_group, float(loglik)
+
+
+def _conditional_grid(
+    pattern: MissingPattern, free_by_group: list
+) -> "np.ndarray | None":
+    """Every scale free conditional covariance, summed once onto one grid.
+
+    Entry ``[ca, cc, ra, rc]`` of the (q, q, p, p) grid sums the conditional
+    covariance between the holes at (ra, ca) and (rc, cc) over all
+    observations: gem's accumulated conditional covariance without the
+    scale, its entries reordered so that each factor's precision contracts
+    it in one matrix-vector product.  A shared hole set is summed once,
+    weighted by its member count, and one scatter serves every group.
+    None when nothing is missing.
+    """
+    if not pattern.any_missing:
+        return None
+    mass = np.concatenate(
+        [
+            free.ravel() if g.first is None
+            else (g.pattern_counts[:, None, None] * free[g.first]).ravel()
+            for g, free in zip(pattern._groups, free_by_group)
+        ]
+    )
+    p, q = pattern.p, pattern.q
+    return _scatter_add(pattern._holes.pairs, mass, (q, q, p, p))
 
 
 def _m_step(
@@ -368,9 +459,8 @@ def _m_step(
     every sub-step is a coordinate maximizer of the expected complete log
     likelihood and the observed likelihood cannot decrease.
     """
-    return _pooled_m_step(
-        [pattern._groups], [completions], [free_by_group], [old], jitter
-    )[0]
+    grid = _conditional_grid(pattern, free_by_group)
+    return _pooled_m_step([grid], [completions], [old], jitter)[0]
 
 
 def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
@@ -491,7 +581,7 @@ def _gem_e_step(
         filled = vdata[g.obs_ids].copy()
         np.put_along_axis(filled, g.miss, cond_mean, axis=1)
         completions[g.obs_ids] = filled
-        extra += _scatter_add(g.miss, cond_cov, d)
+        extra += _scatter_add(_grid_pairs(g.miss, d), cond_cov, (d, d))
         logdet = 2.0 * np.sum(
             np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1
         )

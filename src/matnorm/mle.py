@@ -8,8 +8,10 @@ stops moving.
 
 The missing-data and class fits share this machinery: ``_iterate`` is the
 one iteration loop (trace, convergence test, timing, fit record), and
-``_pooled_m_step`` the one closed form update, which adds the conditional
-covariance terms of missing entries and pools the row factor over classes.
+``_pooled_m_step`` the one closed form update, which pools the row factor
+over classes and adds the conditional covariance of missing entries: each
+class hands it in as one grid, summed in one ``_scatter_add``, that the two
+accumulators contract with the row and the column precision.
 Each factor is factored once per iteration: the Cholesky factorization
 that checks a new factor also gives the inverse and log determinant that
 the next E-step and M-step read.
@@ -18,6 +20,7 @@ the next E-step and M-step read.
 from __future__ import annotations
 
 import logging
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -134,83 +137,68 @@ def _normalized_spd_update(raw: np.ndarray, jitter: float, name: str) -> tuple:
     raise SingularUpdateError(f"{name} update is singular even after jitter")
 
 
-def _scatter_add(idx: np.ndarray, contrib: np.ndarray, dim: int) -> np.ndarray:
-    """Sum ``contrib[b, a, c]`` onto a dim x dim grid at ``(idx[b, a], idx[b, c])``.
+def _grid_pairs(idx: np.ndarray, dim: int) -> np.ndarray:
+    """Flat positions of ``(idx[b, a], idx[b, c])`` on a dim x dim grid, (B, m, m)."""
+    return idx[:, :, None] * dim + idx[:, None, :]
 
-    Repeated indices accumulate: one weighted count over the flattened grid.
+
+def _scatter_add(pairs: np.ndarray, contrib: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``contrib`` onto a grid of ``shape`` at the flat positions ``pairs``.
+
+    Repeated positions accumulate: one weighted count over the flattened grid.
     """
-    flat = (idx[:, :, None] * dim + idx[:, None, :]).ravel()
-    grid = np.bincount(flat, weights=contrib.ravel(), minlength=dim * dim)
-    return grid.reshape(dim, dim)
-
-
-def _conditional_mass(g, free: np.ndarray, scale_old: float) -> tuple:
-    """Hole rows, hole columns and scaled conditional covariances of a group.
-
-    A group that shares its blocks yields each distinct hole set once, its
-    covariance weighted by the number of members holding it.
-    """
-    if g.first is None:
-        return g.rows, g.cols, scale_old * free
-    weight = scale_old * g.pattern_counts
-    return g.rows[g.first], g.cols[g.first], weight[:, None, None] * free[g.first]
+    flat = pairs.ravel()
+    grid = np.bincount(flat, weights=contrib.ravel(), minlength=math.prod(shape))
+    return grid.reshape(shape)
 
 
 def _col_accumulator(
-    groups: list,
     resid: np.ndarray,
     row_prec: np.ndarray,
-    free_by_group: list,
+    grid: "np.ndarray | None",
     scale_old: float,
 ) -> np.ndarray:
     """Expected column-side scatter: completed products plus conditional mass.
 
     The completed part is ``sum_n resid_n.T @ row_prec @ resid_n``.  The
-    conditional covariance of each missing block, paired entrywise with the
-    row precision values at the missing rows, scatters onto the column grid
-    at the missing column coordinates, repeated coordinates accumulating;
-    a shared hole set scatters once, weighted by its member count.
-    ``groups`` and ``free_by_group`` are empty for complete data.
+    conditional part contracts the (q, q, p, p) grid of summed scale free
+    conditional covariances (see :func:`matnorm.missing._conditional_grid`)
+    with the row precision over its row coordinates, times the old scale.
+    ``grid`` is None for complete data.
     """
     q = resid.shape[2]
     acc = resid.reshape(-1, q).T @ (row_prec @ resid).reshape(-1, q)
-    for g, free in zip(groups, free_by_group):
-        rows, cols, mass = _conditional_mass(g, free, scale_old)
-        sub = row_prec[rows[:, :, None], rows[:, None, :]]
-        acc += _scatter_add(cols, mass * sub, q)
+    if grid is not None:
+        acc += scale_old * (grid.reshape(q * q, -1) @ row_prec.ravel()).reshape(q, q)
     return (acc + acc.T) / 2.0
 
 
 def _row_accumulator(
-    groups: list,
     resid: np.ndarray,
     col_prec: np.ndarray,
-    free_by_group: list,
+    grid: "np.ndarray | None",
     scale_old: float,
 ) -> np.ndarray:
     """Row-side counterpart of :func:`_col_accumulator`."""
-    q = resid.shape[2]
+    p, q = resid.shape[1:]
     weighted = (resid.reshape(-1, q) @ col_prec).reshape(resid.shape)
     acc = np.matmul(weighted, resid.transpose(0, 2, 1)).sum(axis=0)
-    for g, free in zip(groups, free_by_group):
-        rows, cols, mass = _conditional_mass(g, free, scale_old)
-        sub = col_prec[cols[:, :, None], cols[:, None, :]]
-        acc += _scatter_add(rows, mass * sub, resid.shape[1])
+    if grid is not None:
+        acc += scale_old * (col_prec.ravel() @ grid.reshape(q * q, -1)).reshape(p, p)
     return (acc + acc.T) / 2.0
 
 
 def _pooled_m_step(
-    groups: list,
+    grids: list,
     completions: list,
-    frees: list,
     old: list,
     jitter: float,
 ) -> list:
     """Closed form update of K classes that share one row factor.
 
-    Every argument holds one entry per class: the missing-pattern groups,
-    the conditional completions, the per-group scale free conditional
-    covariances (both empty for complete data), and the current parameters.
+    Every argument holds one entry per class: the grid of summed scale free
+    conditional covariances (None for complete data), the conditional
+    completions, and the current parameters.
     Each class gets its mean and its column factor with a provisional scale,
     the joint maximizer of the expected complete log likelihood at the old
     row factor; the row factor then pools every class's row-side scatter,
@@ -228,15 +216,15 @@ def _pooled_m_step(
 
     pooled = np.zeros((p, p))
     blocks = []
-    for grp, comp, free, prm in zip(groups, completions, frees, old):
+    for grid, comp, prm in zip(grids, completions, old):
         mean_new = comp.mean(axis=0)
         resid = comp - mean_new
-        col_raw = _col_accumulator(grp, resid, row_prec_old, free, prm.scale)
+        col_raw = _col_accumulator(resid, row_prec_old, grid, prm.scale)
         col_raw = col_raw / (p * comp.shape[0])
         col_new, col_fac, scale_mid = _normalized_spd_update(
             col_raw, jitter, "column covariance"
         )
-        pooled += _row_accumulator(grp, resid, col_fac[0], free, prm.scale) / scale_mid
+        pooled += _row_accumulator(resid, col_fac[0], grid, prm.scale) / scale_mid
         blocks.append((mean_new, col_new, col_fac, scale_mid))
 
     row_raw = pooled / (q * n_total)
@@ -266,6 +254,7 @@ def _iterate(e_step, m_step, change, params, cfg: FitConfig, start: float):
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
         new_params = m_step(params, moments)
+        del moments  # not held while the E-step builds the next ones
         moments = e_step(new_params)
         loglik = moments[-1]
         delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
@@ -346,7 +335,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
         return (float(np.sum(_log_densities(values, params))),)
 
     def m_step(params, moments):
-        return _pooled_m_step([()], [values], [()], [params], cfg.jitter)[0]
+        return _pooled_m_step([None], [values], [params], cfg.jitter)[0]
 
     _, _, result = _iterate(
         e_step, m_step, _param_change, _initial_params(values), cfg, start
@@ -370,9 +359,9 @@ def stationarity_residual(data: ObservationSet, params: MatrixNormalParams) -> f
     resid = values - mean_hat
     (row_prec, _), (col_prec, _) = _precisions(params)
 
-    col_raw = _col_accumulator([], resid, row_prec, [], params.scale) / (p * n)
+    col_raw = _col_accumulator(resid, row_prec, None, params.scale) / (p * n)
     col_hat = col_raw / col_raw[0, 0]
-    row_raw = _row_accumulator([], resid, col_prec, [], params.scale) / (q * n)
+    row_raw = _row_accumulator(resid, col_prec, None, params.scale) / (q * n)
     row_hat = row_raw / row_raw[0, 0]
     dist = _quadratic_forms(resid, row_prec, col_prec)
     scale_hat = float(np.sum(dist)) / (p * q * n)

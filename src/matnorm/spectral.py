@@ -29,7 +29,7 @@ from .mle import (
     _param_change,
     _pooled_m_step,
 )
-from .missing import _e_step, detect_pattern
+from .missing import _conditional_grid, _e_step, detect_pattern
 from .model import DataError, MatrixNormalParams, ObservationSet, _log_densities
 from .model import log_density  # noqa: F401  (spectral.log_density stays a public binding)
 
@@ -155,8 +155,8 @@ def fit_class_models(
         return completions, frees, total
 
     def m_step(params_list, moments):
-        groups = [pattern._groups for pattern in patterns]
-        return _pooled_m_step(groups, moments[0], moments[1], params_list, cfg.jitter)
+        grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
+        return _pooled_m_step(grids, moments[0], params_list, cfg.jitter)
 
     def change(new, old):
         return max(_param_change(a, b) for a, b in zip(new, old))

@@ -187,6 +187,36 @@ class TestDatasetParsing:
         ):
             load_dataset(path)
 
+    def test_padded_fields_read_as_stripped(self, tmp_path):
+        # " NA " and an all-blank field are missing; " 1.5 " and a " 2"
+        # label parse as their stripped text
+        path = str(tmp_path / "data.csv")
+        atomic_write_text(
+            path,
+            "label,x_r1_c1,x_r2_c1,x_r1_c2,x_r2_c2\n"
+            " 2, NA ,  , 1.5 ,4\n"
+            "1,0.5,NA,,-3\n",
+        )
+        values, labels = load_dataset(path)
+        np.testing.assert_array_equal(labels, [2, 1])
+        np.testing.assert_array_equal(values[0], [[np.nan, 1.5], [np.nan, 4.0]])
+        np.testing.assert_array_equal(values[1], [[0.5, np.nan], [np.nan, -3.0]])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (" 1, NA , inf ", "line 3, column x_r2_c1: value must be finite"),
+            (" 1,  , two ", "line 3, column x_r2_c1: cannot parse 'two'"),
+            (" x , NA ,1", "line 3: label 'x' is not an integer"),
+        ],
+        ids=["non-finite-after-padded-na", "unparsable-after-blank", "padded-label"],
+    )
+    def test_padded_fields_report_stripped_text(self, tmp_path, line, message):
+        path = str(tmp_path / "data.csv")
+        atomic_write_text(path, f"label,x_r1_c1,x_r2_c1\n1,0.5, NA \n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            load_dataset(path)
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         values = random_values(rng, 40, 3, 5, miss=0.25)

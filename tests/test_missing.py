@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matnorm.linalg
+import matnorm.missing
+import matnorm.mle
 from matnorm.linalg import (
     _PIVOT_TOL,
     SingularPivotError,
@@ -24,6 +26,7 @@ from matnorm.mle import (
 )
 from matnorm.missing import (
     ConditionalMoments,
+    _conditional_grid,
     _e_step,
     _gem_e_step,
     conditional_moments,
@@ -232,6 +235,28 @@ class TestEStep:
             _, _, got = _e_step(values, pattern, other)
             ref = observed_log_likelihood(ObservationSet(values), other)
             assert abs(got - ref) < 1e-9 * max(1.0, abs(ref)), f"trial {trial}"
+
+    def test_loglik_holds_on_ill_conditioned_factors(self):
+        # the quadratic form is taken of the completed residuals: reading it
+        # off the first weighted product and the shifts instead (r0' Omega
+        # r0 + shift' h) loses 1e-7 relative or more at factor condition 1e5
+        def factor(rng, dim):
+            basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            a = (basis * np.geomspace(1.0, 1e-5, dim)) @ basis.T
+            a = (a + a.T) / 2.0
+            return a / a[0, 0]
+
+        rng = np.random.default_rng(36)
+        for trial, (p, q, n) in enumerate([(3, 5, 60), (4, 6, 40)] * 3):
+            params = MatrixNormalParams(
+                rng.standard_normal((p, q)), factor(rng, p), factor(rng, q), 1.3
+            )
+            assert np.linalg.cond(params.row_cov) > 5e4
+            assert np.linalg.cond(params.col_cov) > 5e4
+            values = knock_out(sample(params, n, rng).values, 0.45, rng)
+            _, _, got = _e_step(values, detect_pattern(values), params)
+            ref = observed_log_likelihood(ObservationSet(values), params)
+            assert abs(got - ref) <= 1e-9 * abs(ref), f"trial {trial}"
 
     def test_observation_order_equivariance(self):
         rng = np.random.default_rng(8)
@@ -472,9 +497,9 @@ def _assert_accumulators_match_masks(values, params):
     row_prec = np.linalg.inv(params.row_cov)
     col_prec = np.linalg.inv(params.col_cov)
 
-    groups = pattern._groups
-    col_got = _col_accumulator(groups, resid, row_prec, free_by_group, params.scale)
-    row_got = _row_accumulator(groups, resid, col_prec, free_by_group, params.scale)
+    grid = _conditional_grid(pattern, free_by_group)
+    col_got = _col_accumulator(resid, row_prec, grid, params.scale)
+    row_got = _row_accumulator(resid, col_prec, grid, params.scale)
 
     col_ref = np.zeros((q, q))
     row_ref = np.zeros((p, p))
@@ -507,6 +532,40 @@ def test_scatter_accumulators_weight_shared_hole_sets():
     pattern = detect_pattern(values)
     assert all(g.first is not None for g in pattern._groups)
     _assert_accumulators_match_masks(values, random_params(rng, 3, 5))
+
+
+def _count_grid_scatters(monkeypatch):
+    """Record every ``_scatter_add`` call, through the mle and missing bindings."""
+    real = matnorm.mle._scatter_add
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (matnorm.mle, matnorm.missing):
+        monkeypatch.setattr(module, "_scatter_add", counted)
+    return calls
+
+
+@pytest.mark.parametrize("classes", [1, 3])
+def test_m_step_scatters_the_conditional_mass_once_per_class(monkeypatch, classes):
+    rng = np.random.default_rng(37)
+    values = knock_out(sample(random_params(rng, 3, 5), 90, rng).values, 0.25, rng)
+    labels = np.repeat(np.arange(1, classes + 1), 90 // classes)
+    groups = [
+        len(detect_pattern(values[labels == c])._groups) for c in range(1, classes + 1)
+    ]
+    assert min(groups) >= 4
+    calls = _count_grid_scatters(monkeypatch)
+    if classes == 1:
+        iterations = fit_em(ObservationSet(values)).iterations
+    else:
+        data = LabeledObservationSet(values, labels)
+        iterations = fit_class_models(data, "em").iterations
+    assert iterations >= 3
+    # one grid per class per M-step, however many missing-count groups
+    assert len(calls) == classes * iterations
 
 
 class TestFitEm:
