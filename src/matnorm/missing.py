@@ -24,17 +24,22 @@ Three fitters cover the usual quality/cost trade:
   other factor's precision.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
-  Kronecker assumption.  The flexible but slow baseline.
+  Kronecker assumption.  The flexible but slow baseline.  Its E-step
+  conditions each observation on its observed block: one solve of that
+  k x k block gives the gain, the m x m conditional covariance's log
+  determinant gives the block's, and the Cholesky the M-step took to check
+  the covariance whitens the completed rows for the quadratic forms.
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
 than a Python loop over the data set.  Within a batch, observations with the
-same holes share one missing precision block: when a batch holds at most
-half as many distinct hole sets as observations (a dropout tail, a lost
-band), :func:`fit_em` factors each distinct block once and weights its
-conditional covariance by the number of observations sharing it; otherwise
-every observation's block is factored on its own.  All three run the
-iteration loop of :func:`matnorm.mle._iterate`.
+same holes share one block to factor (the missing precision block in
+:func:`fit_em`, the observed covariance block in :func:`fit_gem`): when a
+batch holds at most half as many distinct hole sets as observations (a
+dropout tail, a lost band), each distinct block is factored once and its
+conditional covariance weighted by the number of observations sharing it;
+otherwise every observation's block is factored on its own.  All three run
+the iteration loop of :func:`matnorm.mle._iterate`.
 """
 
 from __future__ import annotations
@@ -98,15 +103,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _PatternGroup:
     """Observations sharing one missing entry count, stacked for batch work.
 
-    ``miss``, ``rows`` and ``cols`` list each member's holes; the em fits
-    read and write them through the flat positions of
-    :attr:`MissingPattern._holes`, and read ``miss`` again only to name a
-    singular pivot.  When the group holds at most ``_SHARED_HOLES_SHARE``
-    times as many distinct hole sets as members, ``first`` holds the
-    member position of the first member with each set, in order of
-    appearance, ``pattern_of`` each member's index into ``first``, and
-    ``pattern_counts`` how many members share each set; otherwise all
-    three are None and every member is conditioned on its own.
+    ``miss``, ``rows`` and ``cols`` list each member's holes and
+    ``observed`` its other positions; the fits read and write them through
+    flat positions indexed once per pattern (:attr:`MissingPattern._holes`
+    for the em fits, :attr:`MissingPattern._blocks` for :func:`fit_gem`),
+    and the em fits read ``miss`` again only to name a singular pivot.
+    When the group holds at most ``_SHARED_HOLES_SHARE`` times as many
+    distinct hole sets as members, ``first`` holds the member position of
+    the first member with each set, in order of appearance, ``pattern_of``
+    each member's index into ``first``, and ``pattern_counts`` how many
+    members share each set; otherwise all three are None and every member
+    is conditioned on its own.  Every fit factors a shared set once.
     """
 
     m: int
@@ -144,21 +151,44 @@ class _HoleIndex:
 
 
 @dataclass(eq=False)
+class _BlockIndex:
+    """Flat positions of every hole and observed block, read by :func:`fit_gem`.
+
+    ``at`` holds each hole's position in the (n, pq) stacked values and
+    ``cells`` its position in the stacked mean, group after group, member
+    after member, each member's holes in ascending order; ``seen[k]`` holds
+    group k's observed entries the same way.  ``blocks[k]`` holds, for
+    every hole set group k factors (each distinct set of a sharing group,
+    else each member's), the positions on the pq x pq covariance of that
+    set's entries reordered observed first, so one gather gives its
+    ``[[oo, om], [mo, mm]]`` blocks.  ``cond_pairs`` concatenates the
+    ``mm`` corners of every group, where the conditional covariances are
+    summed.
+    """
+
+    at: np.ndarray
+    cells: np.ndarray
+    seen: list
+    blocks: list
+    cond_pairs: np.ndarray
+
+
+@dataclass(eq=False)
 class MissingPattern:
     """Index bookkeeping for the missing entries of an observation set.
 
     The fitters read only ``_groups``, one :class:`_PatternGroup` per
-    missing entry count present, ``_complete_ids``, the observations with
-    nothing missing, and, the em fits alone, ``_holes``: the flat positions
-    of every hole (:class:`_HoleIndex`), built on first read, so one fit
-    indexes them once and :func:`fit_gem`, which never reads them, never
-    pays for them.  The per observation views are read-only and built from
-    the groups when read: ``miss[i]`` holds the ascending positions of
-    observation i's missing entries within the column-stacked vector;
-    ``rows[i]`` and ``cols[i]`` are the matching row and column coordinates
-    (position = col * p + row); ``observed[i]`` holds the other positions;
-    ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector matrices
-    built from the coordinates.
+    missing entry count present, and flat positions built on first read,
+    so one fit indexes them once and pays only for its own: the em fits
+    read ``_holes`` (:class:`_HoleIndex`), :func:`fit_gem` reads
+    ``_blocks`` (:class:`_BlockIndex`).  ``_complete_ids`` lists the
+    observations with nothing missing.  The per observation views are
+    read-only and built from the groups when read: ``miss[i]`` holds the
+    ascending positions of observation i's missing entries within the
+    column-stacked vector; ``rows[i]`` and ``cols[i]`` are the matching row
+    and column coordinates (position = col * p + row); ``observed[i]``
+    holds the other positions; ``row_masks[i]`` and ``col_masks[i]`` are
+    the 0/1 selector matrices built from the coordinates.
     """
 
     p: int
@@ -197,6 +227,25 @@ class MissingPattern:
             spans=[slice(a, b) for a, b in zip(ends[:-1], ends[1:])],
             pairs=pairs,
             pairs_by_group=pairs_by_group,
+        )
+
+    @cached_property
+    def _blocks(self) -> _BlockIndex:
+        d, groups = self.p * self.q, self._groups
+        none = np.zeros(0, dtype=np.intp)  # a complete set has no groups
+        blocks, corners = [], [none]
+        for g in groups:
+            sets = slice(None) if g.first is None else g.first
+            order = np.concatenate([g.observed[sets], g.miss[sets]], axis=1)
+            blocks.append(_grid_pairs(order, d))
+            corners.append(blocks[-1][:, -g.m :, -g.m :].ravel())
+        holes = [(g.obs_ids[:, None] * d + g.miss).ravel() for g in groups]
+        return _BlockIndex(
+            at=np.concatenate([none, *holes]),
+            cells=np.concatenate([none, *(g.miss.ravel() for g in groups)]),
+            seen=[(g.obs_ids[:, None] * d + g.observed).ravel() for g in groups],
+            blocks=blocks,
+            cond_pairs=np.concatenate(corners),
         )
 
     def _by_obs(self, name: str, blank: np.ndarray) -> tuple:
@@ -544,53 +593,63 @@ class UnstructuredParams:
 
 
 def _gem_e_step(
-    vdata: np.ndarray, pattern: MissingPattern, mean: np.ndarray, cov: np.ndarray
+    vdata: np.ndarray,
+    pattern: MissingPattern,
+    mean: np.ndarray,
+    cov: np.ndarray,
+    chol: "np.ndarray | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Completions, accumulated conditional covariance, observed loglik."""
+    """Completions, accumulated conditional covariance, observed loglik.
+
+    ``chol`` is the lower Cholesky factor of ``cov``, handed on by the
+    M-step that checked it, and taken here when not given.  Each
+    missing-count group gathers the covariance of every set it factors,
+    observed entries first, in one ``np.take``; one batched solve gives
+    the gain ``Sigma_oo^-1 Sigma_om``, hence each member's conditional
+    mean and the conditional covariance ``Sigma_mm.o``, whose m x m log
+    determinant gives ``log det Sigma_oo = log det Sigma - log det
+    Sigma_mm.o``.  It is taken through LU, not Cholesky: with no more
+    observations than pq the covariance nears singular, and roundoff can
+    leave ``Sigma_mm.o`` indefinite where ``Sigma_oo`` still factors.  A
+    group that shares hole sets factors each distinct set once; its
+    members read the gain through ``pattern_of``, and its conditional
+    covariances count once per member.  With every hole at its conditional
+    mean, a completed residual's quadratic form under ``cov`` is its
+    observed block's, so one triangular solve with ``chol`` over all n rows
+    gives every form.  One scatter sums the conditional covariances.
+    """
     n, d = vdata.shape
-    completions = vdata.copy()
-    extra = np.zeros((d, d))
-    loglik = 0.0
-    log_two_pi = math.log(2.0 * math.pi)
-
-    ids0 = pattern._complete_ids
-    if ids0.size:
+    if chol is None:
         chol = spd_cholesky(cov)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        white = scipy.linalg.solve_triangular(
-            chol, (vdata[ids0] - mean).T, lower=True
-        )
-        loglik += float(
-            -0.5 * ids0.size * (d * log_two_pi + logdet)
-            - 0.5 * np.sum(white * white)
-        )
-
-    for g in pattern._groups:
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    index = pattern._blocks
+    resid = vdata - mean
+    shifts, masses, cond_logdet = [np.zeros(0)], [np.zeros(0)], 0.0
+    for g, block_at, seen in zip(pattern._groups, index.blocks, index.seen):
         k = d - g.m
-        vobs = np.take_along_axis(vdata[g.obs_ids], g.observed, axis=1)
-        resid = vobs - mean[g.observed]
-        c_oo = cov[g.observed[:, :, None], g.observed[:, None, :]]
-        c_mo = cov[g.miss[:, :, None], g.observed[:, None, :]]
-        c_mm = cov[g.miss[:, :, None], g.miss[:, None, :]]
-        chol = np.linalg.cholesky(c_oo)
-        sol = np.linalg.solve(c_oo, resid[:, :, None])[:, :, 0]
-        cond_mean = mean[g.miss] + np.einsum("bmk,bk->bm", c_mo, sol)
-        gain = np.linalg.solve(c_oo, c_mo.transpose(0, 2, 1))
-        cond_cov = c_mm - np.matmul(c_mo, gain)
-        cond_cov = (cond_cov + cond_cov.transpose(0, 2, 1)) / 2.0
-        filled = vdata[g.obs_ids].copy()
-        np.put_along_axis(filled, g.miss, cond_mean, axis=1)
-        completions[g.obs_ids] = filled
-        extra += _scatter_add(_grid_pairs(g.miss, d), cond_cov, (d, d))
-        logdet = 2.0 * np.sum(
-            np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1
-        )
-        quad = np.einsum("bk,bk->b", resid, sol)
-        loglik += float(
-            -0.5 * g.obs_ids.size * k * log_two_pi
-            - 0.5 * logdet.sum()
-            - 0.5 * quad.sum()
-        )
+        block = np.take(cov, block_at)
+        gain = np.linalg.solve(block[:, :k, :k], block[:, :k, k:])
+        cond = block[:, k:, k:] - block[:, k:, :k] @ gain
+        cond = (cond + cond.transpose(0, 2, 1)) / 2.0
+        cond_ld = np.linalg.slogdet(cond)[1]
+        if g.first is not None:
+            gain = gain[g.pattern_of]
+            cond = g.pattern_counts[:, None, None] * cond
+            cond_ld = g.pattern_counts * cond_ld
+        shifts.append((np.take(resid, seen).reshape(-1, 1, k) @ gain).ravel())
+        masses.append(cond.ravel())
+        cond_logdet += float(cond_ld.sum())
+    shift = np.concatenate(shifts)
+    np.put(resid, index.at, shift)
+    completions = vdata.copy()
+    np.put(completions, index.at, np.take(mean, index.cells) + shift)
+    extra = _scatter_add(index.cond_pairs, np.concatenate(masses), (d, d))
+    white = scipy.linalg.solve_triangular(chol, resid.T, lower=True)
+    loglik = (
+        -0.5 * (n * d - shift.size) * math.log(2.0 * math.pi)
+        - 0.5 * (n * logdet - cond_logdet)
+        - 0.5 * float(np.sum(white * white))
+    )
     return completions, extra, loglik
 
 
@@ -637,20 +696,22 @@ def fit_gem(
         cov_new = (resid.T @ resid + extra) / n
         cov_new = (cov_new + cov_new.T) / 2.0
         try:
-            spd_cholesky(cov_new)
+            chol = spd_cholesky(cov_new)
         except np.linalg.LinAlgError:
             logger.warning("added jitter %g to a degenerate covariance update", cfg.jitter)
             cov_new = cov_new + cfg.jitter * np.eye(d)
             try:
-                spd_cholesky(cov_new)
+                chol = spd_cholesky(cov_new)
             except np.linalg.LinAlgError:
                 raise SingularUpdateError(
                     "covariance update is singular even after jitter"
                 )
-        return mean_new, cov_new
+        return mean_new, cov_new, chol
 
     def change(new, old):
         return max(_rel_change(new[0], old[0]), _rel_change(new[1], old[1]))
 
-    (mean, cov), _, result = _iterate(e_step, m_step, change, (mean, cov), cfg, start)
+    (mean, cov, _), _, result = _iterate(
+        e_step, m_step, change, (mean, cov, None), cfg, start
+    )
     return UnstructuredParams(p=p, q=q, mean=mean, cov=cov), result

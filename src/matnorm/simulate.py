@@ -126,7 +126,9 @@ class SimReport:
                 med_sigma = float(np.nanmedian([r.rel_err_sigma for r in group]))
                 med_mu = float(np.nanmedian([r.rel_err_mu for r in group]))
                 med_time = float(np.nanmedian([r.runtime_seconds for r in group]))
-                med_iters = float(np.nanmedian([r.iterations for r in group]))
+                # a failed replicate's row holds 0 iterations and a NaN time
+                done = [r.iterations for r in group if not np.isnan(r.runtime_seconds)]
+                med_iters = float(np.nanmedian(done))
             out.append(
                 {
                     "method": method,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -724,6 +725,74 @@ class TestFitGem:
             np.testing.assert_allclose(
                 extra[np.ix_(miss, miss)], ref.cond_cov, atol=1e-9
             )
+
+    def test_e_step_matches_per_observation_reference(self):
+        rng = np.random.default_rng(38)
+        p, q = 3, 5
+        d = p * q
+        mcar = knock_out(sample(random_params(rng, p, q), 40, rng).values, 0.3, rng)
+        mixed = knock_out(sample(random_params(rng, p, q), 60, rng).values, 0.03, rng)
+        dropout = _dropout_values(rng, p, q, 60)
+        for values, complete, shares in (
+            (mcar, False, False), (mixed, True, False), (dropout, False, True)
+        ):
+            pattern = detect_pattern(values)
+            assert (pattern._complete_ids.size > 0) == complete
+            assert any(g.first is not None for g in pattern._groups) == shares
+            g = rng.standard_normal((d, d))
+            cov = g @ g.T / d + 0.2 * np.eye(d)
+            mean = rng.standard_normal(d)
+            vdata = values.transpose(0, 2, 1).reshape(-1, d)
+            completions, extra, loglik = _gem_e_step(vdata, pattern, mean, cov)
+
+            ref_completions, ref_extra, ref_loglik = vdata.copy(), np.zeros((d, d)), 0.0
+            for i, x in enumerate(vdata):
+                miss = np.flatnonzero(np.isnan(x))
+                seen = np.flatnonzero(~np.isnan(x))
+                ref_loglik += scipy.stats.multivariate_normal(
+                    mean[seen], cov[np.ix_(seen, seen)]
+                ).logpdf(x[seen])
+                if miss.size:
+                    cond_mean, cond_cov = mvn_condition(x, mean, cov, miss)
+                    ref_completions[i, miss] = cond_mean
+                    ref_extra[np.ix_(miss, miss)] += cond_cov
+            np.testing.assert_allclose(completions, ref_completions, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(extra, ref_extra, rtol=0, atol=1e-10)
+            assert loglik == pytest.approx(ref_loglik, rel=1e-12)
+
+    def test_e_step_factors_each_observed_block_once(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        p, q = 3, 5
+        d = p * q
+        dropout = _dropout_values(rng, p, q, 60)
+        mcar = knock_out(sample(random_params(rng, p, q), 40, rng).values, 0.2, rng)
+        g = rng.standard_normal((d, d))
+        cov = g @ g.T / d + 0.2 * np.eye(d)
+        mean = rng.standard_normal(d)
+        calls = []
+        for name in ("cholesky", "solve", "inv", "slogdet"):
+            def record(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, a.shape))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, record)
+
+        for values, shares in ((dropout, True), (mcar, False)):
+            pattern = detect_pattern(values)
+            expected = []
+            for grp in pattern._groups:
+                k = d - grp.m
+                if grp.first is None:
+                    sets = grp.obs_ids.size
+                else:
+                    sets = len({tuple(holes) for holes in grp.miss})
+                    assert grp.first.size == sets < grp.obs_ids.size
+                # one k x k solve and one m x m log determinant per factored set
+                expected += [("solve", (sets, k, k)), ("slogdet", (sets, grp.m, grp.m))]
+            assert any(grp.first is not None for grp in pattern._groups) == shares
+            calls.clear()
+            _gem_e_step(values.transpose(0, 2, 1).reshape(-1, d), pattern, mean, cov)
+            assert sorted(calls) == sorted(expected)
 
     def test_observed_loglik_never_decreases(self):
         rng = np.random.default_rng(20)

@@ -242,3 +242,14 @@ def test_failed_replicates_become_nan_rows():
     assert cell["converged_fraction"] == 0.5
     # nanmedian skips the failed row
     assert cell["median_rel_err_sigma"] == 0.5
+
+
+def test_median_iterations_skips_failed_replicates():
+    rows = [
+        SimRow("em", 2, 2, 10, 0.1, 0, float("nan"), float("nan"), float("nan"), 0, False),
+        SimRow("em", 2, 2, 10, 0.1, 1, 0.5, 0.2, 0.01, 3, True),
+    ]
+    cell = SimReport(rows=rows).summary()["cells"][0]
+    assert cell["median_iterations"] == 3
+    failed = SimReport(rows=rows[:1]).summary()["cells"][0]
+    assert np.isnan(failed["median_iterations"])
