@@ -26,7 +26,7 @@ Three fitters cover the usual quality/cost trade:
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
   Kronecker assumption.  The flexible but slow baseline.  Its E-step
   conditions each observation on its observed block: one solve of that
-  k x k block gives the gain, the m x m conditional covariance's log
+  k x k block gives the gain, the m x m missing precision block's log
   determinant gives the block's, and the Cholesky the M-step took to check
   the covariance whitens the completed rows for the quadratic forms.
 
@@ -90,7 +90,8 @@ logger = logging.getLogger(__name__)
 
 # A missing-count group conditions its distinct hole sets rather than its
 # members only when there are at most this share as many of them: below,
-# the saved factorizations outweigh the indirection (see CHANGES.md).
+# the saved factorizations outweigh the indirection, for em's m x m kernel
+# and for gem's k x k solve alike (see CHANGES.md).
 _SHARED_HOLES_SHARE = 0.5
 
 
@@ -157,19 +158,19 @@ class _BlockIndex:
     ``at`` holds each hole's position in the (n, pq) stacked values and
     ``cells`` its position in the stacked mean, group after group, member
     after member, each member's holes in ascending order; ``seen[k]`` holds
-    group k's observed entries the same way.  ``blocks[k]`` holds, for
+    group k's observed entries the same way.  ``orders[k]`` holds, for
     every hole set group k factors (each distinct set of a sharing group,
-    else each member's), the positions on the pq x pq covariance of that
-    set's entries reordered observed first, so one gather gives its
-    ``[[oo, om], [mo, mm]]`` blocks.  ``cond_pairs`` concatenates the
-    ``mm`` corners of every group, where the conditional covariances are
-    summed.
+    else each member's), that set's stacked positions observed first, so
+    one gather at its ``_grid_pairs`` gives its ``[[oo, om], [mo, mm]]``
+    blocks; the E-step builds those pairs for one group at a time.
+    ``cond_pairs`` concatenates the ``mm`` corners of every group, where
+    the conditional covariances are summed.
     """
 
     at: np.ndarray
     cells: np.ndarray
     seen: list
-    blocks: list
+    orders: list
     cond_pairs: np.ndarray
 
 
@@ -181,8 +182,7 @@ class MissingPattern:
     missing entry count present, and flat positions built on first read,
     so one fit indexes them once and pays only for its own: the em fits
     read ``_holes`` (:class:`_HoleIndex`), :func:`fit_gem` reads
-    ``_blocks`` (:class:`_BlockIndex`).  ``_complete_ids`` lists the
-    observations with nothing missing.  The per observation views are
+    ``_blocks`` (:class:`_BlockIndex`).  The per observation views are
     read-only and built from the groups when read: ``miss[i]`` holds the
     ascending positions of observation i's missing entries within the
     column-stacked vector; ``rows[i]`` and ``cols[i]`` are the matching row
@@ -194,7 +194,6 @@ class MissingPattern:
     p: int
     q: int
     n_obs: int
-    _complete_ids: np.ndarray
     _groups: list
 
     @property
@@ -233,18 +232,17 @@ class MissingPattern:
     def _blocks(self) -> _BlockIndex:
         d, groups = self.p * self.q, self._groups
         none = np.zeros(0, dtype=np.intp)  # a complete set has no groups
-        blocks, corners = [], [none]
+        orders, corners = [], [none]
         for g in groups:
             sets = slice(None) if g.first is None else g.first
-            order = np.concatenate([g.observed[sets], g.miss[sets]], axis=1)
-            blocks.append(_grid_pairs(order, d))
-            corners.append(blocks[-1][:, -g.m :, -g.m :].ravel())
+            orders.append(np.concatenate([g.observed[sets], g.miss[sets]], axis=1))
+            corners.append(_grid_pairs(g.miss[sets], d).ravel())
         holes = [(g.obs_ids[:, None] * d + g.miss).ravel() for g in groups]
         return _BlockIndex(
             at=np.concatenate([none, *holes]),
             cells=np.concatenate([none, *(g.miss.ravel() for g in groups)]),
             seen=[(g.obs_ids[:, None] * d + g.observed).ravel() for g in groups],
-            blocks=blocks,
+            orders=orders,
             cond_pairs=np.concatenate(corners),
         )
 
@@ -366,7 +364,7 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
                 np.bincount(pattern_of, minlength=sets.size),
             ]
         groups.append(_PatternGroup(int(m), *(_frozen(a) for a in fields)))
-    return MissingPattern(p, q, n, _frozen(order[: sizes[0]]), groups)
+    return MissingPattern(p, q, n, groups)
 
 
 def conditional_moments(
@@ -606,39 +604,43 @@ def _gem_e_step(
     missing-count group gathers the covariance of every set it factors,
     observed entries first, in one ``np.take``; one batched solve gives
     the gain ``Sigma_oo^-1 Sigma_om``, hence each member's conditional
-    mean and the conditional covariance ``Sigma_mm.o``, whose m x m log
-    determinant gives ``log det Sigma_oo = log det Sigma - log det
-    Sigma_mm.o``.  It is taken through LU, not Cholesky: with no more
-    observations than pq the covariance nears singular, and roundoff can
-    leave ``Sigma_mm.o`` indefinite where ``Sigma_oo`` still factors.  A
-    group that shares hole sets factors each distinct set once; its
-    members read the gain through ``pattern_of``, and its conditional
-    covariances count once per member.  With every hole at its conditional
-    mean, a completed residual's quadratic form under ``cov`` is its
-    observed block's, so one triangular solve with ``chol`` over all n rows
-    gives every form.  One scatter sums the conditional covariances.
+    mean and the conditional covariance ``Sigma_mm.o``.  The observed
+    block's log determinant is ``log det Sigma + log det P_mm``, with the
+    precision block ``P_mm`` the Gram matrix of the hole columns of
+    ``chol^-1``: it is positive definite by construction and as accurate
+    as a Cholesky of ``Sigma_oo``, where ``-log det Sigma_mm.o`` loses
+    digits as ``cov`` nears singular.  A group that shares hole sets
+    factors each distinct set once; its members read the gain through
+    ``pattern_of``, and its conditional covariances and log determinants
+    count once per member.  With every hole at its conditional mean, a
+    completed residual's quadratic form under ``cov`` is its observed
+    block's, so one triangular solve with ``chol`` over all n rows gives
+    every form.  One scatter sums the conditional covariances.
     """
     n, d = vdata.shape
     if chol is None:
         chol = spd_cholesky(cov)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    inv_rows = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True).T
     index = pattern._blocks
     resid = vdata - mean
-    shifts, masses, cond_logdet = [np.zeros(0)], [np.zeros(0)], 0.0
-    for g, block_at, seen in zip(pattern._groups, index.blocks, index.seen):
+    shifts, masses, prec_logdet = [np.zeros(0)], [np.zeros(0)], 0.0
+    for g, order, seen in zip(pattern._groups, index.orders, index.seen):
         k = d - g.m
-        block = np.take(cov, block_at)
+        block = np.take(cov, _grid_pairs(order, d))
         gain = np.linalg.solve(block[:, :k, :k], block[:, :k, k:])
         cond = block[:, k:, k:] - block[:, k:, :k] @ gain
         cond = (cond + cond.transpose(0, 2, 1)) / 2.0
-        cond_ld = np.linalg.slogdet(cond)[1]
+        cols = inv_rows[order[:, k:]]
+        p_mm_chol = np.linalg.cholesky(cols @ cols.transpose(0, 2, 1))
+        set_ld = 2.0 * np.log(np.diagonal(p_mm_chol, axis1=1, axis2=2)).sum(axis=1)
         if g.first is not None:
             gain = gain[g.pattern_of]
             cond = g.pattern_counts[:, None, None] * cond
-            cond_ld = g.pattern_counts * cond_ld
+            set_ld = g.pattern_counts * set_ld
         shifts.append((np.take(resid, seen).reshape(-1, 1, k) @ gain).ravel())
         masses.append(cond.ravel())
-        cond_logdet += float(cond_ld.sum())
+        prec_logdet += float(set_ld.sum())
     shift = np.concatenate(shifts)
     np.put(resid, index.at, shift)
     completions = vdata.copy()
@@ -647,7 +649,7 @@ def _gem_e_step(
     white = scipy.linalg.solve_triangular(chol, resid.T, lower=True)
     loglik = (
         -0.5 * (n * d - shift.size) * math.log(2.0 * math.pi)
-        - 0.5 * (n * logdet - cond_logdet)
+        - 0.5 * (n * logdet + prec_logdet)
         - 0.5 * float(np.sum(white * white))
     )
     return completions, extra, loglik

@@ -341,7 +341,6 @@ def test_e_step_matches_references_on_adversarial_patterns(kind, p, q, seed):
             np.testing.assert_allclose(at.scale * free[b], ref_cov, atol=1e-8)
             seen.append(int(i))
     complete = np.flatnonzero(~np.isnan(values).any(axis=(1, 2)))
-    np.testing.assert_array_equal(pattern._complete_ids, complete)
     assert sorted(seen + complete.tolist()) == list(range(values.shape[0]))
     np.testing.assert_array_equal(completions[complete], values[complete])
 
@@ -737,7 +736,7 @@ class TestFitGem:
             (mcar, False, False), (mixed, True, False), (dropout, False, True)
         ):
             pattern = detect_pattern(values)
-            assert (pattern._complete_ids.size > 0) == complete
+            assert (~np.isnan(values).any(axis=(1, 2))).any() == complete
             assert any(g.first is not None for g in pattern._groups) == shares
             g = rng.standard_normal((d, d))
             cov = g @ g.T / d + 0.2 * np.eye(d)
@@ -759,6 +758,36 @@ class TestFitGem:
             np.testing.assert_allclose(completions, ref_completions, rtol=0, atol=1e-10)
             np.testing.assert_allclose(extra, ref_extra, rtol=0, atol=1e-10)
             assert loglik == pytest.approx(ref_loglik, rel=1e-12)
+
+    def test_loglik_holds_on_ill_conditioned_cov(self):
+        # log det Sigma_oo read as log det Sigma - log det Sigma_mm.o loses
+        # 5e-11 relative or more at condition 1e8; as log det Sigma + log det
+        # P_mm it stays as accurate as a Cholesky of each observed block
+        rng = np.random.default_rng(40)
+        p, q = 3, 5
+        d = p * q
+        for trial in range(6):
+            basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            cov = (basis * np.geomspace(1.0, 1e-8, d)) @ basis.T
+            cov = (cov + cov.T) / 2.0
+            assert np.linalg.cond(cov) > 5e7
+            mean = rng.standard_normal(d)
+            vdata = rng.multivariate_normal(mean, cov, size=40, method="eigh")
+            if trial % 2:
+                values = _dropout_values(rng, p, q, 40)
+                vdata[np.isnan(values.transpose(0, 2, 1).reshape(-1, d))] = np.nan
+            else:
+                vdata[rng.random(vdata.shape) < 0.45] = np.nan
+                vdata[np.isnan(vdata).all(axis=1), 0] = mean[0]
+            values = vdata.reshape(-1, q, p).transpose(0, 2, 1)
+            _, _, got = _gem_e_step(vdata, detect_pattern(values), mean, cov)
+            ref = 0.0
+            for x in vdata:
+                seen = np.flatnonzero(~np.isnan(x))
+                ref += scipy.stats.multivariate_normal(
+                    mean[seen], cov[np.ix_(seen, seen)]
+                ).logpdf(x[seen])
+            assert abs(got - ref) <= 1e-11 * abs(ref), f"trial {trial}"
 
     def test_e_step_factors_each_observed_block_once(self, monkeypatch):
         rng = np.random.default_rng(39)
@@ -787,8 +816,8 @@ class TestFitGem:
                 else:
                     sets = len({tuple(holes) for holes in grp.miss})
                     assert grp.first.size == sets < grp.obs_ids.size
-                # one k x k solve and one m x m log determinant per factored set
-                expected += [("solve", (sets, k, k)), ("slogdet", (sets, grp.m, grp.m))]
+                # one k x k solve and one m x m Cholesky per factored set
+                expected += [("solve", (sets, k, k)), ("cholesky", (sets, grp.m, grp.m))]
             assert any(grp.first is not None for grp in pattern._groups) == shares
             calls.clear()
             _gem_e_step(values.transpose(0, 2, 1).reshape(-1, d), pattern, mean, cov)
