@@ -14,21 +14,26 @@ Three fitters cover the usual quality/cost trade:
   conditional covariance, and the observed likelihood term) at the cost of
   an m x m factorization per distinct set of m missing entries.  The
   E-step makes one pass over the data with the factor inverses the last
-  M-step handed on, so each factor is factored once per iteration.  It
+  M-step handed on, so each factor is factored once per parameter set.  It
   reads and writes the holes through flat positions indexed once per
   pattern (:attr:`MissingPattern._holes`), which also locate each hole
   set's missing precision block in the two factors.  The M-step is the
   complete data update of :mod:`matnorm.mle` on the completions, plus the
   conditional covariances: one scatter sums them all onto a single
   conditional-covariance grid, which each factor update contracts with the
-  other factor's precision.
+  other factor's precision.  The loop follows each plain update with a
+  squared extrapolation along the last two (:func:`matnorm.mle._extrapolated`),
+  kept only when one update from it ends no lower, which takes about a
+  third fewer E-steps to the same tolerance.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
   Kronecker assumption.  The flexible but slow baseline.  Its E-step
   conditions each observation on its observed block: one solve of that
   k x k block gives the gain, the m x m missing precision block's log
   determinant gives the block's, and the Cholesky the M-step took to check
-  the covariance whitens the completed rows for the quadratic forms.
+  the covariance whitens the completed rows for the quadratic forms.  A
+  block that does not factor raises :class:`~matnorm.mle.SingularUpdateError`
+  naming the first observation it belongs to.  gem keeps plain steps.
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
@@ -68,6 +73,7 @@ from .mle import (
     FitConfig,
     FitResult,
     SingularUpdateError,
+    _extrapolated,
     _grid_pairs,
     _initial_params,
     _iterate,
@@ -541,8 +547,12 @@ def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
     def m_step(params, moments):
         return _m_step(pattern, moments[0], moments[1], params, cfg.jitter)
 
+    def extrapolate(*sets):
+        point = _extrapolated(*([prm] for prm in sets))
+        return None if point is None else point[0]
+
     _, _, result = _iterate(
-        e_step, m_step, _param_change, _initial_params(values), cfg, start
+        e_step, m_step, _param_change, _initial_params(values), cfg, start, extrapolate
     )
     return result
 
@@ -628,11 +638,14 @@ def _gem_e_step(
     for g, order, seen in zip(pattern._groups, index.orders, index.seen):
         k = d - g.m
         block = np.take(cov, _grid_pairs(order, d))
-        gain = np.linalg.solve(block[:, :k, :k], block[:, :k, k:])
+        cols = inv_rows[order[:, k:]]
+        try:
+            gain = np.linalg.solve(block[:, :k, :k], block[:, :k, k:])
+            p_mm_chol = np.linalg.cholesky(cols @ cols.transpose(0, 2, 1))
+        except np.linalg.LinAlgError as exc:
+            raise _singular_block(g, block, cols) from exc
         cond = block[:, k:, k:] - block[:, k:, :k] @ gain
         cond = (cond + cond.transpose(0, 2, 1)) / 2.0
-        cols = inv_rows[order[:, k:]]
-        p_mm_chol = np.linalg.cholesky(cols @ cols.transpose(0, 2, 1))
         set_ld = 2.0 * np.log(np.diagonal(p_mm_chol, axis1=1, axis2=2)).sum(axis=1)
         if g.first is not None:
             gain = gain[g.pattern_of]
@@ -653,6 +666,30 @@ def _gem_e_step(
         - 0.5 * float(np.sum(white * white))
     )
     return completions, extra, loglik
+
+
+def _singular_block(g: _PatternGroup, block: np.ndarray, cols: np.ndarray) -> Exception:
+    """The error for a group whose batched observed-block solve failed.
+
+    Re-solves the group's sets one at a time, on this failure path only,
+    and names the first observation whose observed block does not factor.
+    """
+    k = block.shape[1] - g.m
+    for u in range(block.shape[0]):
+        try:
+            np.linalg.solve(block[u, :k, :k], block[u, :k, k:])
+            np.linalg.cholesky(cols[u] @ cols[u].T)
+        except np.linalg.LinAlgError:
+            member = u if g.first is None else int(g.first[u])
+            return SingularUpdateError(
+                f"covariance is singular on the observed entries of observation "
+                f"{int(g.obs_ids[member])} (missing stacked positions "
+                f"{g.miss[member].tolist()})"
+            )
+    return SingularUpdateError(
+        f"covariance is singular on the observed entries of the observations "
+        f"missing {g.m} entries"
+    )
 
 
 def fit_gem(

@@ -12,9 +12,17 @@ one iteration loop (trace, convergence test, timing, fit record), and
 over classes and adds the conditional covariance of missing entries: each
 class hands it in as one grid, summed in one ``_scatter_add``, that the two
 accumulators contract with the row and the column precision.
-Each factor is factored once per iteration: the Cholesky factorization
+Each factor is factored once per parameter set: the Cholesky factorization
 that checks a new factor also gives the inverse and log determinant that
 the next E-step and M-step read.
+
+EM converges linearly, at a rate set by the fraction of missing
+information, so the missing-data fits hand the loop ``_extrapolated``:
+after each plain update it tries a squared extrapolation (SQUAREM,
+Varadhan & Roland 2008) along the last two updates, and keeps the point
+only when one update from it ends no lower than the plain update did.
+The complete data fit keeps plain steps; it settles in a few iterations,
+where an extrapolation cycle costs more than it saves.
 """
 
 from __future__ import annotations
@@ -82,9 +90,10 @@ class FitResult:
     """Outcome of a fit: parameters plus the convergence record.
 
     ``loglik_trace[0]`` is the objective at the initial parameters and each
-    later entry follows one update pass, so ``iterations == len(trace) - 1``
-    passes were applied.  ``params`` is None only for fits whose natural
-    output is not a matrix normal parameter set.
+    later entry follows one accepted update, plain or extrapolated (see
+    :func:`_iterate`), so ``iterations == len(trace) - 1`` updates were
+    accepted.  ``params`` is None only for fits whose natural output is not
+    a matrix normal parameter set.
     """
 
     params: "MatrixNormalParams | None"
@@ -236,39 +245,156 @@ def _pooled_m_step(
     ]
 
 
-def _iterate(e_step, m_step, change, params, cfg: FitConfig, start: float):
+def _squarem_coordinates(sets: list) -> np.ndarray:
+    """The coordinates SQUAREM extrapolates: means, factor shapes, log scales.
+
+    ``sets`` holds K classes sharing one row factor.  Each factor enters
+    divided by its trace and each scale as the log of the scale that goes
+    with those shapes, so the vector, unlike the stored ``[0, 0]`` pinned
+    factors, permutes with the rows and columns of the data.
+    """
+    row = sets[0].row_cov
+    row_trace = np.trace(row)
+    parts = [row.ravel() / row_trace]
+    for prm in sets:
+        col_trace = np.trace(prm.col_cov)
+        log_scale = math.log(prm.scale * row_trace * col_trace)
+        parts += [prm.mean.ravel(), prm.col_cov.ravel() / col_trace, [log_scale]]
+    return np.concatenate(parts)
+
+
+def _pinned_factor(shape: np.ndarray) -> "tuple | None":
+    """A trace-normalized shape pinned to ``[0, 0] = 1`` and factored once.
+
+    Returns the pinned factor, its (inverse, log determinant) and the
+    constant divided out, or None when the shape is not positive definite.
+    """
+    top = shape[0, 0]
+    if not top > _SCALE_FLOOR:
+        return None
+    pinned = shape / top
+    try:
+        return pinned, spd_inverse(pinned), top
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _extrapolated(start: list, first: list, second: list) -> "list | None":
+    """The squared extrapolation (SQUAREM) point of two updates, or None.
+
+    Each argument holds K classes sharing one row factor: theta0, the
+    update theta1 = F(theta0), and theta2 = M(E(theta1)).  On the vectors
+    of :func:`_squarem_coordinates`, with r = theta1 - theta0 and
+    v = theta2 - 2 theta1 + theta0, the point is theta0 - 2 alpha r +
+    alpha^2 v at the step alpha = min(-|r| / |v|, -1) (Varadhan & Roland,
+    2008); alpha = -1 gives theta2 back.  Its factors are pinned to
+    ``[0, 0] = 1`` and factored once.  None when a factor leaves the SPD
+    cone or a scale is not a positive finite number: the caller then
+    continues from theta2, so a rejected point costs no jitter and no error.
+    """
+    x0, x1, x2 = (_squarem_coordinates(sets) for sets in (start, first, second))
+    r = x1 - x0
+    v = x2 - x1 - r
+    r_norm, v_norm = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+    alpha = min(-r_norm / v_norm, -1.0) if v_norm > 0 else -1.0
+    x = x0 - 2.0 * alpha * r + alpha * alpha * v
+    if not np.isfinite(x).all():
+        return None
+    p, q = start[0].p, start[0].q
+    row = _pinned_factor(x[: p * p].reshape(p, p))
+    if row is None:
+        return None
+    row_new, row_fac, row_top = row
+    point, at = [], p * p
+    for _ in start:
+        mean = x[at : at + p * q].reshape(p, q)
+        col = _pinned_factor(x[at + p * q : at + p * q + q * q].reshape(q, q))
+        log_scale = x[at + p * q + q * q]
+        at += p * q + q * q + 1
+        if col is None:
+            return None
+        col_new, col_fac, col_top = col
+        with np.errstate(over="ignore"):
+            scale = float(np.exp(log_scale)) * row_top * col_top
+        if not _SCALE_FLOOR < scale < math.inf:
+            return None
+        point.append(
+            MatrixNormalParams._factored(mean, row_new, col_new, scale, row_fac, col_fac)
+        )
+    return point
+
+
+def _iterate(
+    e_step, m_step, change, params, cfg: FitConfig, start: float, extrapolate=None
+):
     """Alternate E- and M-steps from ``params`` until the objective settles.
 
     ``e_step(params)`` returns a tuple of the moments the M-step needs whose
     last entry is the objective at ``params``; ``m_step(params, moments)``
     returns the updated parameters and ``change(new, old)`` the relative
-    size of that update.  The loop stops once the relative objective change
-    falls below ``cfg.tol`` or the parameter change below ``cfg.inner_tol``.
-    ``start`` is the caller's entry time, so ``wall_time`` covers the whole
-    call.  Returns the final parameters, the moments at them, and the fit
-    record, whose ``params`` is set when they are a matrix normal set.
+    size of that update.  Each plain update is recorded, and the loop stops
+    once its relative objective change falls below ``cfg.tol`` or its
+    parameter change below ``cfg.inner_tol``.
+
+    Given ``extrapolate(theta0, theta1, theta2)`` (see :func:`_extrapolated`),
+    each plain update theta1 = F(theta0) that does not stop the loop is
+    followed by a SQUAREM cycle: theta2 = M(E(theta1)), with no E-step at
+    theta2, the extrapolated point theta', and theta_new = F(theta').
+    theta_new is recorded when its objective is at least theta1's, without
+    a convergence test (an extrapolated step says little about how settled
+    the fit is); otherwise, when there is no point, or when a step from the
+    point fails to factor, the loop takes the E-step at theta2 and records
+    it as a plain update.  So the trace ascends whenever the plain updates
+    do, and the moments of one E-step at a time are held.  ``start`` is the
+    caller's entry time, so ``wall_time`` covers the whole call.  Returns
+    the final parameters, the moments at them, and the fit record, whose
+    ``params`` is set when they are a matrix normal set.
     """
     moments = e_step(params)
     trace = [moments[-1]]
     converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+
+    def record(loglik, tested_against=None):
+        # a plain update is tested against the set it came from
+        nonlocal converged
+        if tested_against is not None:
+            delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
+            converged = delta < cfg.tol or change(*tested_against) < cfg.inner_tol
+        trace.append(loglik)
+        how = "" if tested_against is not None else " (extrapolated)"
+        logger.debug("iteration %d: loglik %.10g%s", len(trace) - 1, loglik, how)
+
+    while not converged and len(trace) <= cfg.max_iters:
         new_params = m_step(params, moments)
         del moments  # not held while the E-step builds the next ones
         moments = e_step(new_params)
-        loglik = moments[-1]
-        delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
-        step = change(new_params, params)
-        trace.append(loglik)
-        params = new_params
-        logger.debug("iteration %d: loglik %.10g", iterations, loglik)
-        if delta < cfg.tol or step < cfg.inner_tol:
-            converged = True
-            break
+        record(moments[-1], (new_params, params))
+        origin, params = params, new_params
+        if converged or extrapolate is None or len(trace) > cfg.max_iters:
+            continue
+        second = m_step(params, moments)
+        del moments
+        point = extrapolate(origin, params, second)
+        if point is not None:
+            try:
+                moments = e_step(point)
+                candidate = m_step(point, moments)
+                del moments
+                moments = e_step(candidate)
+            except (EstimationError, np.linalg.LinAlgError):
+                moments = None  # a trial that fails falls back like one that descends
+            if moments is not None and moments[-1] >= trace[-1]:
+                record(moments[-1])
+                params = candidate
+                continue
+            del moments
+        moments = e_step(second)
+        record(moments[-1], (second, params))
+        params = second
     result = FitResult(
         params=params if isinstance(params, MatrixNormalParams) else None,
         loglik_trace=np.asarray(trace),
-        iterations=iterations,
+        iterations=len(trace) - 1,
         wall_time=time.perf_counter() - start,
         converged=converged,
     )

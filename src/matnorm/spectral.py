@@ -23,6 +23,7 @@ from .linalg import spd_cholesky, spd_inverse
 from .mle import (
     EstimationError,
     FitConfig,
+    _extrapolated,
     _initial_params,
     _iterate,
     _observed_cell_means,
@@ -161,8 +162,10 @@ def fit_class_models(
     def change(new, old):
         return max(_param_change(a, b) for a, b in zip(new, old))
 
+    # extrapolation pays only where holes slow the ascent
+    extrapolate = _extrapolated if any(pt.any_missing for pt in patterns) else None
     class_params, (completions, _, _), result = _iterate(
-        e_step, m_step, change, class_params, cfg, start
+        e_step, m_step, change, class_params, cfg, start, extrapolate
     )
     merged = np.empty_like(data.values)
     for ids, comp in zip(class_ids, completions):

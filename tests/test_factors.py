@@ -24,14 +24,15 @@ MASKED_SET = ObservationSet(MASKED)
 LABELED_SET = LabeledObservationSet(MASKED, np.repeat([1, 2, 3], 40))
 
 
-def _count_calls(monkeypatch, name):
-    """Record every call of ``matnorm.linalg.<name>``, through every binding."""
-    real = getattr(linalg, name)
+def _count_calls(monkeypatch, name, source=linalg):
+    """Record what every call of ``source.<name>`` returns, through every binding."""
+    real = getattr(source, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
+        out = real(*args, **kwargs)
+        calls.append(out)
+        return out
 
     for module in (linalg, model, mle, missing, spectral):
         if getattr(module, name, None) is real:
@@ -40,23 +41,35 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "fit, factors_per_iteration",
+    "fit, factors_per_iteration, extrapolates",
     [
-        (lambda: fit_mle(CLEAN_SET), 2),
-        (lambda: fit_em(MASKED_SET), 2),
-        (lambda: fit_class_models(LABELED_SET, "em"), 1 + 3),
+        (lambda: fit_mle(CLEAN_SET), 2, False),
+        (lambda: fit_em(MASKED_SET), 2, True),
+        (lambda: fit_class_models(LABELED_SET, "em"), 1 + 3, True),
     ],
     ids=["fit_mle", "fit_em", "fit_class_models"],
 )
-def test_each_iteration_factors_each_new_factor_once(monkeypatch, fit, factors_per_iteration):
+def test_each_iteration_factors_each_new_factor_once(
+    monkeypatch, fit, factors_per_iteration, extrapolates
+):
     choleskys = _count_calls(monkeypatch, "spd_cholesky")
     checks = _count_calls(monkeypatch, "ensure_spd")
+    m_steps = _count_calls(monkeypatch, "_pooled_m_step", mle)
+    points = _count_calls(monkeypatch, "_extrapolated", mle)
     result = fit()
     assert result.iterations >= 3
     # the identity start needs no factorization, and every later set
     # arrives with the factorization that checked it: one Cholesky for the
-    # row factor and one for each class's column factor per iteration
-    assert len(choleskys) == factors_per_iteration * result.iterations
+    # row factor and one for each class's column factor per M-step and per
+    # extrapolated set.  A plain fit makes one M-step per iteration; an
+    # extrapolating one records two entries for three M-steps and one
+    # extrapolated set.
+    sets = len(m_steps) + sum(point is not None for point in points)
+    assert len(choleskys) == factors_per_iteration * sets
+    assert any(point is not None for point in points) == extrapolates
+    if not extrapolates:
+        assert points == []
+        assert len(m_steps) == result.iterations
     assert checks == []
 
 

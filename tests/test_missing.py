@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import matnorm.linalg
 import matnorm.missing
 import matnorm.mle
+import matnorm.spectral
 from matnorm.linalg import (
     _PIVOT_TOL,
     SingularPivotError,
@@ -20,6 +21,7 @@ from matnorm.linalg import (
 from matnorm.mle import (
     EstimationError,
     FitConfig,
+    SingularUpdateError,
     _col_accumulator,
     _observed_cell_means,
     _row_accumulator,
@@ -548,6 +550,20 @@ def _count_grid_scatters(monkeypatch):
     return calls
 
 
+def _count_m_steps(monkeypatch):
+    """Record every ``_pooled_m_step`` call, through every binding."""
+    real = matnorm.mle._pooled_m_step
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (matnorm.mle, matnorm.missing, matnorm.spectral):
+        monkeypatch.setattr(module, "_pooled_m_step", counted)
+    return calls
+
+
 @pytest.mark.parametrize("classes", [1, 3])
 def test_m_step_scatters_the_conditional_mass_once_per_class(monkeypatch, classes):
     rng = np.random.default_rng(37)
@@ -558,14 +574,17 @@ def test_m_step_scatters_the_conditional_mass_once_per_class(monkeypatch, classe
     ]
     assert min(groups) >= 4
     calls = _count_grid_scatters(monkeypatch)
+    m_steps = _count_m_steps(monkeypatch)
     if classes == 1:
         iterations = fit_em(ObservationSet(values)).iterations
     else:
         data = LabeledObservationSet(values, labels)
         iterations = fit_class_models(data, "em").iterations
     assert iterations >= 3
-    # one grid per class per M-step, however many missing-count groups
-    assert len(calls) == classes * iterations
+    # one grid per class per M-step, however many missing-count groups; the
+    # extrapolating loop takes more M-steps than it records iterations
+    assert len(m_steps) > iterations
+    assert len(calls) == classes * len(m_steps)
 
 
 class TestFitEm:
@@ -822,6 +841,28 @@ class TestFitGem:
             calls.clear()
             _gem_e_step(values.transpose(0, 2, 1).reshape(-1, d), pattern, mean, cov)
             assert sorted(calls) == sorted(expected)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_singular_observed_block_names_the_observation(self, shared):
+        # coordinates 0 and 1 coincide, so every observed block holding both
+        # is singular; observation 3 is the only one missing neither
+        rng = np.random.default_rng(41)
+        g = rng.standard_normal((6, 6))
+        cov = g @ g.T + np.eye(6)
+        cov[1] = cov[0]
+        cov[:, 1] = cov[:, 0]
+        chol = np.linalg.cholesky(cov + 1e-6 * np.eye(6))
+        values = rng.standard_normal((8, 2, 3))
+        values[[0, 2, 4, 5, 6, 7] if shared else [0], 0, 0] = np.nan
+        if not shared:
+            values[2, 1, 0] = np.nan  # stacked position 1
+        values[3, 1, 2] = np.nan  # stacked position 2 * 2 + 1 = 5
+        pattern = detect_pattern(values)
+        assert [grp.first is not None for grp in pattern._groups] == [shared]
+        vdata = values.transpose(0, 2, 1).reshape(-1, 6)
+        located = r"observation 3 \(missing stacked positions \[5\]\)"
+        with pytest.raises(SingularUpdateError, match=located):
+            _gem_e_step(vdata, pattern, np.zeros(6), cov, chol)
 
     def test_observed_loglik_never_decreases(self):
         rng = np.random.default_rng(20)
