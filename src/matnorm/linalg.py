@@ -163,18 +163,20 @@ def _condition_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional shifts, free blocks and log dets of stacked hole sets.
 
-    The scale free precision of a column-stacked residual is
-    ``kron(col_prec, row_prec)``; it is never formed.  Member b has holes
-    at the stacked positions ``miss[b]`` (``col * p + row``, ascending),
-    and ``h[b] = Omega_mo @ r_o``, its observed residual weighted by the
-    precision at the holes.  ``block`` holds the missing precision blocks
-    ``Omega_mm[a, c] = col_prec[cols[a], cols[c]] * row_prec[rows[a],
-    rows[c]]``, gathered by the caller from the two factors.  This yields
-    what sweeping the holes out of the precision would.  One batched
-    Cholesky ``Omega_mm = L L.T`` gives the sweep's pivot values,
-    ``diag(L)**2``, and with them ``log det Omega_mm``; the swept block
-    ``free = inv(Omega_mm)`` is the scale free conditional covariance, and
-    ``-free @ h`` the conditional mean shift.
+    ``Omega`` is any scale free precision of a column-stacked residual:
+    ``kron(col_prec, row_prec)``, never formed, for the Kronecker model, or
+    a full pq x pq precision scaled to unit mean variance.  Member b has
+    holes at the stacked positions ``miss[b]`` (``col * p + row``,
+    ascending), and ``h[b] = Omega_mo @ r_o``, its observed residual
+    weighted by the precision at the holes.  ``block`` holds the missing
+    precision blocks ``Omega_mm``, gathered by the caller (entrywise from
+    the two factors, ``col_prec[cols[a], cols[c]] * row_prec[rows[a],
+    rows[c]]``, in the Kronecker case).  This yields what sweeping the
+    holes out of the precision would.  One batched Cholesky ``Omega_mm = L
+    L.T`` gives the sweep's pivot values, ``diag(L)**2``, and with them
+    ``log det Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the
+    scale free conditional covariance, and ``-free @ h`` the conditional
+    mean shift.
 
     The block depends on the holes alone, so members with the same holes
     share it.  Given ``first``, the member positions of the first member

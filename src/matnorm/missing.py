@@ -27,24 +27,20 @@ Three fitters cover the usual quality/cost trade:
   third fewer E-steps to the same tolerance.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
-  Kronecker assumption.  The flexible but slow baseline.  Its E-step
-  conditions each observation on its observed block: one solve of that
-  k x k block gives the gain, the m x m missing precision block's log
-  determinant gives the block's, and the Cholesky the M-step took to check
-  the covariance whitens the completed rows for the quadratic forms.  A
-  block that does not factor raises :class:`~matnorm.mle.SingularUpdateError`
-  naming the first observation it belongs to.  gem keeps plain steps.
+  Kronecker assumption.  The flexible but slow baseline.  Its E-step is
+  em's with a pq x pq precision, inverted from the Cholesky factor that
+  checked the covariance: the same hole positions gather its missing
+  blocks, and the same kernel conditions them.  gem keeps plain steps.
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
 than a Python loop over the data set.  Within a batch, observations with the
-same holes share one block to factor (the missing precision block in
-:func:`fit_em`, the observed covariance block in :func:`fit_gem`): when a
-batch holds at most half as many distinct hole sets as observations (a
-dropout tail, a lost band), each distinct block is factored once and its
-conditional covariance weighted by the number of observations sharing it;
-otherwise every observation's block is factored on its own.  All three run
-the iteration loop of :func:`matnorm.mle._iterate`.
+same holes share one missing precision block to factor: when a batch holds
+at most half as many distinct hole sets as observations (a dropout tail, a
+lost band), each distinct block is factored once and its conditional
+covariance weighted by the number of observations sharing it; otherwise
+every observation's block is factored on its own.  All three run the
+iteration loop of :func:`matnorm.mle._iterate`.
 """
 
 from __future__ import annotations
@@ -80,7 +76,6 @@ from .mle import (
     _observed_cell_means,
     _param_change,
     _pooled_m_step,
-    _rel_change,
     _scatter_add,
     fit_mle,
 )
@@ -96,8 +91,7 @@ logger = logging.getLogger(__name__)
 
 # A missing-count group conditions its distinct hole sets rather than its
 # members only when there are at most this share as many of them: below,
-# the saved factorizations outweigh the indirection, for em's m x m kernel
-# and for gem's k x k solve alike (see CHANGES.md).
+# the saved factorizations outweigh the indirection (see CHANGES.md).
 _SHARED_HOLES_SHARE = 0.5
 
 
@@ -110,17 +104,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _PatternGroup:
     """Observations sharing one missing entry count, stacked for batch work.
 
-    ``miss``, ``rows`` and ``cols`` list each member's holes and
-    ``observed`` its other positions; the fits read and write them through
-    flat positions indexed once per pattern (:attr:`MissingPattern._holes`
-    for the em fits, :attr:`MissingPattern._blocks` for :func:`fit_gem`),
-    and the em fits read ``miss`` again only to name a singular pivot.
-    When the group holds at most ``_SHARED_HOLES_SHARE`` times as many
-    distinct hole sets as members, ``first`` holds the member position of
-    the first member with each set, in order of appearance, ``pattern_of``
-    each member's index into ``first``, and ``pattern_counts`` how many
-    members share each set; otherwise all three are None and every member
-    is conditioned on its own.  Every fit factors a shared set once.
+    ``miss``, ``rows`` and ``cols`` list each member's holes; the fits read
+    and write them through flat positions indexed once per pattern
+    (:attr:`MissingPattern._holes`), and read ``miss`` again only to name a
+    singular pivot.  When the group holds at most ``_SHARED_HOLES_SHARE``
+    times as many distinct hole sets as members, ``first`` holds the member
+    position of the first member with each set, in order of appearance,
+    ``pattern_of`` each member's index into ``first``, and
+    ``pattern_counts`` how many members share each set; otherwise all three
+    are None and every member is conditioned on its own.  Every fit factors
+    a shared set once.
     """
 
     m: int
@@ -128,7 +121,6 @@ class _PatternGroup:
     miss: np.ndarray  # (B, m) positions into the stacked vector, ascending
     rows: np.ndarray  # (B, m)
     cols: np.ndarray  # (B, m)
-    observed: np.ndarray  # (B, pq - m)
     first: "np.ndarray | None" = None  # (U,)
     pattern_of: "np.ndarray | None" = None  # (B,)
     pattern_counts: "np.ndarray | None" = None  # (U,)
@@ -136,7 +128,7 @@ class _PatternGroup:
 
 @dataclass(eq=False)
 class _HoleIndex:
-    """Flat positions of every hole of a pattern, read by the em fits.
+    """Flat positions of every hole of a pattern, read by every E-step.
 
     ``at`` holds each hole's position in the C-ordered (n, p, q) values
     and ``cells`` its position in the p x q mean, group after group,
@@ -146,8 +138,10 @@ class _HoleIndex:
     else each member's), the position of each pair of its holes on the
     (q, q, p, p) conditional-covariance grid, ``(ca * q + cc) * p * p + ra
     * p + rc``; ``divmod`` by ``p * p`` splits it into the positions of
-    that pair in the column and row factors, which gather the missing
-    precision block.  ``pairs_by_group[k]`` is group k's (U, m, m) view.
+    that pair in the column and row factors, which gather em's missing
+    precision block; a pq x pq stacked precision transposed to that grid's
+    layout gives gem's at the same positions.  ``pairs_by_group[k]`` is
+    group k's (U, m, m) view.
     """
 
     at: np.ndarray
@@ -158,43 +152,19 @@ class _HoleIndex:
 
 
 @dataclass(eq=False)
-class _BlockIndex:
-    """Flat positions of every hole and observed block, read by :func:`fit_gem`.
-
-    ``at`` holds each hole's position in the (n, pq) stacked values and
-    ``cells`` its position in the stacked mean, group after group, member
-    after member, each member's holes in ascending order; ``seen[k]`` holds
-    group k's observed entries the same way.  ``orders[k]`` holds, for
-    every hole set group k factors (each distinct set of a sharing group,
-    else each member's), that set's stacked positions observed first, so
-    one gather at its ``_grid_pairs`` gives its ``[[oo, om], [mo, mm]]``
-    blocks; the E-step builds those pairs for one group at a time.
-    ``cond_pairs`` concatenates the ``mm`` corners of every group, where
-    the conditional covariances are summed.
-    """
-
-    at: np.ndarray
-    cells: np.ndarray
-    seen: list
-    orders: list
-    cond_pairs: np.ndarray
-
-
-@dataclass(eq=False)
 class MissingPattern:
     """Index bookkeeping for the missing entries of an observation set.
 
     The fitters read only ``_groups``, one :class:`_PatternGroup` per
-    missing entry count present, and flat positions built on first read,
-    so one fit indexes them once and pays only for its own: the em fits
-    read ``_holes`` (:class:`_HoleIndex`), :func:`fit_gem` reads
-    ``_blocks`` (:class:`_BlockIndex`).  The per observation views are
-    read-only and built from the groups when read: ``miss[i]`` holds the
-    ascending positions of observation i's missing entries within the
-    column-stacked vector; ``rows[i]`` and ``cols[i]`` are the matching row
-    and column coordinates (position = col * p + row); ``observed[i]``
-    holds the other positions; ``row_masks[i]`` and ``col_masks[i]`` are
-    the 0/1 selector matrices built from the coordinates.
+    missing entry count present, and the flat positions of ``_holes``
+    (:class:`_HoleIndex`), built on first read so one fit indexes them
+    once.  The per observation views are read-only and built from the
+    groups when read: ``miss[i]`` holds the ascending positions of
+    observation i's missing entries within the column-stacked vector;
+    ``rows[i]`` and ``cols[i]`` are the matching row and column coordinates
+    (position = col * p + row); ``observed[i]`` holds the other positions;
+    ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector matrices
+    built from the coordinates.
     """
 
     p: int
@@ -234,24 +204,6 @@ class MissingPattern:
             pairs_by_group=pairs_by_group,
         )
 
-    @cached_property
-    def _blocks(self) -> _BlockIndex:
-        d, groups = self.p * self.q, self._groups
-        none = np.zeros(0, dtype=np.intp)  # a complete set has no groups
-        orders, corners = [], [none]
-        for g in groups:
-            sets = slice(None) if g.first is None else g.first
-            orders.append(np.concatenate([g.observed[sets], g.miss[sets]], axis=1))
-            corners.append(_grid_pairs(g.miss[sets], d).ravel())
-        holes = [(g.obs_ids[:, None] * d + g.miss).ravel() for g in groups]
-        return _BlockIndex(
-            at=np.concatenate([none, *holes]),
-            cells=np.concatenate([none, *(g.miss.ravel() for g in groups)]),
-            seen=[(g.obs_ids[:, None] * d + g.observed).ravel() for g in groups],
-            orders=orders,
-            cond_pairs=np.concatenate(corners),
-        )
-
     def _by_obs(self, name: str, blank: np.ndarray) -> tuple:
         out = [blank] * self.n_obs
         for g in self._groups:
@@ -273,7 +225,8 @@ class MissingPattern:
 
     @property
     def observed(self) -> tuple:
-        return self._by_obs("observed", _frozen(np.arange(self.p * self.q)))
+        every = np.arange(self.p * self.q)
+        return tuple(_frozen(np.delete(every, miss)) for miss in self.miss)
 
     @property
     def row_masks(self) -> tuple:
@@ -342,22 +295,15 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
     order = np.argsort(counts, kind="stable")
     ranked = holes[order]
     miss_all = np.nonzero(ranked)[1]
-    seen_all = np.nonzero(~ranked)[1]
     rows_all, cols_all = miss_all % p, miss_all // p
-    at, hole_at, seen_at = sizes[0], 0, sizes[0] * pq
+    at, hole_at = sizes[0], 0
     groups = []
     for m in np.flatnonzero(sizes[1:]) + 1:
         b = sizes[m]
         ids = order[at : at + b]
         holes_of = slice(hole_at, hole_at + b * m)
-        fields = [
-            ids,
-            miss_all[holes_of].reshape(b, m),
-            rows_all[holes_of].reshape(b, m),
-            cols_all[holes_of].reshape(b, m),
-            seen_all[seen_at : seen_at + b * (pq - m)].reshape(b, pq - m),
-        ]
-        at, hole_at, seen_at = at + b, hole_at + b * m, seen_at + b * (pq - m)
+        fields = [ids, *(a[holes_of].reshape(b, m) for a in (miss_all, rows_all, cols_all))]
+        at, hole_at = at + b, hole_at + b * m
         if distinct[m] <= _SHARED_HOLES_SHARE * b:
             sets = np.flatnonzero(lead_counts == m)
             sets = sets[np.argsort(lead[sets])]
@@ -425,6 +371,31 @@ def conditional_moments(
     return ConditionalMoments(completion, params.scale * free[0])
 
 
+def _condition_holes(
+    pattern: MissingPattern, h: np.ndarray, gather
+) -> tuple[np.ndarray, list, float]:
+    """Condition every hole of a pattern on its observation's observed entries.
+
+    ``h`` holds each hole's ``Omega_mo @ r_o`` in the order of
+    :attr:`MissingPattern._holes`, and ``gather(pairs)`` the scale free
+    precision at a group's (U, m, m) grid positions; each group goes
+    through one :func:`~matnorm.linalg._condition_block`.  Returns the
+    shifts in the order of ``h``, each group's free blocks, and the summed
+    log determinants of the missing precision blocks.
+    """
+    holes = pattern._holes
+    shift = np.empty_like(h)
+    free_by_group, block_logdet = [], 0.0
+    for g, span, pairs in zip(pattern._groups, holes.spans, holes.pairs_by_group):
+        g_shift, free, logdet = _condition_block(
+            gather(pairs), h[span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
+        )
+        shift[span] = g_shift.ravel()
+        free_by_group.append(free)
+        block_logdet += logdet.sum()
+    return shift, free_by_group, float(block_logdet)
+
+
 def _e_step(
     values: np.ndarray, pattern: MissingPattern, params: MatrixNormalParams
 ) -> tuple[np.ndarray, list, float]:
@@ -448,17 +419,12 @@ def _e_step(
     resid = values - params.mean
     np.put(resid, holes.at, 0.0)
     h = np.take(row_prec @ resid @ col_prec, holes.at)
-    shift = np.empty_like(h)
-    free_by_group, block_logdet = [], 0.0
-    for g, span, pairs in zip(pattern._groups, holes.spans, holes.pairs_by_group):
+
+    def gather(pairs):
         col_at, row_at = np.divmod(pairs, p * p)
-        block = np.take(col_prec, col_at) * np.take(row_prec, row_at)
-        g_shift, free, logdet = _condition_block(
-            block, h[span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
-        )
-        shift[span] = g_shift.ravel()
-        free_by_group.append(free)
-        block_logdet += logdet.sum()
+        return np.take(col_prec, col_at) * np.take(row_prec, row_at)
+
+    shift, free_by_group, block_logdet = _condition_holes(pattern, h, gather)
     completions = values.copy()
     np.put(completions, holes.at, np.take(params.mean, holes.cells) + shift)
     np.put(resid, holes.at, shift)
@@ -609,87 +575,54 @@ def _gem_e_step(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Completions, accumulated conditional covariance, observed loglik.
 
-    ``chol`` is the lower Cholesky factor of ``cov``, handed on by the
-    M-step that checked it, and taken here when not given.  Each
-    missing-count group gathers the covariance of every set it factors,
-    observed entries first, in one ``np.take``; one batched solve gives
-    the gain ``Sigma_oo^-1 Sigma_om``, hence each member's conditional
-    mean and the conditional covariance ``Sigma_mm.o``.  The observed
-    block's log determinant is ``log det Sigma + log det P_mm``, with the
-    precision block ``P_mm`` the Gram matrix of the hole columns of
-    ``chol^-1``: it is positive definite by construction and as accurate
-    as a Cholesky of ``Sigma_oo``, where ``-log det Sigma_mm.o`` loses
-    digits as ``cov`` nears singular.  A group that shares hole sets
-    factors each distinct set once; its members read the gain through
-    ``pattern_of``, and its conditional covariances and log determinants
-    count once per member.  With every hole at its conditional mean, a
-    completed residual's quadratic form under ``cov`` is its observed
-    block's, so one triangular solve with ``chol`` over all n rows gives
-    every form.  One scatter sums the conditional covariances.
+    :func:`_e_step` with the precision ``s * inv(cov)``, ``s = trace(cov) /
+    d``, so that the kernel's absolute pivot floor meets blocks of one size
+    whatever the data's units.  ``chol``, the lower Cholesky factor of
+    ``cov``, comes from the M-step that checked it or is taken here.
+    Transposed from (q, p, q, p), the precision has the layout of the
+    conditional-covariance grid, where the hole pairs gather the missing
+    blocks; the hole positions, moved to the stacked rows, read ``h``.
+    Roundoff in the explicit precision leaves the shifts off as ``cov``
+    nears singular, so two Newton steps with gradients taken through
+    ``chol`` refine them.  The observed block's log determinant is ``log
+    det Sigma + log det P_mm``, accurate where ``-log det Sigma_mm.o`` is
+    not; with every hole at its conditional mean, a completed row's
+    quadratic form under ``cov`` is its observed block's, so one triangular
+    solve with ``chol`` gives every form.
     """
     n, d = vdata.shape
+    p, q, holes = pattern.p, pattern.q, pattern._holes
     if chol is None:
         chol = spd_cholesky(cov)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    inv_rows = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True).T
-    index = pattern._blocks
+    s = float(np.sum(chol * chol)) / d
+    root = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True)
+    prec = s * (root.T @ root)
+    grid = np.ascontiguousarray(prec.reshape(q, p, q, p).transpose(0, 2, 1, 3))
+    cell = holes.at % d  # r * q + c, which the stacked rows hold at c * p + r
+    at = holes.at - cell + (cell % q) * p + cell // q
     resid = vdata - mean
-    shifts, masses, prec_logdet = [np.zeros(0)], [np.zeros(0)], 0.0
-    for g, order, seen in zip(pattern._groups, index.orders, index.seen):
-        k = d - g.m
-        block = np.take(cov, _grid_pairs(order, d))
-        cols = inv_rows[order[:, k:]]
-        try:
-            gain = np.linalg.solve(block[:, :k, :k], block[:, :k, k:])
-            p_mm_chol = np.linalg.cholesky(cols @ cols.transpose(0, 2, 1))
-        except np.linalg.LinAlgError as exc:
-            raise _singular_block(g, block, cols) from exc
-        cond = block[:, k:, k:] - block[:, k:, :k] @ gain
-        cond = (cond + cond.transpose(0, 2, 1)) / 2.0
-        set_ld = 2.0 * np.log(np.diagonal(p_mm_chol, axis1=1, axis2=2)).sum(axis=1)
-        if g.first is not None:
-            gain = gain[g.pattern_of]
-            cond = g.pattern_counts[:, None, None] * cond
-            set_ld = g.pattern_counts * set_ld
-        shifts.append((np.take(resid, seen).reshape(-1, 1, k) @ gain).ravel())
-        masses.append(cond.ravel())
-        prec_logdet += float(set_ld.sum())
-    shift = np.concatenate(shifts)
-    np.put(resid, index.at, shift)
+    np.put(resid, at, 0.0)
+    shift, free_by_group, block_logdet = _condition_holes(
+        pattern, np.take(resid @ prec, at), grid.take
+    )
+    np.put(resid, at, shift)
+    for _ in range(2):
+        g = s * np.take(scipy.linalg.cho_solve((chol, True), resid.T).T, at)
+        for grp, span, free in zip(pattern._groups, holes.spans, free_by_group):
+            shift[span] -= (free @ g[span].reshape(-1, grp.m, 1)).ravel()
+        np.put(resid, at, shift)
     completions = vdata.copy()
-    np.put(completions, index.at, np.take(mean, index.cells) + shift)
-    extra = _scatter_add(index.cond_pairs, np.concatenate(masses), (d, d))
+    np.put(completions, at, np.take(mean, at % d) + shift)
     white = scipy.linalg.solve_triangular(chol, resid.T, lower=True)
+    mass = _conditional_grid(pattern, free_by_group)
+    extra = np.zeros((d, d)) if mass is None else s * mass.transpose(0, 2, 1, 3).reshape(d, d)
     loglik = (
-        -0.5 * (n * d - shift.size) * math.log(2.0 * math.pi)
-        - 0.5 * (n * logdet + prec_logdet)
+        -0.5 * (n * d - at.size) * math.log(2.0 * math.pi)
+        - 0.5 * (n * logdet + block_logdet - at.size * math.log(s))
         - 0.5 * float(np.sum(white * white))
     )
     return completions, extra, loglik
-
-
-def _singular_block(g: _PatternGroup, block: np.ndarray, cols: np.ndarray) -> Exception:
-    """The error for a group whose batched observed-block solve failed.
-
-    Re-solves the group's sets one at a time, on this failure path only,
-    and names the first observation whose observed block does not factor.
-    """
-    k = block.shape[1] - g.m
-    for u in range(block.shape[0]):
-        try:
-            np.linalg.solve(block[u, :k, :k], block[u, :k, k:])
-            np.linalg.cholesky(cols[u] @ cols[u].T)
-        except np.linalg.LinAlgError:
-            member = u if g.first is None else int(g.first[u])
-            return SingularUpdateError(
-                f"covariance is singular on the observed entries of observation "
-                f"{int(g.obs_ids[member])} (missing stacked positions "
-                f"{g.miss[member].tolist()})"
-            )
-    return SingularUpdateError(
-        f"covariance is singular on the observed entries of the observations "
-        f"missing {g.m} entries"
-    )
 
 
 def fit_gem(
@@ -748,7 +681,10 @@ def fit_gem(
         return mean_new, cov_new, chol
 
     def change(new, old):
-        return max(_rel_change(new[0], old[0]), _rel_change(new[1], old[1]))
+        # the mean step in standard deviations and the covariance step
+        # against the covariance's size, both blind to the data's units
+        mean_step = np.abs(new[0] - old[0]) / np.sqrt(np.diag(old[1]))
+        return max(mean_step.max(), np.abs(new[1] - old[1]).max() / np.abs(old[1]).max())
 
     (mean, cov, _), _, result = _iterate(
         e_step, m_step, change, (mean, cov, None), cfg, start
