@@ -175,29 +175,14 @@ def _parse_dims(text: str) -> tuple:
     return tuple(dims)
 
 
-def _parse_floats(text: str, flag: str) -> tuple:
+def _parse_numbers(text: str, flag: str, kind: type) -> tuple:
     out = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
-            out.append(float(chunk))
-        except ValueError:
-            raise _CliError(f"cannot parse {chunk!r} in {flag}")
-    if not out:
-        raise _CliError(f"{flag} produced no values")
-    return tuple(out)
-
-
-def _parse_ints(text: str, flag: str) -> tuple:
-    out = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            out.append(int(chunk))
+            out.append(kind(chunk))
         except ValueError:
             raise _CliError(f"cannot parse {chunk!r} in {flag}")
     if not out:
@@ -209,8 +194,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         cfg = SimConfig(
             dims=_parse_dims(args.dims),
-            sample_sizes=_parse_ints(args.sizes, "--sizes"),
-            miss_props=_parse_floats(args.miss, "--miss"),
+            sample_sizes=_parse_numbers(args.sizes, "--sizes", int),
+            miss_props=_parse_numbers(args.miss, "--miss", float),
             replicates=args.replicates,
             seed=args.seed,
             methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),

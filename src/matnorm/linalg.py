@@ -130,30 +130,6 @@ def sweep(a: np.ndarray, pivots: "list[int] | np.ndarray") -> np.ndarray:
     return b
 
 
-def _condition_gathered(
-    row_prec: np.ndarray,
-    col_prec: np.ndarray,
-    resid: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Condition the holes of stacked residual matrices on their observed entries.
-
-    ``h`` is read off ``row_prec @ R0 @ col_prec`` at the holes, R0 being
-    ``resid`` with zeros there, the missing precision block is gathered
-    from the two factors, and :func:`_condition_block` does the rest.
-    """
-    members = np.arange(rows.shape[0])[:, None]
-    zeroed = resid.copy()
-    zeroed[members, rows, cols] = 0.0
-    h = (row_prec @ zeroed @ col_prec)[members, rows, cols]
-    block = (
-        col_prec[cols[:, :, None], cols[:, None, :]]
-        * row_prec[rows[:, :, None], rows[:, None, :]]
-    )
-    return _condition_block(block, h, cols * row_prec.shape[0] + rows)
-
-
 def _condition_block(
     block: np.ndarray,
     h: np.ndarray,

@@ -21,10 +21,12 @@ Three fitters cover the usual quality/cost trade:
   complete data update of :mod:`matnorm.mle` on the completions, plus the
   conditional covariances: one scatter sums them all onto a single
   conditional-covariance grid, which each factor update contracts with the
-  other factor's precision.  The loop follows each plain update with a
-  squared extrapolation along the last two (:func:`matnorm.mle._extrapolated`),
-  kept only when one update from it ends no lower, which takes about a
-  third fewer E-steps to the same tolerance.
+  other factor's precision.  em is :func:`_fit_classes` with one class,
+  the driver that also fits the class model of :mod:`matnorm.spectral`.
+  It follows each plain update with a squared extrapolation along the last
+  two (:func:`matnorm.mle._extrapolated`), kept only when one update from
+  it ends no lower, which takes about a third fewer E-steps to the same
+  tolerance.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
   Kronecker assumption.  The flexible but slow baseline.  Its E-step is
@@ -40,7 +42,8 @@ at most half as many distinct hole sets as observations (a dropout tail, a
 lost band), each distinct block is factored once and its conditional
 covariance weighted by the number of observations sharing it; otherwise
 every observation's block is factored on its own.  All three run the
-iteration loop of :func:`matnorm.mle._iterate`.
+iteration loop of :func:`matnorm.mle._iterate`: mm through
+:func:`~matnorm.mle.fit_mle`, em through :func:`_fit_classes`.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ import scipy.linalg
 
 from .linalg import (
     _condition_block,
-    _condition_gathered,
     ensure_spd,
     indicator_matrix,
     spd_cholesky,
@@ -69,6 +71,7 @@ from .mle import (
     FitConfig,
     FitResult,
     SingularUpdateError,
+    _check_sample_size,
     _extrapolated,
     _grid_pairs,
     _initial_params,
@@ -104,23 +107,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class _PatternGroup:
     """Observations sharing one missing entry count, stacked for batch work.
 
-    ``miss``, ``rows`` and ``cols`` list each member's holes; the fits read
-    and write them through flat positions indexed once per pattern
-    (:attr:`MissingPattern._holes`), and read ``miss`` again only to name a
-    singular pivot.  When the group holds at most ``_SHARED_HOLES_SHARE``
-    times as many distinct hole sets as members, ``first`` holds the member
-    position of the first member with each set, in order of appearance,
-    ``pattern_of`` each member's index into ``first``, and
-    ``pattern_counts`` how many members share each set; otherwise all three
-    are None and every member is conditioned on its own.  Every fit factors
+    ``miss`` lists each member's holes, in row ``miss % p`` and column
+    ``miss // p``; the fits read and write them through flat positions
+    indexed once per pattern (:attr:`MissingPattern._holes`), and read
+    ``miss`` again only to name a singular pivot.  When the group holds at
+    most ``_SHARED_HOLES_SHARE`` times as many distinct hole sets as
+    members, ``first`` holds the member position of the first member with
+    each set, in order of appearance, ``pattern_of`` each member's index
+    into ``first``, and ``pattern_counts`` how many members share each set;
+    otherwise all three are None and every member is conditioned on its
+    own.  Every fit factors
     a shared set once.
     """
 
     m: int
     obs_ids: np.ndarray  # (B,)
     miss: np.ndarray  # (B, m) positions into the stacked vector, ascending
-    rows: np.ndarray  # (B, m)
-    cols: np.ndarray  # (B, m)
     first: "np.ndarray | None" = None  # (U,)
     pattern_of: "np.ndarray | None" = None  # (B,)
     pattern_counts: "np.ndarray | None" = None  # (U,)
@@ -137,10 +139,11 @@ class _HoleIndex:
     hole set the E-step factors (each distinct set of a sharing group,
     else each member's), the position of each pair of its holes on the
     (q, q, p, p) conditional-covariance grid, ``(ca * q + cc) * p * p + ra
-    * p + rc``; ``divmod`` by ``p * p`` splits it into the positions of
-    that pair in the column and row factors, which gather em's missing
-    precision block; a pq x pq stacked precision transposed to that grid's
-    layout gives gem's at the same positions.  ``pairs_by_group[k]`` is
+    * p + rc`` for holes in rows ``ra, rc`` and columns ``ca, cc``;
+    ``divmod`` by ``p * p`` splits it into the positions of that pair in
+    the column and row factors, which gather em's missing precision block;
+    a pq x pq stacked precision transposed to that grid's layout gives
+    gem's at the same positions.  ``pairs_by_group[k]`` is
     group k's (U, m, m) view.
     """
 
@@ -161,10 +164,10 @@ class MissingPattern:
     once.  The per observation views are read-only and built from the
     groups when read: ``miss[i]`` holds the ascending positions of
     observation i's missing entries within the column-stacked vector;
-    ``rows[i]`` and ``cols[i]`` are the matching row and column coordinates
-    (position = col * p + row); ``observed[i]`` holds the other positions;
-    ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector matrices
-    built from the coordinates.
+    ``rows[i]`` and ``cols[i]`` are the matching row and column coordinates,
+    ``miss[i] % p`` and ``miss[i] // p``; ``observed[i]`` holds the other
+    positions; ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector
+    matrices built from the coordinates.
     """
 
     p: int
@@ -181,21 +184,21 @@ class MissingPattern:
         p, q, groups = self.p, self.q, self._groups
         none = np.zeros(0, dtype=np.intp)  # a complete class has no groups
         ids = np.concatenate([none, *(np.repeat(g.obs_ids, g.m) for g in groups)])
-        cells = np.concatenate([none, *((g.rows * q + g.cols).ravel() for g in groups)])
-        ends = np.cumsum([0, *(g.rows.size for g in groups)])
-        sets = [
-            (g.rows, g.cols) if g.first is None else (g.rows[g.first], g.cols[g.first])
-            for g in groups
-        ]
-        size = sum(rows.size * rows.shape[1] for rows, _ in sets)
+        miss = np.concatenate([none, *(g.miss.ravel() for g in groups)])
+        ends = np.cumsum([0, *(g.miss.size for g in groups)])
+        sets = [g.miss if g.first is None else g.miss[g.first] for g in groups]
+        size = sum(held.size * held.shape[1] for held in sets)
         pairs = np.empty(size, dtype=np.intp)
         pairs_by_group, lo = [], 0
-        for rows, cols in sets:
-            u, m = rows.shape
+        for held in sets:
+            u, m = held.shape
+            cols, rows = np.divmod(held, p)
             view = pairs[lo : lo + u * m * m].reshape(u, m, m)
             np.add(_grid_pairs(cols, q) * (p * p), _grid_pairs(rows, p), out=view)
             pairs_by_group.append(view)
             lo += view.size
+        cols, rows = np.divmod(miss, p)
+        cells = rows * q + cols
         return _HoleIndex(
             at=ids * (p * q) + cells,
             cells=cells,
@@ -204,24 +207,21 @@ class MissingPattern:
             pairs_by_group=pairs_by_group,
         )
 
-    def _by_obs(self, name: str, blank: np.ndarray) -> tuple:
-        out = [blank] * self.n_obs
+    @property
+    def miss(self) -> tuple:
+        out = [_frozen(np.zeros(0, dtype=int))] * self.n_obs
         for g in self._groups:
-            for i, entry in zip(g.obs_ids, getattr(g, name)):
+            for i, entry in zip(g.obs_ids, g.miss):
                 out[i] = entry
         return tuple(out)
 
     @property
-    def miss(self) -> tuple:
-        return self._by_obs("miss", _frozen(np.zeros(0, dtype=int)))
-
-    @property
     def rows(self) -> tuple:
-        return self._by_obs("rows", _frozen(np.zeros(0, dtype=int)))
+        return tuple(_frozen(miss % self.p) for miss in self.miss)
 
     @property
     def cols(self) -> tuple:
-        return self._by_obs("cols", _frozen(np.zeros(0, dtype=int)))
+        return tuple(_frozen(miss // self.p) for miss in self.miss)
 
     @property
     def observed(self) -> tuple:
@@ -295,14 +295,13 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
     order = np.argsort(counts, kind="stable")
     ranked = holes[order]
     miss_all = np.nonzero(ranked)[1]
-    rows_all, cols_all = miss_all % p, miss_all // p
     at, hole_at = sizes[0], 0
     groups = []
     for m in np.flatnonzero(sizes[1:]) + 1:
         b = sizes[m]
         ids = order[at : at + b]
         holes_of = slice(hole_at, hole_at + b * m)
-        fields = [ids, *(a[holes_of].reshape(b, m) for a in (miss_all, rows_all, cols_all))]
+        fields = [ids, miss_all[holes_of].reshape(b, m)]
         at, hole_at = at + b, hole_at + b * m
         if distinct[m] <= _SHARED_HOLES_SHARE * b:
             sets = np.flatnonzero(lead_counts == m)
@@ -327,48 +326,50 @@ def conditional_moments(
     """Condition one observation's missing entries on its observed ones.
 
     ``miss`` lists positions into the column-stacked vector; by default it
-    is read off the NaN entries of ``x``.  The missing block of the scale
-    free precision ``kron(inv(col_cov), inv(row_cov))`` is gathered from the
-    two factor inverses; its inverse is the scale free conditional
-    covariance, and the regression of missing on observed comes from the
-    residual weighted by both factor inverses, so neither the pq x pq
-    precision nor the pq x pq covariance is ever formed.  This is the
-    one-observation call of the kernel that :func:`fit_em` runs.
+    is read off the NaN entries of ``x``.  This is the one-observation call
+    of :func:`_e_step`, the E-step that :func:`fit_em` runs: the missing
+    block of the scale free precision ``kron(inv(col_cov), inv(row_cov))``
+    is gathered from the two factor inverses, its inverse is the scale
+    free conditional covariance, and the regression of missing on observed
+    comes from the residual weighted by both factor inverses, so neither
+    the pq x pq precision nor the pq x pq covariance is ever formed.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (params.p, params.q):
+    p, q = params.p, params.q
+    if x.shape != (p, q):
         raise ValueError(
-            f"observation shape {x.shape} does not match parameters "
-            f"({params.p}, {params.q})"
+            f"observation shape {x.shape} does not match parameters ({p}, {q})"
         )
     x_vec = x.ravel(order="F")
-    pq = x_vec.size
     if miss is None:
         miss = np.flatnonzero(np.isnan(x_vec))
     else:
-        miss = np.sort(np.asarray(miss, dtype=int))
-        bad = miss[(miss < 0) | (miss >= pq)]
+        given = np.asarray(miss)
+        if given.ndim != 1 or given.size and given.dtype.kind not in "iu":
+            raise ValueError(
+                "missing positions must be a 1-d list of integers, "
+                f"got {given.tolist()}"
+            )
+        miss = np.sort(given.astype(int))
+        bad = miss[(miss < 0) | (miss >= p * q)]
         if bad.size:
-            raise ValueError(f"missing position {bad[0]} is outside 0..{pq - 1}")
+            raise ValueError(f"missing position {bad[0]} is outside 0..{p * q - 1}")
         twice = miss[1:][miss[1:] == miss[:-1]]
         if twice.size:
             raise ValueError(f"missing position {twice[0]} is listed more than once")
-    if miss.size == pq:
+    if miss.size == p * q:
         raise DataError("observation has no observed entries")
+    unlisted = np.isnan(x_vec)
+    unlisted[miss] = False
+    if unlisted.any():
+        raise DataError("entries outside the missing set must be observed")
     if miss.size == 0:
         return ConditionalMoments(x.copy(), np.zeros((0, 0)))
-    obs = np.setdiff1d(np.arange(pq), miss, assume_unique=True)
-    if np.isnan(x_vec[obs]).any():
-        raise DataError("entries outside the missing set must be observed")
 
-    (row_prec, _), (col_prec, _) = _precisions(params)
-    rows, cols = miss % params.p, miss // params.p
-    shift, free, _ = _condition_gathered(
-        row_prec, col_prec, (x - params.mean)[None], rows[None], cols[None]
-    )
-    completion = x.copy()
-    completion[rows, cols] = params.mean[rows, cols] + shift[0]
-    return ConditionalMoments(completion, params.scale * free[0])
+    holed = x.copy()
+    holed[miss % p, miss // p] = np.nan
+    completions, (free,), _ = _e_step(holed[None], detect_pattern(holed[None]), params)
+    return ConditionalMoments(completions[0], params.scale * free[0])
 
 
 def _condition_holes(
@@ -482,44 +483,58 @@ def _m_step(
     return _pooled_m_step([grid], [completions], [old], jitter)[0]
 
 
+def _fit_classes(
+    class_values: list, cfg: FitConfig, start: float
+) -> tuple[list, tuple, FitResult]:
+    """The Kronecker EM of K classes that share one row factor.
+
+    The one ECM behind :func:`fit_em` (one class) and
+    :func:`~matnorm.spectral.fit_class_models`: each E-step sums
+    :func:`_e_step` over the classes, each M-step is
+    :func:`~matnorm.mle._pooled_m_step` on every class's conditional grid,
+    a step's size is its largest class's, and the loop extrapolates
+    (:func:`~matnorm.mle._extrapolated`) when any class has holes, where
+    they slow the ascent.  ``start`` is the caller's entry time.  Returns
+    each class's parameters, its completions, and the fit record.
+    """
+    patterns = [detect_pattern(values) for values in class_values]
+
+    def e_step(sets):
+        completions, frees, logliks = zip(*map(_e_step, class_values, patterns, sets))
+        return completions, frees, sum(logliks)
+
+    def m_step(sets, moments):
+        grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
+        return _pooled_m_step(grids, moments[0], sets, cfg.jitter)
+
+    def change(new, old):
+        return max(_param_change(a, b) for a, b in zip(new, old))
+
+    extrapolate = _extrapolated if any(pt.any_missing for pt in patterns) else None
+    initial = [_initial_params(values) for values in class_values]
+    sets, (completions, _, _), result = _iterate(
+        e_step, m_step, change, initial, cfg, start, extrapolate
+    )
+    return sets, completions, result
+
+
 def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
     """Kronecker structured EM fit tolerating missing entries.
 
-    Reduces exactly to :func:`~matnorm.mle.fit_mle` when nothing is
-    missing.  The trace records the observed log likelihood at the initial
-    parameters and after each update; it is non-decreasing up to roundoff.
+    :func:`_fit_classes` with one class.  Reduces exactly to
+    :func:`~matnorm.mle.fit_mle` when nothing is missing.  The trace
+    records the observed log likelihood at the initial parameters and
+    after each update; it is non-decreasing up to roundoff.
     """
     start = time.perf_counter()
     cfg = config or FitConfig()
-    values = data.values
-    pattern = detect_pattern(data)
-    if not pattern.any_missing:
+    if not data.has_missing:
         result = fit_mle(data, cfg)
         result.wall_time = time.perf_counter() - start
         return result
-    n, p, q = values.shape
-    if n < 2:
-        raise EstimationError(f"at least 2 observations required, got {n}")
-    if n <= max(p, q):
-        warnings.warn(
-            f"only {n} observations for a {p} x {q} model; the covariance "
-            "estimate may not be unique without more than max(p, q) observations",
-            stacklevel=2,
-        )
-
-    def e_step(params):
-        return _e_step(values, pattern, params)
-
-    def m_step(params, moments):
-        return _m_step(pattern, moments[0], moments[1], params, cfg.jitter)
-
-    def extrapolate(*sets):
-        point = _extrapolated(*([prm] for prm in sets))
-        return None if point is None else point[0]
-
-    _, _, result = _iterate(
-        e_step, m_step, _param_change, _initial_params(values), cfg, start, extrapolate
-    )
+    _check_sample_size(data.values)
+    (params,), _, result = _fit_classes([data.values], cfg, start)
+    result.params = params
     return result
 
 

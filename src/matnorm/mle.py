@@ -7,17 +7,20 @@ entries to 1, and re-derives the variance scale, until the log likelihood
 stops moving.
 
 The missing-data and class fits share this machinery: ``_iterate`` is the
-one iteration loop (trace, convergence test, timing, fit record), and
-``_pooled_m_step`` the one closed form update, which pools the row factor
-over classes and adds the conditional covariance of missing entries: each
-class hands it in as one grid, summed in one ``_scatter_add``, that the two
-accumulators contract with the row and the column precision.
+one iteration loop (trace, convergence test, timing, fit record), run by
+``fit_mle``, ``fit_gem`` and ``matnorm.missing._fit_classes``, the one
+Kronecker EM driver behind ``fit_em`` and the class fit; and
+``_pooled_m_step`` is the one closed form update, which pools the row
+factor over classes and adds the conditional covariance of missing
+entries: each class hands it in as one grid, summed in one
+``_scatter_add``, that the two accumulators contract with the row and the
+column precision.
 Each factor is factored once per parameter set: the Cholesky factorization
 that checks a new factor also gives the inverse and log determinant that
 the next E-step and M-step read.
 
 EM converges linearly, at a rate set by the fraction of missing
-information, so the missing-data fits hand the loop ``_extrapolated``:
+information, so ``_fit_classes`` hands the loop ``_extrapolated``:
 after each plain update it tries a squared extrapolation (SQUAREM,
 Varadhan & Roland 2008) along the last two updates, and keeps the point
 only when one update from it ends no lower than the plain update did.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -75,13 +79,15 @@ class FitConfig:
     jitter: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(
+                f"max_iters must be an integer >= 1, got {self.max_iters!r}"
+            )
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.inner_tol > 0:
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
 
 
@@ -119,27 +125,40 @@ def _param_change(new: MatrixNormalParams, old: MatrixNormalParams) -> float:
     )
 
 
+def _pinned_factor(shape: np.ndarray) -> "tuple | None":
+    """A positive definite shape pinned to ``[0, 0] = 1`` and factored once.
+
+    Returns the pinned factor, its (inverse, log determinant) and the
+    constant divided out, or None when the shape is not positive definite.
+    """
+    top = shape[0, 0]
+    if not top > _SCALE_FLOOR:
+        return None
+    pinned = shape / top
+    try:
+        return pinned, spd_inverse(pinned), top
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _normalized_spd_update(raw: np.ndarray, jitter: float, name: str) -> tuple:
     """Scale a raw scatter style update to unit top-left entry, jitter once.
 
     Returns the normalized matrix, its (inverse, log determinant) from the
-    Cholesky factorization that checks it, and the scale split off: the
-    top-left entry, or after jitter ``sum(inverse * raw) / dim``, the scale
-    that maximizes the likelihood at the jittered shape.
+    Cholesky factorization that checks it (:func:`_pinned_factor`), and the
+    scale split off: the top-left entry, or after jitter ``sum(inverse *
+    raw) / dim``, the scale that maximizes the likelihood at the jittered
+    shape.
     """
     dim = raw.shape[0]
     for jittered in (False, True):
-        shape = raw + jitter * np.eye(dim) if jittered else raw
         if jittered:
             logger.warning("added jitter %g to a degenerate %s update", jitter, name)
-        if not shape[0, 0] > _SCALE_FLOOR:
+        pinned = _pinned_factor(raw + jitter * np.eye(dim) if jittered else raw)
+        if pinned is None:
             continue
-        mat = shape / shape[0, 0]
-        try:
-            fac = spd_inverse(mat)
-        except np.linalg.LinAlgError:
-            continue
-        scale = float(np.sum(fac[0] * raw)) / dim if jittered else float(raw[0, 0])
+        mat, fac, top = pinned
+        scale = float(np.sum(fac[0] * raw)) / dim if jittered else float(top)
         if not scale > _SCALE_FLOOR:
             raise SingularUpdateError(f"{name} update collapsed to zero")
         return mat, fac, scale
@@ -261,22 +280,6 @@ def _squarem_coordinates(sets: list) -> np.ndarray:
         log_scale = math.log(prm.scale * row_trace * col_trace)
         parts += [prm.mean.ravel(), prm.col_cov.ravel() / col_trace, [log_scale]]
     return np.concatenate(parts)
-
-
-def _pinned_factor(shape: np.ndarray) -> "tuple | None":
-    """A trace-normalized shape pinned to ``[0, 0] = 1`` and factored once.
-
-    Returns the pinned factor, its (inverse, log determinant) and the
-    constant divided out, or None when the shape is not positive definite.
-    """
-    top = shape[0, 0]
-    if not top > _SCALE_FLOOR:
-        return None
-    pinned = shape / top
-    try:
-        return pinned, spd_inverse(pinned), top
-    except np.linalg.LinAlgError:
-        return None
 
 
 def _extrapolated(start: list, first: list, second: list) -> "list | None":
@@ -431,6 +434,19 @@ def _initial_params(values: np.ndarray) -> MatrixNormalParams:
     )
 
 
+def _check_sample_size(values: np.ndarray) -> None:
+    """Refuse fewer than 2 observations; warn at no more than max(p, q)."""
+    n, p, q = values.shape
+    if n < 2:
+        raise EstimationError(f"at least 2 observations required, got {n}")
+    if n <= max(p, q):
+        warnings.warn(
+            f"only {n} observations for a {p} x {q} model; the covariance "
+            "estimate may not be unique without more than max(p, q) observations",
+            stacklevel=3,
+        )
+
+
 def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
     """Maximum likelihood fit on fully observed data.
 
@@ -447,15 +463,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
             f"fit_mle requires complete data; first missing entry at "
             f"observation {i}, row {r}, column {c}"
         )
-    n, p, q = values.shape
-    if n < 2:
-        raise EstimationError(f"at least 2 observations required, got {n}")
-    if n <= max(p, q):
-        warnings.warn(
-            f"only {n} observations for a {p} x {q} model; the covariance "
-            "estimate may not be unique without more than max(p, q) observations",
-            stacklevel=2,
-        )
+    _check_sample_size(values)
 
     def e_step(params):
         return (float(np.sum(_log_densities(values, params))),)

@@ -1,13 +1,15 @@
 """Class-conditional fits and spectral analysis of the fitted row covariance.
 
 Labeled data gets one mean, one column covariance, and one variance scale
-per class, with a single row covariance pooled across classes.  The pooled
-factor is then eigen-decomposed, observations are projected onto its
-leading directions (reducing the row dimension while keeping every column),
-and classes are compared in that projected space: a symmetric two-sided
+per class, with a single row covariance pooled across classes, fitted by
+:func:`matnorm.missing._fit_classes`, the Kronecker EM that
+:func:`~matnorm.missing.fit_em` runs with one class.  The pooled factor is
+then eigen-decomposed, observations are projected onto its leading
+directions (reducing the row dimension while keeping every column), and
+classes are compared in that projected space: a symmetric two-sided
 Mahalanobis distance between class centers, hierarchical clustering of the
-resulting distance matrix, and a maximum likelihood classifier that
-scores each class once over the whole stack of projected observations.
+resulting distance matrix, and a maximum likelihood classifier that scores
+each class once over the whole stack of projected observations.
 """
 
 from __future__ import annotations
@@ -20,17 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import spd_cholesky, spd_inverse
-from .mle import (
-    EstimationError,
-    FitConfig,
-    _extrapolated,
-    _initial_params,
-    _iterate,
-    _observed_cell_means,
-    _param_change,
-    _pooled_m_step,
-)
-from .missing import _conditional_grid, _e_step, detect_pattern
+from .mle import EstimationError, FitConfig, _observed_cell_means
+from .missing import _fit_classes
 from .model import DataError, MatrixNormalParams, ObservationSet, _log_densities
 from .model import log_density  # noqa: F401  (spectral.log_density stays a public binding)
 
@@ -116,7 +109,9 @@ def fit_class_models(
 ) -> ClassModel:
     """Fit the shared-row-covariance class model by blockwise ascent.
 
-    Each outer iteration conditions every observation on its class
+    The classes go through :func:`~matnorm.missing._fit_classes`, the
+    Kronecker EM driver that :func:`~matnorm.missing.fit_em` runs with one
+    class.  Each outer iteration conditions every observation on its class
     parameters, re-estimates each class's mean and column side (a joint
     maximizer of the expected complete log likelihood over that class's
     column factor and scale), then pools all classes into one row factor
@@ -131,42 +126,14 @@ def fit_class_models(
     method = method.lower()
     if method not in ("mm", "em"):
         raise ValueError(f"method must be 'mm' or 'em', got {method!r}")
-    k_classes = data.n_classes
-
+    class_ids = [data.class_indices(c) for c in range(1, data.n_classes + 1)]
     class_values = []
-    class_ids = []
-    for c in range(1, k_classes + 1):
-        ids = data.class_indices(c)
-        class_ids.append(ids)
+    for ids in class_ids:
         vals = data.values[ids]
         if method == "mm" and np.isnan(vals).any():
-            fills = _observed_cell_means(vals)
-            vals = np.where(np.isnan(vals), fills, vals)
+            vals = np.where(np.isnan(vals), _observed_cell_means(vals), vals)
         class_values.append(vals)
-    patterns = [detect_pattern(v) for v in class_values]
-    class_params = [_initial_params(vals) for vals in class_values]
-
-    def e_step(params_list):
-        completions, frees, total = [], [], 0.0
-        for vals, pattern, params in zip(class_values, patterns, params_list):
-            comp, free, ll = _e_step(vals, pattern, params)
-            completions.append(comp)
-            frees.append(free)
-            total += ll
-        return completions, frees, total
-
-    def m_step(params_list, moments):
-        grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
-        return _pooled_m_step(grids, moments[0], params_list, cfg.jitter)
-
-    def change(new, old):
-        return max(_param_change(a, b) for a, b in zip(new, old))
-
-    # extrapolation pays only where holes slow the ascent
-    extrapolate = _extrapolated if any(pt.any_missing for pt in patterns) else None
-    class_params, (completions, _, _), result = _iterate(
-        e_step, m_step, change, class_params, cfg, start, extrapolate
-    )
+    class_params, completions, result = _fit_classes(class_values, cfg, start)
     merged = np.empty_like(data.values)
     for ids, comp in zip(class_ids, completions):
         merged[ids] = comp

@@ -281,6 +281,19 @@ class TestSimulate:
         assert code == 1
         assert "cannot parse shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--sizes", "10,x", "cannot parse 'x' in --sizes"),
+         ("--miss", ",", "--miss produced no values")],
+    )
+    def test_bad_number_list(self, tmp_path, capsys, flag, value, message):
+        code = main(
+            ["simulate", "--dims", "2x2", flag, value,
+             "--output", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_unknown_grid_method(self, tmp_path, capsys):
         code = main(
             ["simulate", "--dims", "2x2", "--methods", "bogus",

@@ -68,3 +68,22 @@ def test_wall_time_covers_the_whole_call(monkeypatch, name, binding):
             monkeypatch.setattr(module, binding, slowed(getattr(module, binding)))
     result = FITS[name](FitConfig(max_iters=2))
     assert result.wall_time >= 0.05
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("max_iters", 0),
+        ("max_iters", 2.5),
+        ("max_iters", float("nan")),
+        ("tol", 0.0),
+        ("tol", float("nan")),
+        ("inner_tol", -1e-10),
+        ("inner_tol", float("nan")),
+        ("jitter", -1e-8),
+        ("jitter", float("nan")),
+    ],
+)
+def test_config_rejects_bad_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        FitConfig(**{field: bad})

@@ -101,20 +101,20 @@ def test_missing_point_falls_back_to_the_plain_updates(monkeypatch, caplog):
 
 
 def test_point_whose_update_fails_to_factor_falls_back(monkeypatch):
-    real_point, real_m_step = missing._extrapolated, missing._m_step
+    real_point, real_m_step = missing._extrapolated, missing._pooled_m_step
     points = []
 
     def recorded(*sets):
         points.append(real_point(*sets)[0])
         return [points[-1]]
 
-    def failing(pattern, completions, frees, old, jitter):
-        if points and old is points[-1]:
+    def failing(grids, completions, old, jitter):
+        if points and old[0] is points[-1]:
             raise mle.SingularUpdateError("row covariance update is singular even after jitter")
-        return real_m_step(pattern, completions, frees, old, jitter)
+        return real_m_step(grids, completions, old, jitter)
 
     monkeypatch.setattr(missing, "_extrapolated", recorded)
-    monkeypatch.setattr(missing, "_m_step", failing)
+    monkeypatch.setattr(missing, "_pooled_m_step", failing)
     result = fit_em(ObservationSet(VALUES))
     assert points
     plain, _ = _plain_fit(VALUES)

@@ -3,7 +3,7 @@ import pytest
 
 from matnorm.linalg import (
     SingularPivotError,
-    _condition_gathered,
+    _condition_block,
     ensure_spd,
     indicator_matrix,
     kron,
@@ -187,10 +187,22 @@ def test_sweep_leaves_input_untouched():
     np.testing.assert_array_equal(a, a0)
 
 
+def _kron_panel(row_prec, col_prec, pivots, resid):
+    """Each member's missing block of kron(col_prec, row_prec), and Omega_mo @ r_o."""
+    omega = kron(col_prec, row_prec)
+    block = np.stack([omega[np.ix_(piv, piv)] for piv in pivots])
+    h = np.stack([
+        np.delete(omega[piv], piv, axis=1) @ np.delete(vec(r), piv)
+        for piv, r in zip(pivots, resid)
+    ])
+    return block, h
+
+
 def test_swept_panel_matches_full_sweep_columns():
-    # the gathered kernel reads off the factors what sweeping the holes out
-    # of kron(col_prec, row_prec) leaves: the swept block inv(Omega_mm), the
-    # regression of missing on observed (fill), and log det Omega_mm
+    # the kernel reads off the missing block of kron(col_prec, row_prec)
+    # what sweeping the holes out of it leaves: the swept block
+    # inv(Omega_mm), the regression of missing on observed (fill), and
+    # log det Omega_mm
     rng = np.random.default_rng(10)
     for _ in range(30):
         p = int(rng.integers(1, 4))
@@ -203,8 +215,8 @@ def test_swept_panel_matches_full_sweep_columns():
             [np.sort(rng.choice(p * q, size=m, replace=False)) for _ in range(3)]
         )
         resid = rng.standard_normal((3, p, q))
-        shift, free, logdet = _condition_gathered(
-            row_prec, col_prec, resid, pivots % p, pivots // p
+        shift, free, logdet = _condition_block(
+            *_kron_panel(row_prec, col_prec, pivots, resid), pivots
         )
         assert shift.shape == (3, m) and free.shape == (3, m, m)
         for b, piv in enumerate(pivots):
@@ -218,12 +230,10 @@ def test_swept_panel_matches_full_sweep_columns():
 
 def test_swept_panel_rejects_nonpositive_pivot():
     def culprit(row_prec, col_prec, pivots):
-        p, q = len(row_prec), len(col_prec)
+        resid = np.zeros((len(pivots), len(row_prec), len(col_prec)))
+        block, h = _kron_panel(row_prec, col_prec, pivots, resid)
         with pytest.raises(SingularPivotError) as info:
-            _condition_gathered(
-                row_prec, col_prec, np.zeros((len(pivots), p, q)),
-                pivots % p, pivots // p,
-            )
+            _condition_block(block, h, pivots)
         return info.value.pivot
 
     # negative pivot in the second member: the Cholesky fails

@@ -1,5 +1,7 @@
 """Conditioning and the three missing-data fitters."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,13 +12,10 @@ from hypothesis import strategies as st
 import matnorm.linalg
 import matnorm.missing
 import matnorm.mle
-import matnorm.spectral
 from matnorm.linalg import (
     _PIVOT_TOL,
     SingularPivotError,
-    _condition_gathered,
     kron,
-    spd_inverse,
     vec,
 )
 from matnorm.mle import (
@@ -182,18 +181,24 @@ class TestConditionalMoments:
         x[1, 1] = np.nan
         with pytest.raises(DataError):
             conditional_moments(x, params, miss=np.array([0]))
+        # an empty set used to return the NaN untouched
+        with pytest.raises(DataError):
+            conditional_moments(x, params, miss=[])
 
     @pytest.mark.parametrize(
         "miss, named",
         [([5, 1, 5], "position 5 is listed more than once"),
          ([2, 12], "position 12 is outside 0..11"),
-         ([-1], "position -1 is outside 0..11")],
+         ([-1], "position -1 is outside 0..11"),
+         ([1.7], "a 1-d list of integers, got [1.7]"),
+         ([[1, 2]], "a 1-d list of integers, got [[1, 2]]")],
     )
     def test_rejects_bad_explicit_position(self, miss, named):
         # a repeat used to surface as a singular pivot, 12 as a bare
-        # IndexError, and -1 wrapped silently to the last entry
+        # IndexError, -1 wrapped silently to the last entry, 1.7 was cut
+        # to 1, and a 2-d list failed with a broadcast error
         params = random_params(np.random.default_rng(5), 3, 4)
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=re.escape(named)):
             conditional_moments(np.zeros((3, 4)), params, miss=np.array(miss))
 
     def test_single_missing_entry_shrinks_variance(self):
@@ -410,11 +415,8 @@ def test_shared_block_below_pivot_tolerance_raises_at_per_member_position():
     pattern = detect_pattern(values)
     (g,) = pattern._groups
     np.testing.assert_array_equal(g.first, [0, 2, 4])
-    row_prec, _ = spd_inverse(params.row_cov)
-    col_prec, _ = spd_inverse(params.col_cov)
-    resid = values[g.obs_ids] - params.mean
     with pytest.raises(SingularPivotError) as per_member:
-        _condition_gathered(row_prec, col_prec, resid, g.rows, g.cols)
+        conditional_moments(values[4], params)
     with pytest.raises(SingularPivotError) as shared:
         _e_step(values, pattern, params)
     assert per_member.value.pivot == 1
@@ -559,7 +561,7 @@ def _count_m_steps(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (matnorm.mle, matnorm.missing, matnorm.spectral):
+    for module in (matnorm.mle, matnorm.missing):
         monkeypatch.setattr(module, "_pooled_m_step", counted)
     return calls
 
