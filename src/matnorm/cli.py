@@ -12,15 +12,12 @@ did not converge (outputs are still written).
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stringio
-import json
 import os
 import sys
 
 import numpy as np
 
-from .io import atomic_write_text, load_dataset, save_params
+from .io import _csv_text, _write_json, atomic_write_text, load_dataset, save_params
 from .mle import EstimationError, FitConfig, fit_mle
 from .missing import fit_em, fit_gem, fit_mm
 from .model import DataError, ObservationSet
@@ -214,20 +211,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_grid(cfg, progress=progress)
     atomic_write_text(args.output, report.csv_text())
     if args.summary is not None:
-        atomic_write_text(args.summary, json.dumps(report.summary(), indent=2) + "\n")
+        _write_json(args.summary, report.summary())
     return _EXIT_OK
 
 
-def _csv_text(header: list, rows: list) -> str:
-    buffer = _stringio.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _format_float(value: float) -> str:
-    return repr(float(value))
+def _keyed_rows(keys, table: np.ndarray) -> list:
+    """Each row of ``table`` after its key, as one CSV row."""
+    return [[key] + row for key, row in zip(keys, table.tolist())]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -259,54 +249,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     merges = hierarchical_cluster(dist)
     predicted = mle_classify(model.completions, model, pca, args.pcs)
 
-    os.makedirs(args.outdir, exist_ok=True)
-
-    frac = pca.fractions
-    cumulative = np.cumsum(frac)
-    pca_rows = []
-    for k in range(p):
-        row = [
-            str(k + 1),
-            _format_float(pca.eigenvalues[k]),
-            _format_float(frac[k]),
-            _format_float(cumulative[k]),
-        ]
-        row.extend(_format_float(v) for v in pca.eigenvectors[:, k])
-        pca_rows.append(row)
-    pca_header = ["component", "eigenvalue", "fraction", "cumulative"]
-    pca_header.extend(f"loading_r{r + 1}" for r in range(p))
-    atomic_write_text(
-        os.path.join(args.outdir, "pca.csv"), _csv_text(pca_header, pca_rows)
-    )
-
-    proj_header = ["label"] + [f"pc{k + 1}" for k in range(args.pcs)]
-    proj_rows = []
-    means = scores.mean(axis=2)
-    for i in range(data.n_obs):
-        row = [str(int(data.labels[i]))]
-        row.extend(_format_float(v) for v in means[i])
-        proj_rows.append(row)
-    atomic_write_text(
-        os.path.join(args.outdir, "projections.csv"),
-        _csv_text(proj_header, proj_rows),
-    )
-
     k_classes = data.n_classes
-    dist_header = ["class"] + [f"class_{j + 1}" for j in range(k_classes)]
-    dist_rows = []
-    for i in range(k_classes):
-        dist_rows.append(
-            [str(i + 1)] + [_format_float(dist[i, j]) for j in range(k_classes)]
-        )
-    atomic_write_text(
-        os.path.join(args.outdir, "distances.csv"), _csv_text(dist_header, dist_rows)
-    )
-
+    classes = range(1, k_classes + 1)
+    confusion = np.bincount(
+        (data.labels - 1) * k_classes + (predicted - 1), minlength=k_classes**2
+    ).reshape(k_classes, k_classes)
     # Cluster ids are shifted by one so leaves 1..K line up with the class
     # labels; merged clusters continue as K+1, K+2, ...
     dendrogram = {
         "format_version": 1,
-        "leaves": list(range(1, k_classes + 1)),
+        "leaves": list(classes),
         "merges": [
             {
                 "left": int(m.left) + 1,
@@ -317,23 +269,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for m in merges
         ],
     }
-    atomic_write_text(
-        os.path.join(args.outdir, "dendrogram.json"),
-        json.dumps(dendrogram, indent=2) + "\n",
-    )
-
-    confusion = np.zeros((k_classes, k_classes), dtype=int)
-    for true_label, pred_label in zip(data.labels, predicted):
-        confusion[true_label - 1, pred_label - 1] += 1
-    conf_header = ["true_class"] + [f"pred_{j + 1}" for j in range(k_classes)]
-    conf_rows = [
-        [str(i + 1)] + [str(int(v)) for v in confusion[i]] for i in range(k_classes)
-    ]
-    atomic_write_text(
-        os.path.join(args.outdir, "confusion.csv"), _csv_text(conf_header, conf_rows)
-    )
-
-    accuracy = float(np.mean(predicted == data.labels))
     summary = {
         "format_version": 1,
         "n_obs": int(data.n_obs),
@@ -346,11 +281,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "iterations": int(model.iterations),
         "loglik": float(model.loglik_trace[-1]),
         "separability": {"total": float(total_d), "log": float(log_d)},
-        "accuracy": accuracy,
+        "accuracy": float(np.mean(predicted == data.labels)),
     }
-    atomic_write_text(
-        os.path.join(args.outdir, "summary.json"), json.dumps(summary, indent=2) + "\n"
+    pca_table = np.column_stack(
+        [pca.eigenvalues, pca.fractions, np.cumsum(pca.fractions), pca.eigenvectors.T]
     )
+    tables = {
+        "pca.csv": (
+            ["component", "eigenvalue", "fraction", "cumulative"]
+            + [f"loading_r{r}" for r in range(1, p + 1)],
+            _keyed_rows(range(1, p + 1), pca_table),
+        ),
+        "projections.csv": (
+            ["label"] + [f"pc{k}" for k in range(1, args.pcs + 1)],
+            _keyed_rows(data.labels.tolist(), scores.mean(axis=2)),
+        ),
+        "distances.csv": (
+            ["class"] + [f"class_{j}" for j in classes],
+            _keyed_rows(classes, dist),
+        ),
+        "confusion.csv": (
+            ["true_class"] + [f"pred_{j}" for j in classes],
+            _keyed_rows(classes, confusion),
+        ),
+    }
+
+    os.makedirs(args.outdir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        atomic_write_text(os.path.join(args.outdir, name), _csv_text(header, rows))
+    _write_json(os.path.join(args.outdir, "dendrogram.json"), dendrogram)
+    _write_json(os.path.join(args.outdir, "summary.json"), summary)
 
     if not model.converged:
         print(

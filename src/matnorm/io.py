@@ -8,9 +8,14 @@ column-stacked observation, and the file layout and the math share one
 convention.  Missing entries are written as an empty field and read back
 from either an empty field or the literal ``NA``.
 
-Parameters serialize to JSON carrying ``format_version: 1``.  Floats go
-through their shortest round-trip representation, so load(save(x))
-reproduces x bit for bit.
+This module owns the package's number formats.  Every CSV table (datasets,
+simulation grid rows, the ``analyze`` reports) goes through one writer,
+:func:`_csv_text`: strings and integers as written, any other value as
+``repr(float(v))``, its shortest round-trip text, so a float reads back
+bit for bit and a NaN reads ``nan``.  Every JSON file (parameters, the
+simulation summary, the ``analyze`` dendrogram and summary) goes through
+:func:`_write_json`, indented two spaces; parameters carry
+``format_version: 1`` and load(save(x)) reproduces x bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import tempfile
 import numpy as np
 
 from .missing import UnstructuredParams
-from .model import MatrixNormalParams
+from .model import MatrixNormalParams, _whole_labels
 
 _COLUMN_RE = re.compile(r"^x_r(\d+)_c(\d+)$")
 _MISSING_FIELDS = ("", "NA")
@@ -74,91 +79,35 @@ def _parse_header(fields: list) -> tuple[bool, int, int]:
     return has_label, p, q
 
 
-def _first_bad_field(path: str, lineno: int, names: list, fields: list) -> str:
-    """Message for the first unparsable or non-finite value field of a line."""
+def _read_row(path: str, lineno: int, names: list, fields: list) -> list:
+    """The stripped value fields of a line as floats, NaN for a missing one."""
+    row = []
     for name, field in zip(names, fields):
         if field in _MISSING_FIELDS:
+            row.append(_NAN)
             continue
         try:
             value = float(field)
         except ValueError:
-            return (
+            raise ValueError(
                 f"{path}: line {lineno}, column {name}: "
                 f"cannot parse {field!r} as a number"
-            )
+            ) from None
         if not math.isfinite(value):
-            return (
+            raise ValueError(
                 f"{path}: line {lineno}, column {name}: value must be "
                 "finite (encode missing entries as empty or NA)"
             )
-    return ""
-
-
-def _parse_fields(fields: list, has_label: bool) -> tuple:
-    label = int(fields[0]) if has_label else None
-    values = fields[1:] if has_label else fields
-    row = [_NAN if f in _MISSING_FIELDS else float(f) for f in values]
-    return label, row, sum(values.count(m) for m in _MISSING_FIELDS)
-
-
-def _parse_line(
-    path: str, lineno: int, line: str, width: int, names: list, has_label: bool
-) -> tuple:
-    """(label or None, values with NaN for missing, missing count) of a data line.
-
-    The fields are parsed as they stand first, since ``int`` and ``float``
-    accept surrounding blanks; only a line where that fails, from a bad
-    field or a padded ``NA`` or blank field, is parsed again with its
-    fields stripped.  Raises for a ragged line, a bad label or an
-    unparsable value; a non-finite value is left for the caller to find.
-    """
-    fields = line.split(",")
-    if len(fields) != width:
-        raise ValueError(
-            f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
-        )
-    try:
-        return _parse_fields(fields, has_label)
-    except ValueError:
-        fields = [f.strip() for f in fields]
-    if has_label:
-        try:
-            int(fields[0])
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: label {fields[0]!r} is not an integer"
-            ) from None
-    try:
-        return _parse_fields(fields, has_label)
-    except ValueError:
-        values = fields[1:] if has_label else fields
-        raise ValueError(_first_bad_field(path, lineno, names, values)) from None
-
-
-def _check_finite(
-    path: str, lines: list, names: list, line_numbers: list, rows: list, missing: list
-) -> np.ndarray:
-    """The rows as one (n, width) array; raises naming the first non-finite value."""
-    stacked = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    # each missing field reads as one NaN, so a row holds a bad value
-    # exactly when it has more non-finite entries than missing fields
-    nonfinite = np.count_nonzero(~np.isfinite(stacked), axis=1)
-    bad = np.flatnonzero(nonfinite > np.asarray(missing, dtype=int))
-    if bad.size:
-        lineno = line_numbers[bad[0]]
-        fields = [f.strip() for f in lines[lineno - 1].split(",")]
-        raise ValueError(
-            _first_bad_field(path, lineno, names, fields[len(fields) - len(names):])
-        )
-    return stacked
+        row.append(value)
+    return row
 
 
 def load_dataset(path: str) -> tuple[np.ndarray, "np.ndarray | None"]:
     """Read a dataset CSV; returns (values (n, p, q), labels or None).
 
-    Lines are parsed into Python floats and stacked into one array, whose
-    finiteness is checked at once.  An error names the first bad field in
-    file order.
+    Each line is read once, in file order: its fields are stripped, counted,
+    and parsed label first, then value by value, so an error names the
+    first bad field of the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -169,49 +118,71 @@ def load_dataset(path: str) -> tuple[np.ndarray, "np.ndarray | None"]:
     width = len(header)
     names = header[1:] if has_label else header
 
-    labels, rows, line_numbers, missing = [], [], [], []
+    labels, rows = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            label, row, holes = _parse_line(path, lineno, line, width, names, has_label)
-        except ValueError:
-            # a non-finite value on an earlier line comes first in file order
-            _check_finite(path, lines, names, line_numbers, rows, missing)
-            raise
-        labels.append(label)
-        rows.append(row)
-        line_numbers.append(lineno)
-        missing.append(holes)
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != width:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
+            )
+        if has_label:
+            try:
+                labels.append(int(fields[0]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: label {fields[0]!r} is not an integer"
+                ) from None
+        rows.append(_read_row(path, lineno, names, fields[-len(names):]))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    stacked = _check_finite(path, lines, names, line_numbers, rows, missing)
-    values = stacked.reshape(len(rows), q, p).transpose(0, 2, 1)
+    values = np.array(rows, dtype=float).reshape(len(rows), q, p).transpose(0, 2, 1)
     return values, (np.asarray(labels, dtype=int) if has_label else None)
+
+
+def _csv_text(header: list, rows) -> str:
+    """A CSV table: strings and integers as written, other values as floats.
+
+    A float is written as ``repr(float(v))``, its shortest round-trip text,
+    so reading the table back reproduces it bit for bit; NaN reads ``nan``.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join([
+                v if isinstance(v, str)
+                else str(v) if isinstance(v, (int, np.integer))
+                else repr(float(v))
+                for v in row
+            ])
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """Write a JSON document, indented two spaces, with a final newline."""
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def save_dataset(
     path: str, values: np.ndarray, labels: "np.ndarray | None" = None
 ) -> None:
-    """Write a dataset CSV in the canonical column order."""
+    """Write a dataset CSV in the canonical column order; a hole is an empty field."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 3:
         raise ValueError(f"values must have shape (n, p, q), got {values.shape}")
     n, p, q = values.shape
     header = _expected_columns(p, q)
+    flat = values.transpose(0, 2, 1).reshape(n, p * q).tolist()
+    rows = [["" if math.isnan(v) else v for v in row] for row in flat]
     if labels is not None:
-        labels = np.asarray(labels, dtype=int)
+        labels = _whole_labels(labels)
         if labels.shape != (n,):
             raise ValueError(f"labels shape {labels.shape} does not match {n} rows")
         header = ["label"] + header
-    flat = values.transpose(0, 2, 1).reshape(n, p * q)
-    lines = [",".join(header)]
-    for i in range(n):
-        fields = ["" if np.isnan(v) else repr(float(v)) for v in flat[i]]
-        if labels is not None:
-            fields = [str(int(labels[i]))] + fields
-        lines.append(",".join(fields))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows = [[label] + row for label, row in zip(labels.tolist(), rows)]
+    atomic_write_text(path, _csv_text(header, rows))
 
 
 def _nested(a: np.ndarray) -> list:
@@ -247,7 +218,7 @@ def save_params(
     else:
         raise TypeError(f"cannot serialize {type(params).__name__}")
     payload["meta"] = dict(meta) if meta else {}
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_json(path, payload)
 
 
 def load_params(

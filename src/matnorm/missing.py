@@ -71,6 +71,7 @@ from .mle import (
     FitConfig,
     FitResult,
     SingularUpdateError,
+    _JITTER,
     _check_sample_size,
     _extrapolated,
     _grid_pairs,
@@ -505,7 +506,7 @@ def _fit_classes(
 
     def m_step(sets, moments):
         grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
-        return _pooled_m_step(grids, moments[0], sets, cfg.jitter)
+        return _pooled_m_step(grids, moments[0], sets, _JITTER)
 
     def change(new, old):
         return max(_param_change(a, b) for a, b in zip(new, old))
@@ -685,8 +686,8 @@ def fit_gem(
         try:
             chol = spd_cholesky(cov_new)
         except np.linalg.LinAlgError:
-            logger.warning("added jitter %g to a degenerate covariance update", cfg.jitter)
-            cov_new = cov_new + cfg.jitter * np.eye(d)
+            logger.warning("added jitter %g to a degenerate covariance update", _JITTER)
+            cov_new = cov_new + _JITTER * np.eye(d)
             try:
                 chol = spd_cholesky(cov_new)
             except np.linalg.LinAlgError:

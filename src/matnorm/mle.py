@@ -53,6 +53,8 @@ from .model import (
 logger = logging.getLogger(__name__)
 
 _SCALE_FLOOR = 1e-300
+# the one-shot diagonal boost of a covariance update that fails to factor
+_JITTER = 1e-8
 
 
 class EstimationError(RuntimeError):
@@ -69,14 +71,13 @@ class FitConfig:
 
     ``tol`` stops on relative log likelihood change, ``inner_tol`` on the
     relative change of the parameter blocks themselves (whichever triggers
-    first), and ``jitter`` is the one-shot diagonal boost applied to a
-    covariance update that fails to factor.
+    first).  A covariance update that fails to factor gets one diagonal
+    boost of ``_JITTER``.
     """
 
     max_iters: int = 500
     tol: float = 1e-8
     inner_tol: float = 1e-10
-    jitter: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
@@ -87,8 +88,6 @@ class FitConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if not self.inner_tol > 0:
             raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
-        if not self.jitter >= 0:
-            raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
 
 
 @dataclass(eq=False)
@@ -469,7 +468,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
         return (float(np.sum(_log_densities(values, params))),)
 
     def m_step(params, moments):
-        return _pooled_m_step([None], [values], [params], cfg.jitter)[0]
+        return _pooled_m_step([None], [values], [params], _JITTER)[0]
 
     _, _, result = _iterate(
         e_step, m_step, _param_change, _initial_params(values), cfg, start

@@ -159,6 +159,19 @@ class ObservationSet:
         return bool(np.isnan(self.values).any())
 
 
+def _whole_labels(labels) -> np.ndarray:
+    """Class labels as an int array; raises naming the first that is not whole."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind in "biu":
+        return raw.astype(int)
+    as_float = raw.astype(float)
+    bad = ~(np.isfinite(as_float) & (as_float == np.trunc(as_float)))
+    if bad.any():
+        first = float(as_float[bad].flat[0])
+        raise ValueError(f"label {first!r} is not a whole number")
+    return as_float.astype(int)
+
+
 def _check_observation(x: np.ndarray, params: MatrixNormalParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (params.p, params.q):

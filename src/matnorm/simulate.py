@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import _csv_text
 from .mle import EstimationError, FitConfig
 from .missing import UnstructuredParams, fit_em, fit_gem, fit_mm
 from .model import MatrixNormalParams, ObservationSet, sample
@@ -25,6 +26,7 @@ logger = logging.getLogger(__name__)
 
 _METHODS = ("mm", "gem", "em")
 _REJECTION_CAP = 1000
+_NAN = float("nan")
 
 
 @dataclass
@@ -84,8 +86,8 @@ class SimRow:
 
 
 _CSV_HEADER = (
-    "method,p,q,N,miss_prop,replicate,rel_err_sigma,rel_err_mu,"
-    "runtime_seconds,iterations,converged"
+    "method", "p", "q", "N", "miss_prop", "replicate", "rel_err_sigma",
+    "rel_err_mu", "runtime_seconds", "iterations", "converged",
 )
 
 
@@ -102,15 +104,15 @@ class SimReport:
         )
 
     def csv_text(self) -> str:
-        lines = [_CSV_HEADER]
-        for r in self.sorted_rows():
-            lines.append(
-                f"{r.method},{r.p},{r.q},{r.n},{float(r.miss_prop)!r},{r.replicate},"
-                f"{float(r.rel_err_sigma)!r},{float(r.rel_err_mu)!r},"
-                f"{float(r.runtime_seconds)!r},"
-                f"{r.iterations},{'true' if r.converged else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(
+            _CSV_HEADER,
+            (
+                [r.method, r.p, r.q, r.n, r.miss_prop, r.replicate, r.rel_err_sigma,
+                 r.rel_err_mu, r.runtime_seconds, r.iterations,
+                 "true" if r.converged else "false"]
+                for r in self.sorted_rows()
+            ),
+        )
 
     def summary(self) -> dict:
         """Per-cell medians over replicates, NaN-tolerant."""
@@ -256,14 +258,11 @@ def _replicate_rngs(
 
 def _fit_one(method: str, data: ObservationSet, cfg: FitConfig):
     """(estimate, fit metadata) for one method name."""
-    if method == "mm":
-        result = fit_mm(data, cfg)
-        return result.params, result
-    if method == "em":
-        result = fit_em(data, cfg)
-        return result.params, result
     if method == "gem":
         return fit_gem(data, cfg)
+    if method in ("mm", "em"):
+        result = (fit_mm if method == "mm" else fit_em)(data, cfg)
+        return result.params, result
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -309,31 +308,14 @@ def _run_replicate(
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             est, meta = _fit_one(method, masked, fit_cfg)
-        return SimRow(
-            method=method,
-            p=p,
-            q=q,
-            n=n,
-            miss_prop=prop,
-            replicate=rep,
-            rel_err_sigma=relative_error_sigma(est, truth),
-            rel_err_mu=relative_error_mean(est, truth),
-            runtime_seconds=meta.wall_time,
-            iterations=meta.iterations,
-            converged=meta.converged,
+        outcome = (
+            relative_error_sigma(est, truth),
+            relative_error_mean(est, truth),
+            meta.wall_time,
+            meta.iterations,
+            meta.converged,
         )
     except (EstimationError, np.linalg.LinAlgError) as exc:
         logger.warning("fit %s failed on replicate %d: %s", method, rep, exc)
-        return SimRow(
-            method=method,
-            p=p,
-            q=q,
-            n=n,
-            miss_prop=prop,
-            replicate=rep,
-            rel_err_sigma=float("nan"),
-            rel_err_mu=float("nan"),
-            runtime_seconds=float("nan"),
-            iterations=0,
-            converged=False,
-        )
+        outcome = (_NAN, _NAN, _NAN, 0, False)
+    return SimRow(method, p, q, n, prop, rep, *outcome)

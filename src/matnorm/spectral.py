@@ -24,7 +24,8 @@ import scipy.linalg
 from .linalg import spd_cholesky, spd_inverse
 from .mle import EstimationError, FitConfig, _observed_cell_means
 from .missing import _fit_classes
-from .model import DataError, MatrixNormalParams, ObservationSet, _log_densities
+from .model import DataError, MatrixNormalParams, ObservationSet
+from .model import _log_densities, _whole_labels
 from .model import log_density  # noqa: F401  (spectral.log_density stays a public binding)
 
 
@@ -37,7 +38,7 @@ class LabeledObservationSet:
 
     def __post_init__(self):
         self.values = ObservationSet(self.values).values
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = _whole_labels(self.labels)
         if self.labels.shape != (self.values.shape[0],):
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match "
@@ -225,7 +226,7 @@ def projected_class_stats(projected: np.ndarray, labels: np.ndarray) -> list:
     length k*q; returns one (mean, covariance) pair per class label 1..K.
     """
     projected = np.asarray(projected, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = _whole_labels(labels)
     n, k, q = projected.shape
     flat = projected.transpose(0, 2, 1).reshape(n, k * q)
     stats = []

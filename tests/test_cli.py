@@ -17,7 +17,15 @@ from matnorm.io import atomic_write_text, load_dataset, load_params, save_datase
 from matnorm.missing import UnstructuredParams
 from matnorm.model import MatrixNormalParams, sample
 from matnorm.simulate import random_params
-from matnorm.spectral import LabeledObservationSet, fit_class_models
+from matnorm.spectral import (
+    LabeledObservationSet,
+    distance_matrix,
+    fit_class_models,
+    mle_classify,
+    pca_row_cov,
+    project,
+    projected_class_stats,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -358,6 +366,43 @@ class TestAnalyze:
             sum(int(v) for v in line.split(",")[1:]) for line in conf_lines[1:]
         ]
         assert counts == [40, 40]
+
+    def test_reports_match_in_memory_results(self, workdir, tmp_path):
+        outdir = tmp_path / "report"
+        assert self.run_analyze(workdir, outdir) == 0
+        values, labels = load_dataset(str(workdir / "labeled.csv"))
+        model = fit_class_models(LabeledObservationSet(values, labels), "em")
+        pca = pca_row_cov(model, 2)
+        scores = project(model.completions, pca)
+        dist = distance_matrix(projected_class_stats(scores, labels))
+        predicted = mle_classify(model.completions, model, pca, 2)
+
+        def table(name):
+            return np.loadtxt(outdir / name, delimiter=",", skiprows=1, ndmin=2)
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+        pca_table = table("pca.csv")
+        np.testing.assert_array_equal(pca_table[:, 0], [1, 2, 3])
+        close(pca_table[:, 1], pca.eigenvalues)
+        close(pca_table[:, 2], pca.fractions)
+        close(pca_table[:, 3], np.cumsum(pca.fractions))
+        # row k of the loadings is eigenvector k, a column of the matrix
+        close(pca_table[:, 4:], pca.eigenvectors.T)
+
+        projections = table("projections.csv")
+        np.testing.assert_array_equal(projections[:, 0], labels)
+        close(projections[:, 1:], scores.mean(axis=2))
+
+        distances = table("distances.csv")
+        np.testing.assert_array_equal(distances[:, 0], [1, 2])
+        close(distances[:, 1:], dist)
+
+        confusion = table("confusion.csv")
+        counts = [[np.sum((labels == i) & (predicted == j)) for j in (1, 2)] for i in (1, 2)]
+        np.testing.assert_array_equal(confusion[:, 0], [1, 2])
+        np.testing.assert_array_equal(confusion[:, 1:], counts)
 
     def test_rerun_is_byte_identical(self, workdir, tmp_path):
         first = tmp_path / "r1"

@@ -80,8 +80,6 @@ def test_wall_time_covers_the_whole_call(monkeypatch, name, binding):
         ("tol", float("nan")),
         ("inner_tol", -1e-10),
         ("inner_tol", float("nan")),
-        ("jitter", -1e-8),
-        ("jitter", float("nan")),
     ],
 )
 def test_config_rejects_bad_values(field, bad):

@@ -30,7 +30,7 @@ def _plain_fit(values, cfg=FitConfig()):
         return missing._e_step(values, pattern, params)
 
     def m_step(params, moments):
-        return missing._m_step(pattern, moments[0], moments[1], params, cfg.jitter)
+        return missing._m_step(pattern, moments[0], moments[1], params, mle._JITTER)
 
     start = mle._initial_params(values)
     _, _, result = _iterate(e_step, m_step, mle._param_change, start, cfg, 0.0)

@@ -231,6 +231,20 @@ class TestDatasetParsing:
         np.testing.assert_array_equal(loaded.view(np.uint64), values.view(np.uint64))
         np.testing.assert_array_equal(labels, np.arange(40) % 3 + 1)
 
+    def test_save_rejects_non_whole_labels(self, tmp_path):
+        # casting would write 1.5 as label 1 and 2.5 as label 2
+        path = str(tmp_path / "data.csv")
+        with pytest.raises(ValueError, match=r"label 1\.5 is not a whole number"):
+            save_dataset(path, np.zeros((4, 1, 1)), [1.5, 1.5, 2.5, 2.5])
+        assert not (tmp_path / "data.csv").exists()
+
+    def test_save_writes_whole_float_labels_as_integers(self, tmp_path):
+        path = str(tmp_path / "data.csv")
+        save_dataset(path, np.zeros((2, 1, 1)), [1.0, 2.0])
+        assert open(path).read() == "label,x_r1_c1\n1,0.0\n2,0.0\n"
+        np.testing.assert_array_equal(load_dataset(path)[1], [1, 2])
+
+
 class TestParamsRoundTrip:
     def test_matrix_normal_bit_exact(self, tmp_path):
         rng = np.random.default_rng(2)

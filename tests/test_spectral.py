@@ -87,6 +87,16 @@ class TestLabeledObservationSet:
         with pytest.raises(ValueError):
             LabeledObservationSet(np.zeros((3, 2, 2)), [1, 2])
 
+    def test_rejects_non_whole_labels(self):
+        # casting would read 1.9 as class 1 and 2.7 as class 2
+        with pytest.raises(ValueError, match=r"label 1\.9 is not a whole number"):
+            LabeledObservationSet(np.zeros((4, 2, 2)), [1.0, 1.9, 2.2, 2.7])
+
+    def test_accepts_whole_float_labels(self):
+        data = LabeledObservationSet(np.zeros((4, 2, 2)), [1.0, 2.0, 1.0, 2.0])
+        assert data.labels.dtype.kind == "i"
+        np.testing.assert_array_equal(data.labels, [1, 2, 1, 2])
+
 
 class TestFitClassModels:
     def test_single_class_matches_plain_em(self):
@@ -249,6 +259,11 @@ def test_projected_class_stats_hand_case():
     mean2, cov2 = stats[1]
     np.testing.assert_array_equal(mean2, [0.0, 1.0])
     np.testing.assert_array_equal(cov2, [[0.0, 0.0], [0.0, 1.0]])
+
+
+def test_projected_class_stats_rejects_non_whole_labels():
+    with pytest.raises(ValueError, match=r"label 1\.5 is not a whole number"):
+        projected_class_stats(np.zeros((4, 1, 2)), [1.0, 1.5, 2.0, 2.0])
 
 
 class TestClassDistance:
