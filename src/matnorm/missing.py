@@ -29,10 +29,12 @@ Three fitters cover the usual quality/cost trade:
   tolerance.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
-  Kronecker assumption.  The flexible but slow baseline.  Its E-step is
-  em's with a pq x pq precision, inverted from the Cholesky factor that
-  checked the covariance: the same hole positions gather its missing
-  blocks, and the same kernel conditions them.  gem keeps plain steps.
+  Kronecker assumption.  The flexible baseline, and the slowest: each
+  E-step pays for a pq x pq precision.  Its E-step is em's with that
+  precision, inverted from the Cholesky factor that checked the
+  covariance: the same hole positions gather its missing blocks, and the
+  same kernel conditions them.  With holes it extrapolates like em, by
+  the same step rule on its own coordinates (:func:`_gem_extrapolated`).
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
@@ -43,7 +45,8 @@ lost band), each distinct block is factored once and its conditional
 covariance weighted by the number of observations sharing it; otherwise
 every observation's block is factored on its own.  All three run the
 iteration loop of :func:`matnorm.mle._iterate`: mm through
-:func:`~matnorm.mle.fit_mle`, em through :func:`_fit_classes`.
+:func:`~matnorm.mle.fit_mle`, em through :func:`_fit_classes`, gem
+directly.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .mle import (
     _param_change,
     _pooled_m_step,
     _scatter_add,
+    _squarem_step,
     fit_mle,
 )
 from .model import (
@@ -641,6 +645,36 @@ def _gem_e_step(
     return completions, extra, loglik
 
 
+def _gem_extrapolated(start: tuple, first: tuple, second: tuple) -> "tuple | None":
+    """gem's SQUAREM point of two updates (:func:`~matnorm.mle._squarem_step`).
+
+    Each argument is a ``(mean, cov, chol)`` set: theta0, theta1 =
+    F(theta0) and theta2 = M(E(theta1)).  The step runs on ``(mean /
+    sqrt(s), cov / s)`` with ``s = trace(cov_0) / d`` at theta0, so it does
+    not depend on the data's units.  None when the step is not finite or
+    the symmetrized covariance does not factor; otherwise the point carries
+    its Cholesky factor, taken before the scale goes back on, to
+    :func:`_gem_e_step`.
+    """
+    d = start[0].size
+    s = float(np.trace(start[1])) / d
+    root = math.sqrt(s)
+
+    def coordinates(mean, cov, _):
+        return np.concatenate([mean / root, cov.ravel() / s])
+
+    x = _squarem_step(*(coordinates(*prm) for prm in (start, first, second)))
+    if x is None:
+        return None
+    shape = x[d:].reshape(d, d)
+    shape = (shape + shape.T) / 2.0
+    try:
+        chol = spd_cholesky(shape)
+    except np.linalg.LinAlgError:
+        return None
+    return x[:d] * root, shape * s, chol * root
+
+
 def fit_gem(
     data: ObservationSet, config: "FitConfig | None" = None
 ) -> tuple[UnstructuredParams, FitResult]:
@@ -649,9 +683,13 @@ def fit_gem(
     Ignores the Kronecker structure entirely, which makes it the slowest of
     the three fitters and the hungriest for data (the covariance has
     pq(pq+1)/2 free entries); with more observations than pq it can resolve
-    structure the factored model cannot.  Returns the parameter estimate
-    together with fit metadata whose ``params`` field is None, since the
-    output is not a matrix normal parameter set.
+    structure the factored model cannot.  With holes, each plain update is
+    followed by a squared extrapolation (:func:`_gem_extrapolated`), kept
+    only when one update from it ends no lower, so the trace ascends and
+    counts accepted extrapolated entries as em's does; complete data take
+    plain steps, and reach the sample moments in one.  Returns the
+    parameter estimate together with fit metadata whose ``params`` field
+    is None, since the output is not a matrix normal parameter set.
     """
     start = time.perf_counter()
     cfg = config or FitConfig()
@@ -702,7 +740,8 @@ def fit_gem(
         mean_step = np.abs(new[0] - old[0]) / np.sqrt(np.diag(old[1]))
         return max(mean_step.max(), np.abs(new[1] - old[1]).max() / np.abs(old[1]).max())
 
+    extrapolate = _gem_extrapolated if pattern.any_missing else None
     (mean, cov, _), _, result = _iterate(
-        e_step, m_step, change, (mean, cov, None), cfg, start
+        e_step, m_step, change, (mean, cov, None), cfg, start, extrapolate
     )
     return UnstructuredParams(p=p, q=q, mean=mean, cov=cov), result

@@ -20,12 +20,15 @@ that checks a new factor also gives the inverse and log determinant that
 the next E-step and M-step read.
 
 EM converges linearly, at a rate set by the fraction of missing
-information, so ``_fit_classes`` hands the loop ``_extrapolated``:
-after each plain update it tries a squared extrapolation (SQUAREM,
-Varadhan & Roland 2008) along the last two updates, and keeps the point
-only when one update from it ends no lower than the plain update did.
-The complete data fit keeps plain steps; it settles in a few iterations,
-where an extrapolation cycle costs more than it saves.
+information, so when the data have holes ``_fit_classes`` and
+``fit_gem`` hand the loop an extrapolation: after each plain update it
+tries a squared extrapolation (SQUAREM, Varadhan & Roland 2008) along the
+last two updates, and keeps the point only when one update from it ends
+no lower than the plain update did.  ``_squarem_step`` is the one step
+rule; each model supplies only its coordinates and its check of the point
+(``_extrapolated`` for the Kronecker model).  The complete data fits keep
+plain steps; they settle in a few iterations, where an extrapolation
+cycle costs more than it saves.
 """
 
 from __future__ import annotations
@@ -281,26 +284,39 @@ def _squarem_coordinates(sets: list) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _extrapolated(start: list, first: list, second: list) -> "list | None":
+def _squarem_step(
+    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray
+) -> "np.ndarray | None":
     """The squared extrapolation (SQUAREM) point of two updates, or None.
 
-    Each argument holds K classes sharing one row factor: theta0, the
-    update theta1 = F(theta0), and theta2 = M(E(theta1)).  On the vectors
-    of :func:`_squarem_coordinates`, with r = theta1 - theta0 and
-    v = theta2 - 2 theta1 + theta0, the point is theta0 - 2 alpha r +
-    alpha^2 v at the step alpha = min(-|r| / |v|, -1) (Varadhan & Roland,
-    2008); alpha = -1 gives theta2 back.  Its factors are pinned to
-    ``[0, 0] = 1`` and factored once.  None when a factor leaves the SPD
-    cone or a scale is not a positive finite number: the caller then
-    continues from theta2, so a rejected point costs no jitter and no error.
+    ``x0`` holds theta0 on a model's coordinates, ``x1`` the update theta1
+    = F(theta0) and ``x2`` theta2 = M(E(theta1)).  With r = x1 - x0 and
+    v = x2 - 2 x1 + x0, the point is x0 - 2 alpha r + alpha^2 v at the step
+    alpha = min(-|r| / |v|, -1) (Varadhan & Roland, 2008); alpha = -1 gives
+    x2 back.  None when the point is not finite.  Each model supplies its
+    coordinates and its own check of the point.
     """
-    x0, x1, x2 = (_squarem_coordinates(sets) for sets in (start, first, second))
     r = x1 - x0
     v = x2 - x1 - r
     r_norm, v_norm = float(np.linalg.norm(r)), float(np.linalg.norm(v))
     alpha = min(-r_norm / v_norm, -1.0) if v_norm > 0 else -1.0
     x = x0 - 2.0 * alpha * r + alpha * alpha * v
-    if not np.isfinite(x).all():
+    return x if np.isfinite(x).all() else None
+
+
+def _extrapolated(start: list, first: list, second: list) -> "list | None":
+    """The Kronecker model's SQUAREM point of two updates, or None.
+
+    Each argument holds K classes sharing one row factor: theta0, the
+    update theta1 = F(theta0), and theta2 = M(E(theta1)).  The point is
+    :func:`_squarem_step` on the vectors of :func:`_squarem_coordinates`,
+    its factors pinned to ``[0, 0] = 1`` and factored once.  None when the
+    step is not finite, a factor leaves the SPD cone or a scale is not a
+    positive finite number: the caller then continues from theta2, so a
+    rejected point costs no jitter and no error.
+    """
+    x = _squarem_step(*(_squarem_coordinates(sets) for sets in (start, first, second)))
+    if x is None:
         return None
     p, q = start[0].p, start[0].q
     row = _pinned_factor(x[: p * p].reshape(p, p))
@@ -338,7 +354,8 @@ def _iterate(
     once its relative objective change falls below ``cfg.tol`` or its
     parameter change below ``cfg.inner_tol``.
 
-    Given ``extrapolate(theta0, theta1, theta2)`` (see :func:`_extrapolated`),
+    Given ``extrapolate(theta0, theta1, theta2)`` (a model's point of
+    :func:`_squarem_step`, such as :func:`_extrapolated`),
     each plain update theta1 = F(theta0) that does not stop the loop is
     followed by a SQUAREM cycle: theta2 = M(E(theta1)), with no E-step at
     theta2, the extrapolated point theta', and theta_new = F(theta').

@@ -1,8 +1,9 @@
 """Squared extrapolation (SQUAREM) in the one iteration loop.
 
-The missing-data fits follow each plain update with an extrapolated point;
-the point is kept only when one update from it ends at least as high as the
-plain update did, so the trace ascends whatever the point is.
+The missing-data fits, em and the class fit on the Kronecker model and gem
+on the unstructured one, follow each plain update with an extrapolated
+point; the point is kept only when one update from it ends at least as high
+as the plain update did, so the trace ascends whatever the point is.
 """
 
 import logging
@@ -12,10 +13,16 @@ import numpy as np
 import pytest
 
 from matnorm import missing, mle, model
-from matnorm.missing import detect_pattern, fit_em
+from matnorm.missing import _gem_extrapolated, detect_pattern, fit_em, fit_gem
 from matnorm.mle import FitConfig, _extrapolated, _iterate
 from matnorm.model import MatrixNormalParams, ObservationSet, _precisions, sample
-from matnorm.simulate import inject_missing, random_params
+from matnorm.simulate import (
+    SimConfig,
+    _replicate_rngs,
+    inject_missing,
+    random_params,
+    run_grid,
+)
 
 VALUES = inject_missing(sample(random_params(3, 7, 61), 500, 62), 0.4, 63).values
 
@@ -168,3 +175,119 @@ def test_unit_step_gives_the_second_update_back():
     want = second[0].full_covariance()
     np.testing.assert_allclose(point[0].full_covariance(), want, rtol=1e-12)
     np.testing.assert_allclose(point[0].mean, second[0].mean, rtol=1e-12)
+
+
+def _plain_gem(monkeypatch, values, cfg=FitConfig()):
+    """``fit_gem`` through the loop without extrapolation."""
+    real = missing._iterate
+    with monkeypatch.context() as patched:
+        patched.setattr(missing, "_iterate", lambda *args: real(*args[:6]))
+        return fit_gem(ObservationSet(values), cfg)[1]
+
+
+def test_gem_fit_that_crawled_to_the_cap_now_converges():
+    # 3x7, N=250, 20% MCAR, grid seed 11, replicate 2: plain steps still
+    # gained 6.5e-4 per iteration at the 500-iteration cap
+    cfg = SimConfig(
+        dims=((3, 7),), sample_sizes=(250,), miss_props=(0.2,),
+        replicates=3, seed=11, methods=("gem",),
+    )
+    row = run_grid(cfg).rows[2]
+    assert row.replicate == 2 and row.converged
+    assert row.iterations < cfg.fit.max_iters
+    params_rng, sample_rng, miss_rng = _replicate_rngs(11, 3, 7, 250, 0.2, 2)
+    clean = sample(random_params(3, 7, params_rng), 250, sample_rng)
+    _, result = fit_gem(inject_missing(clean, 0.2, miss_rng), cfg.fit)
+    assert result.converged and result.iterations == row.iterations
+    _assert_ascends(result.loglik_trace)
+
+
+def _gem_sets(mean_shift, cov):
+    """A (mean, cov, chol) gem set on a stacked vector of length 2."""
+    return np.full(2, mean_shift), np.asarray(cov, dtype=float), None
+
+
+def test_gem_point_outside_the_spd_cone_or_not_finite_is_none(caplog):
+    # |r| = 0.71 along the mean over |v| = 0.014 in the covariance gives
+    # alpha = -50, and alpha^2 v puts 25 off the diagonal of a unit shape
+    outside = _gem_sets(0.0, np.eye(2)), _gem_sets(0.5, np.eye(2)), _gem_sets(
+        1.0, [[1.0, 0.01], [0.01, 1.0]]
+    )
+    infinite = _gem_sets(0.0, np.eye(2)), _gem_sets(0.5, np.eye(2)), _gem_sets(
+        np.inf, np.eye(2)
+    )
+    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="matnorm"):
+        warnings.simplefilter("error")
+        assert _gem_extrapolated(*outside) is None
+        assert _gem_extrapolated(*infinite) is None
+    assert caplog.records == []
+
+
+def test_gem_unit_step_gives_the_second_update_back_with_its_factor():
+    rng = np.random.default_rng(67)
+    g = rng.standard_normal((6, 6))
+    start = rng.standard_normal(6), np.eye(6), None
+    second = rng.standard_normal(6), g @ g.T + np.eye(6), None
+    mean, cov, chol = _gem_extrapolated(start, start, second)
+    np.testing.assert_allclose(mean, second[0], rtol=1e-12)
+    np.testing.assert_allclose(cov, second[1], rtol=1e-12)
+    np.testing.assert_allclose(chol @ chol.T, cov, rtol=1e-12)
+
+
+def test_gem_rejected_points_fall_back_to_the_plain_updates(monkeypatch, caplog):
+    # every point is pushed out of the SPD cone or off the finite numbers,
+    # so the loop records exactly the plain updates
+    real = missing._gem_extrapolated
+    points = []
+
+    def spoiled(start, first, second):
+        mean, cov, chol = second
+        spoil = -cov if len(points) % 2 else np.where(np.eye(cov.shape[0]), np.nan, cov)
+        points.append(real(start, first, (mean, spoil, chol)))
+        return points[-1]
+
+    cfg = FitConfig(max_iters=60)
+    plain = _plain_gem(monkeypatch, VALUES, cfg)
+    monkeypatch.setattr(missing, "_gem_extrapolated", spoiled)
+    with caplog.at_level(logging.DEBUG, logger="matnorm"):
+        result = fit_gem(ObservationSet(VALUES), cfg)[1]
+    assert len(points) >= 2 and all(point is None for point in points)
+    np.testing.assert_array_equal(result.loglik_trace, plain.loglik_trace)
+    _assert_ascends(result.loglik_trace)
+    assert "jitter" not in caplog.text and "extrapolated" not in caplog.text
+
+
+def test_gem_extrapolates_with_holes_and_hands_on_each_factor(monkeypatch, caplog):
+    plain = _plain_gem(monkeypatch, VALUES)
+    real = missing._gem_e_step
+    factored_here = []
+
+    def recorded(vdata, pattern, mean, cov, chol=None):
+        factored_here.append(chol is None)
+        return real(vdata, pattern, mean, cov, chol)
+
+    monkeypatch.setattr(missing, "_gem_e_step", recorded)
+    with caplog.at_level(logging.DEBUG, logger="matnorm"):
+        _, fast = fit_gem(ObservationSet(VALUES))
+    assert "(extrapolated)" in caplog.text
+    # at 40% missing plain steps crawl to the cap unconverged
+    assert fast.converged and not plain.converged
+    assert len(factored_here) < plain.iterations + 1
+    # only the start is factored by the E-step; every later set, points
+    # included, arrives with the Cholesky factor that checked it
+    assert factored_here[0] and not any(factored_here[1:])
+    end, plain_end = fast.loglik_trace[-1], plain.loglik_trace[-1]
+    assert end >= plain_end - 1e-9 * abs(plain_end)
+    _assert_ascends(fast.loglik_trace)
+
+
+def test_gem_on_complete_data_never_extrapolates(monkeypatch):
+    points = []
+    monkeypatch.setattr(missing, "_gem_extrapolated", lambda *sets: points.append(sets))
+    values = sample(random_params(3, 4, 68), 80, 69).values
+    params, result = fit_gem(ObservationSet(values))
+    assert points == [] and result.converged
+    vdata = values.transpose(0, 2, 1).reshape(80, 12)
+    resid = vdata - vdata.mean(axis=0)
+    assert np.abs(params.mean - vdata.mean(axis=0)).max() <= 1e-8
+    assert np.abs(params.cov - resid.T @ resid / 80).max() <= 1e-8
