@@ -37,6 +37,10 @@ from .spectral import (
 _EXIT_OK = 0
 _EXIT_INPUT = 1
 _EXIT_NO_CONVERGE = 3
+_TOL_HELP = (
+    "log-likelihood change per observed entry to stop at; a parameter step on the model's "
+    f"unit-free coordinates below {FitConfig.inner_tol:g} stops the fit too"
+)
 
 
 class _CliError(Exception):
@@ -69,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--p", required=True, type=_positive_int, help="rows per observation")
     fit.add_argument("--q", required=True, type=_positive_int, help="columns per observation")
-    fit.add_argument("--tol", type=float, default=1e-8, help="relative log-likelihood tolerance")
+    fit.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     fit.add_argument("--max-iters", type=_positive_int, default=500, help="iteration cap")
     fit.add_argument("--verbose", action="store_true", help="per-iteration summary lines on stderr")
     fit.add_argument("--output", required=True, help="parameter JSON path")
@@ -82,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--replicates", type=_positive_int, default=100, help="replicates per cell")
     sim.add_argument("--methods", default="mm,gem,em", help="comma list drawn from mm,gem,em")
     sim.add_argument("--seed", type=int, default=0, help="grid seed")
-    sim.add_argument("--tol", type=float, default=1e-8, help="fit tolerance")
+    sim.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     sim.add_argument("--max-iters", type=_positive_int, default=500, help="fit iteration cap")
     sim.add_argument("--output", required=True, help="results CSV path")
     sim.add_argument("--summary", default=None, help="optional per-cell summary JSON path")
@@ -92,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--input", required=True, help="labeled dataset CSV path")
     ana.add_argument("--method", required=True, choices=("mm", "em"), help="missing-data strategy")
     ana.add_argument("--pcs", required=True, type=_positive_int, help="number of components to keep")
-    ana.add_argument("--tol", type=float, default=1e-8, help="fit tolerance")
+    ana.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
     ana.add_argument("--max-iters", type=_positive_int, default=500, help="fit iteration cap")
     ana.add_argument("--outdir", required=True, help="directory for report files")
     ana.set_defaults(func=cmd_analyze)

@@ -81,9 +81,9 @@ from .mle import (
     _initial_params,
     _iterate,
     _observed_cell_means,
-    _param_change,
     _pooled_m_step,
     _scatter_add,
+    _squarem_coordinates,
     _squarem_step,
     fit_mle,
 )
@@ -497,10 +497,11 @@ def _fit_classes(
     :func:`~matnorm.spectral.fit_class_models`: each E-step sums
     :func:`_e_step` over the classes, each M-step is
     :func:`~matnorm.mle._pooled_m_step` on every class's conditional grid,
-    a step's size is its largest class's, and the loop extrapolates
-    (:func:`~matnorm.mle._extrapolated`) when any class has holes, where
-    they slow the ascent.  ``start`` is the caller's entry time.  Returns
-    each class's parameters, its completions, and the fit record.
+    a step is measured on :func:`~matnorm.mle._squarem_coordinates`, and
+    the loop extrapolates (:func:`~matnorm.mle._extrapolated`) when any
+    class has holes, where they slow the ascent.  ``start`` is the caller's
+    entry time.  Returns each class's parameters, its completions, and the
+    fit record.
     """
     patterns = [detect_pattern(values) for values in class_values]
 
@@ -512,13 +513,11 @@ def _fit_classes(
         grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
         return _pooled_m_step(grids, moments[0], sets, _JITTER)
 
-    def change(new, old):
-        return max(_param_change(a, b) for a, b in zip(new, old))
-
     extrapolate = _extrapolated if any(pt.any_missing for pt in patterns) else None
     initial = [_initial_params(values) for values in class_values]
+    entries = sum(int(np.count_nonzero(~np.isnan(values))) for values in class_values)
     sets, (completions, _, _), result = _iterate(
-        e_step, m_step, change, initial, cfg, start, extrapolate
+        e_step, m_step, _squarem_coordinates, initial, entries, cfg, start, extrapolate
     )
     return sets, completions, result
 
@@ -645,25 +644,29 @@ def _gem_e_step(
     return completions, extra, loglik
 
 
+def _gem_coordinates(params: tuple, like: tuple) -> np.ndarray:
+    """gem's coordinates ``(mean / sqrt(s), cov / s)`` on the reference set ``like``.
+
+    ``s`` is the largest variance, and so the largest entry, of its covariance.
+    """
+    s = float(like[1].diagonal().max())
+    return np.concatenate([params[0] / math.sqrt(s), params[1].ravel() / s])
+
+
 def _gem_extrapolated(start: tuple, first: tuple, second: tuple) -> "tuple | None":
     """gem's SQUAREM point of two updates (:func:`~matnorm.mle._squarem_step`).
 
     Each argument is a ``(mean, cov, chol)`` set: theta0, theta1 =
-    F(theta0) and theta2 = M(E(theta1)).  The step runs on ``(mean /
-    sqrt(s), cov / s)`` with ``s = trace(cov_0) / d`` at theta0, so it does
-    not depend on the data's units.  None when the step is not finite or
-    the symmetrized covariance does not factor; otherwise the point carries
-    its Cholesky factor, taken before the scale goes back on, to
-    :func:`_gem_e_step`.
+    F(theta0) and theta2 = M(E(theta1)).  The step runs on
+    :func:`_gem_coordinates` with theta0 as reference.  None when the step
+    is not finite or the symmetrized covariance does not factor; otherwise
+    the point carries its Cholesky factor, taken before the scale goes
+    back on, to :func:`_gem_e_step`.
     """
     d = start[0].size
-    s = float(np.trace(start[1])) / d
+    s = float(start[1].diagonal().max())
     root = math.sqrt(s)
-
-    def coordinates(mean, cov, _):
-        return np.concatenate([mean / root, cov.ravel() / s])
-
-    x = _squarem_step(*(coordinates(*prm) for prm in (start, first, second)))
+    x = _squarem_step(*(_gem_coordinates(prm, start) for prm in (start, first, second)))
     if x is None:
         return None
     shape = x[d:].reshape(d, d)
@@ -734,14 +737,9 @@ def fit_gem(
                 )
         return mean_new, cov_new, chol
 
-    def change(new, old):
-        # the mean step in standard deviations and the covariance step
-        # against the covariance's size, both blind to the data's units
-        mean_step = np.abs(new[0] - old[0]) / np.sqrt(np.diag(old[1]))
-        return max(mean_step.max(), np.abs(new[1] - old[1]).max() / np.abs(old[1]).max())
-
     extrapolate = _gem_extrapolated if pattern.any_missing else None
+    entries = int(np.count_nonzero(~np.isnan(values)))
     (mean, cov, _), _, result = _iterate(
-        e_step, m_step, change, (mean, cov, None), cfg, start, extrapolate
+        e_step, m_step, _gem_coordinates, (mean, cov, None), entries, cfg, start, extrapolate
     )
     return UnstructuredParams(p=p, q=q, mean=mean, cov=cov), result

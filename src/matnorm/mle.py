@@ -7,7 +7,7 @@ entries to 1, and re-derives the variance scale, until the log likelihood
 stops moving.
 
 The missing-data and class fits share this machinery: ``_iterate`` is the
-one iteration loop (trace, convergence test, timing, fit record), run by
+one iteration loop (trace, unit-free convergence test, timing, record), run by
 ``fit_mle``, ``fit_gem`` and ``matnorm.missing._fit_classes``, the one
 Kronecker EM driver behind ``fit_em`` and the class fit; and
 ``_pooled_m_step`` is the one closed form update, which pools the row
@@ -25,10 +25,10 @@ information, so when the data have holes ``_fit_classes`` and
 tries a squared extrapolation (SQUAREM, Varadhan & Roland 2008) along the
 last two updates, and keeps the point only when one update from it ends
 no lower than the plain update did.  ``_squarem_step`` is the one step
-rule; each model supplies only its coordinates and its check of the point
-(``_extrapolated`` for the Kronecker model).  The complete data fits keep
-plain steps; they settle in a few iterations, where an extrapolation
-cycle costs more than it saves.
+rule; each model supplies only its coordinates, which the stop reads too,
+and its check of the point (``_extrapolated`` for the Kronecker model).
+The complete data fits keep plain steps; they settle in a few iterations,
+where an extrapolation cycle costs more than it saves.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ class SingularUpdateError(EstimationError):
 class FitConfig:
     """Knobs shared by every fitting routine.
 
-    ``tol`` stops on relative log likelihood change, ``inner_tol`` on the
-    relative change of the parameter blocks themselves (whichever triggers
-    first).  A covariance update that fails to factor gets one diagonal
-    boost of ``_JITTER``.
+    ``tol`` stops on the log-likelihood change per observed entry,
+    ``inner_tol`` on the step on the model's unit-free coordinates
+    (whichever triggers first, see :func:`_iterate`).  A covariance update
+    that fails to factor gets one diagonal boost of ``_JITTER``.
     """
 
     max_iters: int = 500
@@ -109,22 +109,6 @@ class FitResult:
     iterations: int
     wall_time: float
     converged: bool
-
-
-def _rel_change(new: np.ndarray, old: np.ndarray) -> float:
-    new = np.atleast_1d(np.asarray(new, dtype=float))
-    old = np.atleast_1d(np.asarray(old, dtype=float))
-    denom = max(1.0, float(np.max(np.abs(old))))
-    return float(np.max(np.abs(new - old))) / denom
-
-
-def _param_change(new: MatrixNormalParams, old: MatrixNormalParams) -> float:
-    return max(
-        _rel_change(new.mean, old.mean),
-        _rel_change(new.row_cov, old.row_cov),
-        _rel_change(new.col_cov, old.col_cov),
-        _rel_change(new.scale, old.scale),
-    )
 
 
 def _pinned_factor(shape: np.ndarray) -> "tuple | None":
@@ -266,21 +250,27 @@ def _pooled_m_step(
     ]
 
 
-def _squarem_coordinates(sets: list) -> np.ndarray:
-    """The coordinates SQUAREM extrapolates: means, factor shapes, log scales.
+def _sd(prm: MatrixNormalParams) -> float:
+    """The largest standard deviation in the covariance of ``prm``."""
+    return math.sqrt(prm.scale * prm.row_cov.diagonal().max() * prm.col_cov.diagonal().max())
 
-    ``sets`` holds K classes sharing one row factor.  Each factor enters
-    divided by its trace and each scale as the log of the scale that goes
-    with those shapes, so the vector, unlike the stored ``[0, 0]`` pinned
-    factors, permutes with the rows and columns of the data.
+
+def _squarem_coordinates(sets: list, like: list) -> np.ndarray:
+    """The Kronecker model's coordinates: means, factor shapes, log scales.
+
+    ``sets`` and the reference ``like`` hold K classes sharing one row
+    factor.  Each mean enters over its reference class's :func:`_sd`, each
+    factor over its trace and each scale as the log of the scale that goes
+    with those shapes, so the vector permutes with the rows and columns of
+    the data, and its differences on one reference do not see the units.
     """
     row = sets[0].row_cov
     row_trace = np.trace(row)
     parts = [row.ravel() / row_trace]
-    for prm in sets:
+    for prm, ref in zip(sets, like):
         col_trace = np.trace(prm.col_cov)
         log_scale = math.log(prm.scale * row_trace * col_trace)
-        parts += [prm.mean.ravel(), prm.col_cov.ravel() / col_trace, [log_scale]]
+        parts += [prm.mean.ravel() / _sd(ref), prm.col_cov.ravel() / col_trace, [log_scale]]
     return np.concatenate(parts)
 
 
@@ -309,13 +299,13 @@ def _extrapolated(start: list, first: list, second: list) -> "list | None":
 
     Each argument holds K classes sharing one row factor: theta0, the
     update theta1 = F(theta0), and theta2 = M(E(theta1)).  The point is
-    :func:`_squarem_step` on the vectors of :func:`_squarem_coordinates`,
-    its factors pinned to ``[0, 0] = 1`` and factored once.  None when the
+    :func:`_squarem_step` on :func:`_squarem_coordinates` on theta0, its
+    factors pinned to ``[0, 0] = 1`` and factored once.  None when the
     step is not finite, a factor leaves the SPD cone or a scale is not a
     positive finite number: the caller then continues from theta2, so a
     rejected point costs no jitter and no error.
     """
-    x = _squarem_step(*(_squarem_coordinates(sets) for sets in (start, first, second)))
+    x = _squarem_step(*(_squarem_coordinates(s, start) for s in (start, first, second)))
     if x is None:
         return None
     p, q = start[0].p, start[0].q
@@ -324,8 +314,8 @@ def _extrapolated(start: list, first: list, second: list) -> "list | None":
         return None
     row_new, row_fac, row_top = row
     point, at = [], p * p
-    for _ in start:
-        mean = x[at : at + p * q].reshape(p, q)
+    for ref in start:
+        mean = x[at : at + p * q].reshape(p, q) * _sd(ref)
         col = _pinned_factor(x[at + p * q : at + p * q + q * q].reshape(q, q))
         log_scale = x[at + p * q + q * q]
         at += p * q + q * q + 1
@@ -343,16 +333,18 @@ def _extrapolated(start: list, first: list, second: list) -> "list | None":
 
 
 def _iterate(
-    e_step, m_step, change, params, cfg: FitConfig, start: float, extrapolate=None
+    e_step, m_step, coordinates, params, entries, cfg: FitConfig, start: float,
+    extrapolate=None,
 ):
     """Alternate E- and M-steps from ``params`` until the objective settles.
 
     ``e_step(params)`` returns a tuple of the moments the M-step needs whose
-    last entry is the objective at ``params``; ``m_step(params, moments)``
-    returns the updated parameters and ``change(new, old)`` the relative
-    size of that update.  Each plain update is recorded, and the loop stops
-    once its relative objective change falls below ``cfg.tol`` or its
-    parameter change below ``cfg.inner_tol``.
+    last entry is the objective at ``params``, and ``m_step(params,
+    moments)`` returns the updated parameters.  Each plain update is
+    recorded, and stops the loop when its objective change per observed
+    entry (``entries`` of them) is below ``cfg.tol``, or its step below
+    ``cfg.inner_tol``: the largest change of the model's unit-free
+    ``coordinates(params, like)``, both sets taken on the old as ``like``.
 
     Given ``extrapolate(theta0, theta1, theta2)`` (a model's point of
     :func:`_squarem_step`, such as :func:`_extrapolated`),
@@ -367,27 +359,28 @@ def _iterate(
     do, and the moments of one E-step at a time are held.  ``start`` is the
     caller's entry time, so ``wall_time`` covers the whole call.  Returns
     the final parameters, the moments at them, and the fit record, whose
-    ``params`` is set when they are a matrix normal set.
+    ``params`` the caller sets.
     """
     moments = e_step(params)
     trace = [moments[-1]]
     converged = False
 
-    def record(loglik, tested_against=None):
+    def record(loglik, new=None, old=None):
         # a plain update is tested against the set it came from
         nonlocal converged
-        if tested_against is not None:
-            delta = abs(loglik - trace[-1]) / max(1.0, abs(trace[-1]))
-            converged = delta < cfg.tol or change(*tested_against) < cfg.inner_tol
+        if old is not None:
+            converged = abs(loglik - trace[-1]) < cfg.tol * entries or (
+                np.abs(coordinates(new, old) - coordinates(old, old)).max() < cfg.inner_tol
+            )
         trace.append(loglik)
-        how = "" if tested_against is not None else " (extrapolated)"
+        how = "" if old is not None else " (extrapolated)"
         logger.debug("iteration %d: loglik %.10g%s", len(trace) - 1, loglik, how)
 
     while not converged and len(trace) <= cfg.max_iters:
         new_params = m_step(params, moments)
         del moments  # not held while the E-step builds the next ones
         moments = e_step(new_params)
-        record(moments[-1], (new_params, params))
+        record(moments[-1], new_params, params)
         origin, params = params, new_params
         if converged or extrapolate is None or len(trace) > cfg.max_iters:
             continue
@@ -408,10 +401,10 @@ def _iterate(
                 continue
             del moments
         moments = e_step(second)
-        record(moments[-1], (second, params))
+        record(moments[-1], second, params)
         params = second
     result = FitResult(
-        params=params if isinstance(params, MatrixNormalParams) else None,
+        params=None,
         loglik_trace=np.asarray(trace),
         iterations=len(trace) - 1,
         wall_time=time.perf_counter() - start,
@@ -481,15 +474,17 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
         )
     _check_sample_size(values)
 
-    def e_step(params):
-        return (float(np.sum(_log_densities(values, params))),)
+    def e_step(sets):
+        return (float(np.sum(_log_densities(values, sets[0]))),)
 
-    def m_step(params, moments):
-        return _pooled_m_step([None], [values], [params], _JITTER)[0]
+    def m_step(sets, moments):
+        return _pooled_m_step([None], [values], sets, _JITTER)
 
-    _, _, result = _iterate(
-        e_step, m_step, _param_change, _initial_params(values), cfg, start
+    initial = [_initial_params(values)]
+    (params,), _, result = _iterate(
+        e_step, m_step, _squarem_coordinates, initial, values.size, cfg, start
     )
+    result.params = params
     return result
 
 

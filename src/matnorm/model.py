@@ -159,8 +159,8 @@ class ObservationSet:
         return bool(np.isnan(self.values).any())
 
 
-def _whole_labels(labels) -> np.ndarray:
-    """Class labels as an int array; raises naming the first that is not whole."""
+def _whole_labels(labels, what: str = "label") -> np.ndarray:
+    """Whole numbers as an int array; raises naming ``what`` and the first that is not."""
     raw = np.asarray(labels)
     if raw.dtype.kind in "biu":
         return raw.astype(int)
@@ -168,7 +168,7 @@ def _whole_labels(labels) -> np.ndarray:
     bad = ~(np.isfinite(as_float) & (as_float == np.trunc(as_float)))
     if bad.any():
         first = float(as_float[bad].flat[0])
-        raise ValueError(f"label {first!r} is not a whole number")
+        raise ValueError(f"{what} {first!r} is not a whole number")
     return as_float.astype(int)
 
 

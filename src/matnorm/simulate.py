@@ -20,7 +20,7 @@ import numpy as np
 from .io import _csv_text
 from .mle import EstimationError, FitConfig
 from .missing import UnstructuredParams, fit_em, fit_gem, fit_mm
-from .model import MatrixNormalParams, ObservationSet, sample
+from .model import MatrixNormalParams, ObservationSet, _whole_labels, sample
 
 logger = logging.getLogger(__name__)
 
@@ -47,16 +47,18 @@ class SimConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
-        dims = tuple((int(p), int(q)) for p, q in self.dims)
+        dims = tuple(map(tuple, _whole_labels(self.dims, "dims entry").tolist()))
         if not dims or any(p < 1 or q < 1 for p, q in dims):
             raise ValueError(f"invalid dims {self.dims!r}")
         self.dims = dims
-        self.sample_sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = _whole_labels(self.sample_sizes, "sample_sizes entry")
+        self.sample_sizes = tuple(sizes.tolist())
         if not self.sample_sizes or any(n < 2 for n in self.sample_sizes):
             raise ValueError(f"invalid sample sizes {self.sample_sizes!r}")
         self.miss_props = tuple(float(x) for x in self.miss_props)
         if not self.miss_props or any(not 0 <= x < 1 for x in self.miss_props):
             raise ValueError(f"missing proportions must lie in [0, 1): {self.miss_props!r}")
+        self.replicates = int(_whole_labels(self.replicates, "replicates"))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         methods = tuple(dict.fromkeys(m.lower() for m in self.methods))

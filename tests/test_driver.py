@@ -45,6 +45,38 @@ def test_trace_iterations_and_convergence_contract(name):
     np.testing.assert_array_equal(one.loglik_trace, trace[:2])
 
 
+UNIT_CLEAN = sample(random_params(3, 7, 5), 300, 6).values
+UNIT_MASKED = inject_missing(ObservationSet(UNIT_CLEAN), 0.15, 7).values
+
+
+def _fitted_covariances(name, c):
+    """Fit ``name`` on the data times c at the default config: record, covariances."""
+    data = ObservationSet(c * (UNIT_CLEAN if name == "fit_mle" else UNIT_MASKED))
+    if name == "fit_gem":
+        params, result = fit_gem(data)
+        return result, [params.cov]
+    if name == "fit_class_models":
+        labels = np.repeat([1, 2, 3], 100)
+        fitted = fit_class_models(LabeledObservationSet(data.values, labels))
+        return fitted, [prm.full_covariance() for prm in fitted.class_params]
+    result = {"fit_mle": fit_mle, "fit_mm": fit_mm, "fit_em": fit_em}[name](data)
+    return result, [result.params.full_covariance()]
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_does_not_depend_on_the_data_units(name):
+    # the stop reads the log-likelihood change per observed entry and the
+    # step on unit-free coordinates, so the fit of c * X stops after as
+    # many iterations as the fit of X, with c**2 times its covariance
+    unit, unit_covs = _fitted_covariances(name, 1.0)
+    for c in (1e-5, 1e7):
+        result, covs = _fitted_covariances(name, c)
+        assert result.iterations == unit.iterations, f"data x {c:g}"
+        for cov, ref in zip(covs, unit_covs):
+            err = np.linalg.norm(cov - c**2 * ref) / np.linalg.norm(c**2 * ref)
+            assert err <= 1e-10, f"data x {c:g}: covariance off by {err:.2e}"
+
+
 @pytest.mark.parametrize(
     "name, binding",
     [

@@ -918,8 +918,8 @@ class TestFitGem:
     def test_fit_does_not_depend_on_the_data_units(self):
         # neither the parameter-step test nor the kernel's pivot floor may
         # see the data's scale: the fit of c * X is c**2 times the fit of X.
-        # The log likelihood test is relative to a value that shifts with
-        # log(c), so a tight tol leaves the stop to the parameter step.
+        # A tight tol leaves the stop to the parameter step; the
+        # log-likelihood test per observed entry is unit-free as well.
         rng = np.random.default_rng(42)
         values = knock_out(sample(random_params(rng, 3, 7), 500, rng).values, 0.1, rng)
         cfg = FitConfig(tol=1e-13)

@@ -143,6 +143,23 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(sample_sizes=(1,))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dims", ((3.7, 5),)),
+            ("sample_sizes", (250.9,)),
+            ("replicates", 2.5),
+        ],
+    )
+    def test_rejects_numbers_that_are_not_whole(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    def test_accepts_whole_floats(self):
+        cfg = SimConfig(dims=((3.0, 5.0),), sample_sizes=(250.0,), replicates=2.0)
+        assert cfg.dims == ((3, 5),) and cfg.sample_sizes == (250,)
+        assert cfg.replicates == 2 and isinstance(cfg.replicates, int)
+
 
 SMALL = SimConfig(
     dims=((2, 3),),
