@@ -24,8 +24,9 @@ Three fitters cover the usual quality/cost trade:
   other factor's precision.  em is :func:`_fit_classes` with one class,
   the driver that also fits the class model of :mod:`matnorm.spectral`.
   It follows each plain update with a squared extrapolation along the last
-  two (:func:`matnorm.mle._extrapolated`), kept only when one update from
-  it ends no lower, which takes about a third fewer E-steps to the same
+  two, which the loop takes on the Kronecker coordinates and maps back
+  through :func:`matnorm.mle._squarem_params`, kept only when one update
+  from it ends no lower; this takes about a third fewer E-steps to the same
   tolerance.
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
@@ -34,7 +35,9 @@ Three fitters cover the usual quality/cost trade:
   precision, inverted from the Cholesky factor that checked the
   covariance: the same hole positions gather its missing blocks, and the
   same kernel conditions them.  With holes it extrapolates like em, by
-  the same step rule on its own coordinates (:func:`_gem_extrapolated`).
+  the loop's one step on its own coordinates, which it maps both ways
+  (:func:`_gem_coordinates` and :func:`_gem_params`); its M-step jitters
+  by the Kronecker updates' rule (:func:`matnorm.mle._with_jitter`).
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
@@ -51,7 +54,6 @@ directly.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 import warnings
@@ -70,13 +72,10 @@ from .linalg import (
     vec,
 )
 from .mle import (
-    EstimationError,
     FitConfig,
     FitResult,
-    SingularUpdateError,
     _JITTER,
     _check_sample_size,
-    _extrapolated,
     _grid_pairs,
     _initial_params,
     _iterate,
@@ -84,7 +83,8 @@ from .mle import (
     _pooled_m_step,
     _scatter_add,
     _squarem_coordinates,
-    _squarem_step,
+    _squarem_params,
+    _with_jitter,
     fit_mle,
 )
 from .model import (
@@ -94,8 +94,6 @@ from .model import (
     _precisions,
     _quadratic_forms,
 )
-
-logger = logging.getLogger(__name__)
 
 # A missing-count group conditions its distinct hole sets rather than its
 # members only when there are at most this share as many of them: below,
@@ -498,10 +496,10 @@ def _fit_classes(
     :func:`_e_step` over the classes, each M-step is
     :func:`~matnorm.mle._pooled_m_step` on every class's conditional grid,
     a step is measured on :func:`~matnorm.mle._squarem_coordinates`, and
-    the loop extrapolates (:func:`~matnorm.mle._extrapolated`) when any
-    class has holes, where they slow the ascent.  ``start`` is the caller's
-    entry time.  Returns each class's parameters, its completions, and the
-    fit record.
+    the loop extrapolates on them, back through
+    :func:`~matnorm.mle._squarem_params`, when any class has holes, where
+    they slow the ascent.  ``start`` is the caller's entry time.  Returns
+    each class's parameters, its completions, and the fit record.
     """
     patterns = [detect_pattern(values) for values in class_values]
 
@@ -513,11 +511,11 @@ def _fit_classes(
         grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
         return _pooled_m_step(grids, moments[0], sets, _JITTER)
 
-    extrapolate = _extrapolated if any(pt.any_missing for pt in patterns) else None
+    point = _squarem_params if any(pt.any_missing for pt in patterns) else None
     initial = [_initial_params(values) for values in class_values]
     entries = sum(int(np.count_nonzero(~np.isnan(values))) for values in class_values)
     sets, (completions, _, _), result = _iterate(
-        e_step, m_step, _squarem_coordinates, initial, entries, cfg, start, extrapolate
+        e_step, m_step, _squarem_coordinates, initial, entries, cfg, start, point
     )
     return sets, completions, result
 
@@ -536,7 +534,8 @@ def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
         result = fit_mle(data, cfg)
         result.wall_time = time.perf_counter() - start
         return result
-    _check_sample_size(data.values)
+    p, q = data.values.shape[1:]
+    _check_sample_size(data.values, max(p, q), f"a {p} x {q} model")
     (params,), _, result = _fit_classes([data.values], cfg, start)
     result.params = params
     return result
@@ -653,28 +652,29 @@ def _gem_coordinates(params: tuple, like: tuple) -> np.ndarray:
     return np.concatenate([params[0] / math.sqrt(s), params[1].ravel() / s])
 
 
-def _gem_extrapolated(start: tuple, first: tuple, second: tuple) -> "tuple | None":
-    """gem's SQUAREM point of two updates (:func:`~matnorm.mle._squarem_step`).
-
-    Each argument is a ``(mean, cov, chol)`` set: theta0, theta1 =
-    F(theta0) and theta2 = M(E(theta1)).  The step runs on
-    :func:`_gem_coordinates` with theta0 as reference.  None when the step
-    is not finite or the symmetrized covariance does not factor; otherwise
-    the point carries its Cholesky factor, taken before the scale goes
-    back on, to :func:`_gem_e_step`.
-    """
-    d = start[0].size
-    s = float(start[1].diagonal().max())
-    root = math.sqrt(s)
-    x = _squarem_step(*(_gem_coordinates(prm, start) for prm in (start, first, second)))
-    if x is None:
-        return None
-    shape = x[d:].reshape(d, d)
-    shape = (shape + shape.T) / 2.0
+def _gem_factored(cov: np.ndarray) -> "tuple | None":
+    """``(cov, chol)`` with the lower Cholesky factor that checks ``cov``, or None."""
     try:
-        chol = spd_cholesky(shape)
+        return cov, spd_cholesky(cov)
     except np.linalg.LinAlgError:
         return None
+
+
+def _gem_params(x: np.ndarray, like: tuple) -> "tuple | None":
+    """The gem set at ``x`` on :func:`_gem_coordinates` on ``like``.
+
+    The covariance is symmetrized and checked by :func:`_gem_factored`
+    before the scale goes back on; the set carries that Cholesky factor to
+    :func:`_gem_e_step`.  None when the covariance does not factor.
+    """
+    d = like[0].size
+    shape = x[d:].reshape(d, d)
+    factored = _gem_factored((shape + shape.T) / 2.0)
+    if factored is None:
+        return None
+    shape, chol = factored
+    s = float(like[1].diagonal().max())
+    root = math.sqrt(s)
     return x[:d] * root, shape * s, chol * root
 
 
@@ -687,12 +687,15 @@ def fit_gem(
     the three fitters and the hungriest for data (the covariance has
     pq(pq+1)/2 free entries); with more observations than pq it can resolve
     structure the factored model cannot.  With holes, each plain update is
-    followed by a squared extrapolation (:func:`_gem_extrapolated`), kept
-    only when one update from it ends no lower, so the trace ascends and
-    counts accepted extrapolated entries as em's does; complete data take
-    plain steps, and reach the sample moments in one.  Returns the
-    parameter estimate together with fit metadata whose ``params`` field
-    is None, since the output is not a matrix normal parameter set.
+    followed by the loop's squared extrapolation on
+    :func:`_gem_coordinates`, back through :func:`_gem_params`, kept only
+    when one update from it ends no lower, so the trace ascends and counts
+    accepted extrapolated entries as em's does; complete data take plain
+    steps, and reach the sample moments in one.  A covariance update that
+    fails to factor gets one diagonal boost
+    (:func:`~matnorm.mle._with_jitter`).  Returns the parameter estimate
+    together with fit metadata whose ``params`` field is None, since the
+    output is not a matrix normal parameter set.
     """
     start = time.perf_counter()
     cfg = config or FitConfig()
@@ -700,14 +703,7 @@ def fit_gem(
     pattern = detect_pattern(data)
     n, p, q = values.shape
     d = p * q
-    if n < 2:
-        raise EstimationError(f"at least 2 observations required, got {n}")
-    if n <= d:
-        warnings.warn(
-            f"only {n} observations for a free {d} x {d} covariance; the "
-            "estimate may be singular without more than p*q observations",
-            stacklevel=2,
-        )
+    _check_sample_size(values, d, f"an unstructured {p} x {q} model")
     vdata = values.transpose(0, 2, 1).reshape(n, d)
     mean = vec(_observed_cell_means(values))
     with warnings.catch_warnings():
@@ -724,22 +720,12 @@ def fit_gem(
         resid = completions - mean_new
         cov_new = (resid.T @ resid + extra) / n
         cov_new = (cov_new + cov_new.T) / 2.0
-        try:
-            chol = spd_cholesky(cov_new)
-        except np.linalg.LinAlgError:
-            logger.warning("added jitter %g to a degenerate covariance update", _JITTER)
-            cov_new = cov_new + _JITTER * np.eye(d)
-            try:
-                chol = spd_cholesky(cov_new)
-            except np.linalg.LinAlgError:
-                raise SingularUpdateError(
-                    "covariance update is singular even after jitter"
-                )
+        (cov_new, chol), _ = _with_jitter(cov_new, _JITTER, _gem_factored, "covariance")
         return mean_new, cov_new, chol
 
-    extrapolate = _gem_extrapolated if pattern.any_missing else None
+    point = _gem_params if pattern.any_missing else None
     entries = int(np.count_nonzero(~np.isnan(values)))
     (mean, cov, _), _, result = _iterate(
-        e_step, m_step, _gem_coordinates, (mean, cov, None), entries, cfg, start, extrapolate
+        e_step, m_step, _gem_coordinates, (mean, cov, None), entries, cfg, start, point
     )
     return UnstructuredParams(p=p, q=q, mean=mean, cov=cov), result

@@ -21,12 +21,13 @@ the next E-step and M-step read.
 
 EM converges linearly, at a rate set by the fraction of missing
 information, so when the data have holes ``_fit_classes`` and
-``fit_gem`` hand the loop an extrapolation: after each plain update it
-tries a squared extrapolation (SQUAREM, Varadhan & Roland 2008) along the
-last two updates, and keeps the point only when one update from it ends
-no lower than the plain update did.  ``_squarem_step`` is the one step
-rule; each model supplies only its coordinates, which the stop reads too,
-and its check of the point (``_extrapolated`` for the Kronecker model).
+``fit_gem`` let the loop extrapolate: after each plain update it tries a
+squared extrapolation (SQUAREM, Varadhan & Roland 2008) along the last two
+updates, and keeps the point only when one update from it ends no lower
+than the plain update did.  The loop owns the step (``_squarem_point``);
+each model maps its coordinates both ways, into them (which the stop reads
+too) and back to a checked parameter set (``_squarem_params`` for the
+Kronecker model).  One jitter rule, ``_with_jitter``, serves every M-step.
 The complete data fits keep plain steps; they settle in a few iterations,
 where an extrapolation cycle costs more than it saves.
 """
@@ -127,28 +128,35 @@ def _pinned_factor(shape: np.ndarray) -> "tuple | None":
         return None
 
 
+def _with_jitter(raw: np.ndarray, jitter: float, factor, name: str) -> tuple:
+    """``factor(raw)``, or once more after a diagonal boost of ``jitter``.
+
+    ``factor`` returns a checked, factored matrix or None when the matrix
+    does not factor.  Returns its result and whether the boost was needed.
+    """
+    for jittered in (False, True):
+        if jittered:
+            logger.warning("added jitter %g to a degenerate %s update", jitter, name)
+        out = factor(raw + jitter * np.eye(raw.shape[0]) if jittered else raw)
+        if out is not None:
+            return out, jittered
+    raise SingularUpdateError(f"{name} update is singular even after jitter")
+
+
 def _normalized_spd_update(raw: np.ndarray, jitter: float, name: str) -> tuple:
     """Scale a raw scatter style update to unit top-left entry, jitter once.
 
     Returns the normalized matrix, its (inverse, log determinant) from the
-    Cholesky factorization that checks it (:func:`_pinned_factor`), and the
-    scale split off: the top-left entry, or after jitter ``sum(inverse *
-    raw) / dim``, the scale that maximizes the likelihood at the jittered
-    shape.
+    Cholesky factorization that checks it (:func:`_pinned_factor` through
+    :func:`_with_jitter`), and the scale split off: the top-left entry, or
+    after jitter ``sum(inverse * raw) / dim``, the scale that maximizes the
+    likelihood at the jittered shape.
     """
-    dim = raw.shape[0]
-    for jittered in (False, True):
-        if jittered:
-            logger.warning("added jitter %g to a degenerate %s update", jitter, name)
-        pinned = _pinned_factor(raw + jitter * np.eye(dim) if jittered else raw)
-        if pinned is None:
-            continue
-        mat, fac, top = pinned
-        scale = float(np.sum(fac[0] * raw)) / dim if jittered else float(top)
-        if not scale > _SCALE_FLOOR:
-            raise SingularUpdateError(f"{name} update collapsed to zero")
-        return mat, fac, scale
-    raise SingularUpdateError(f"{name} update is singular even after jitter")
+    (mat, fac, top), jittered = _with_jitter(raw, jitter, _pinned_factor, name)
+    scale = float(np.sum(fac[0] * raw)) / raw.shape[0] if jittered else float(top)
+    if not scale > _SCALE_FLOOR:
+        raise SingularUpdateError(f"{name} update collapsed to zero")
+    return mat, fac, scale
 
 
 def _grid_pairs(idx: np.ndarray, dim: int) -> np.ndarray:
@@ -274,47 +282,44 @@ def _squarem_coordinates(sets: list, like: list) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _squarem_step(
-    x0: np.ndarray, x1: np.ndarray, x2: np.ndarray
-) -> "np.ndarray | None":
+def _squarem_point(coordinates, point, start, first, second):
     """The squared extrapolation (SQUAREM) point of two updates, or None.
 
-    ``x0`` holds theta0 on a model's coordinates, ``x1`` the update theta1
-    = F(theta0) and ``x2`` theta2 = M(E(theta1)).  With r = x1 - x0 and
-    v = x2 - 2 x1 + x0, the point is x0 - 2 alpha r + alpha^2 v at the step
-    alpha = min(-|r| / |v|, -1) (Varadhan & Roland, 2008); alpha = -1 gives
-    x2 back.  None when the point is not finite.  Each model supplies its
-    coordinates and its own check of the point.
+    ``start`` is theta0, ``first`` the update theta1 = F(theta0) and
+    ``second`` theta2 = M(E(theta1)), each read as x0, x1, x2 on the
+    model's ``coordinates(set, start)``.  With r = x1 - x0 and v = x2 - 2 x1
+    + x0, the point is x = x0 - 2 alpha r + alpha^2 v at the step alpha =
+    min(-|r| / |v|, -1) (Varadhan & Roland, 2008); alpha = -1 gives x2
+    back.  A finite x goes back to a parameter set through the model's
+    ``point(x, start)``, which returns None when x is not a valid set; a
+    point that is not finite is None too.
     """
+    x0, x1, x2 = (coordinates(s, start) for s in (start, first, second))
     r = x1 - x0
     v = x2 - x1 - r
     r_norm, v_norm = float(np.linalg.norm(r)), float(np.linalg.norm(v))
     alpha = min(-r_norm / v_norm, -1.0) if v_norm > 0 else -1.0
     x = x0 - 2.0 * alpha * r + alpha * alpha * v
-    return x if np.isfinite(x).all() else None
+    return point(x, start) if np.isfinite(x).all() else None
 
 
-def _extrapolated(start: list, first: list, second: list) -> "list | None":
-    """The Kronecker model's SQUAREM point of two updates, or None.
+def _squarem_params(x: np.ndarray, like: list) -> "list | None":
+    """The Kronecker sets at ``x`` on :func:`_squarem_coordinates` on ``like``.
 
-    Each argument holds K classes sharing one row factor: theta0, the
-    update theta1 = F(theta0), and theta2 = M(E(theta1)).  The point is
-    :func:`_squarem_step` on :func:`_squarem_coordinates` on theta0, its
-    factors pinned to ``[0, 0] = 1`` and factored once.  None when the
-    step is not finite, a factor leaves the SPD cone or a scale is not a
-    positive finite number: the caller then continues from theta2, so a
-    rejected point costs no jitter and no error.
+    ``like`` holds K classes sharing one row factor.  Each factor is pinned
+    to ``[0, 0] = 1`` and factored once (:func:`_pinned_factor`), every
+    class gets the one row factor, and each mean is multiplied back by its
+    reference class's :func:`_sd`.  None when a factor leaves the SPD cone
+    or a scale is not a positive finite number: the loop then continues
+    from theta2, so a rejected point costs no jitter and no error.
     """
-    x = _squarem_step(*(_squarem_coordinates(s, start) for s in (start, first, second)))
-    if x is None:
-        return None
-    p, q = start[0].p, start[0].q
+    p, q = like[0].p, like[0].q
     row = _pinned_factor(x[: p * p].reshape(p, p))
     if row is None:
         return None
     row_new, row_fac, row_top = row
-    point, at = [], p * p
-    for ref in start:
+    sets, at = [], p * p
+    for ref in like:
         mean = x[at : at + p * q].reshape(p, q) * _sd(ref)
         col = _pinned_factor(x[at + p * q : at + p * q + q * q].reshape(q, q))
         log_scale = x[at + p * q + q * q]
@@ -326,15 +331,15 @@ def _extrapolated(start: list, first: list, second: list) -> "list | None":
             scale = float(np.exp(log_scale)) * row_top * col_top
         if not _SCALE_FLOOR < scale < math.inf:
             return None
-        point.append(
+        sets.append(
             MatrixNormalParams._factored(mean, row_new, col_new, scale, row_fac, col_fac)
         )
-    return point
+    return sets
 
 
 def _iterate(
     e_step, m_step, coordinates, params, entries, cfg: FitConfig, start: float,
-    extrapolate=None,
+    point=None,
 ):
     """Alternate E- and M-steps from ``params`` until the objective settles.
 
@@ -346,16 +351,16 @@ def _iterate(
     ``cfg.inner_tol``: the largest change of the model's unit-free
     ``coordinates(params, like)``, both sets taken on the old as ``like``.
 
-    Given ``extrapolate(theta0, theta1, theta2)`` (a model's point of
-    :func:`_squarem_step`, such as :func:`_extrapolated`),
-    each plain update theta1 = F(theta0) that does not stop the loop is
-    followed by a SQUAREM cycle: theta2 = M(E(theta1)), with no E-step at
-    theta2, the extrapolated point theta', and theta_new = F(theta').
-    theta_new is recorded when its objective is at least theta1's, without
-    a convergence test (an extrapolated step says little about how settled
-    the fit is); otherwise, when there is no point, or when a step from the
-    point fails to factor, the loop takes the E-step at theta2 and records
-    it as a plain update.  So the trace ascends whenever the plain updates
+    Given ``point(x, like)``, the model's way back from the same
+    coordinates (such as :func:`_squarem_params`), the loop also takes
+    SQUAREM steps: each plain update theta1 = F(theta0) that does not stop
+    the loop is followed by theta2 = M(E(theta1)), with no E-step at
+    theta2, the point theta' of :func:`_squarem_point`, and theta_new =
+    F(theta').  theta_new is recorded when its objective is at least
+    theta1's, without a convergence test (an extrapolated step says little
+    about how settled the fit is); otherwise, when there is no point, or
+    when a step from the point fails to factor, the loop takes the E-step
+    at theta2 and records it as a plain update.  So the trace ascends whenever the plain updates
     do, and the moments of one E-step at a time are held.  ``start`` is the
     caller's entry time, so ``wall_time`` covers the whole call.  Returns
     the final parameters, the moments at them, and the fit record, whose
@@ -382,15 +387,15 @@ def _iterate(
         moments = e_step(new_params)
         record(moments[-1], new_params, params)
         origin, params = params, new_params
-        if converged or extrapolate is None or len(trace) > cfg.max_iters:
+        if converged or point is None or len(trace) > cfg.max_iters:
             continue
         second = m_step(params, moments)
         del moments
-        point = extrapolate(origin, params, second)
-        if point is not None:
+        trial = _squarem_point(coordinates, point, origin, params, second)
+        if trial is not None:
             try:
-                moments = e_step(point)
-                candidate = m_step(point, moments)
+                moments = e_step(trial)
+                candidate = m_step(trial, moments)
                 del moments
                 moments = e_step(candidate)
             except (EstimationError, np.linalg.LinAlgError):
@@ -443,15 +448,18 @@ def _initial_params(values: np.ndarray) -> MatrixNormalParams:
     )
 
 
-def _check_sample_size(values: np.ndarray) -> None:
-    """Refuse fewer than 2 observations; warn at no more than max(p, q)."""
-    n, p, q = values.shape
+def _check_sample_size(values: np.ndarray, need: int, model: str) -> None:
+    """Refuse fewer than 2 observations; warn at no more than ``need``.
+
+    The warning names ``model`` and points at the public fitter's caller.
+    """
+    n = values.shape[0]
     if n < 2:
         raise EstimationError(f"at least 2 observations required, got {n}")
-    if n <= max(p, q):
+    if n <= need:
         warnings.warn(
-            f"only {n} observations for a {p} x {q} model; the covariance "
-            "estimate may not be unique without more than max(p, q) observations",
+            f"only {n} observations for {model}; the covariance estimate "
+            f"may be degenerate without more than {need} observations",
             stacklevel=3,
         )
 
@@ -472,7 +480,8 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
             f"fit_mle requires complete data; first missing entry at "
             f"observation {i}, row {r}, column {c}"
         )
-    _check_sample_size(values)
+    p, q = values.shape[1:]
+    _check_sample_size(values, max(p, q), f"a {p} x {q} model")
 
     def e_step(sets):
         return (float(np.sum(_log_densities(values, sets[0]))),)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from matnorm import missing, mle, model
-from matnorm.missing import _gem_extrapolated, detect_pattern, fit_em, fit_gem
-from matnorm.mle import FitConfig, _extrapolated, _iterate
+from matnorm.missing import detect_pattern, fit_em, fit_gem
+from matnorm.mle import FitConfig, _iterate
 from matnorm.model import MatrixNormalParams, ObservationSet, _precisions, sample
 from matnorm.simulate import (
     SimConfig,
@@ -45,6 +45,14 @@ def _plain_fit(values, cfg=FitConfig()):
     start, entries = mle._initial_params(values), np.count_nonzero(~np.isnan(values))
     _, _, result = _iterate(e_step, m_step, coordinates, start, entries, cfg, 0.0)
     return result, len(calls)
+
+
+def _kronecker_point(*sets):
+    return mle._squarem_point(mle._squarem_coordinates, mle._squarem_params, *sets)
+
+
+def _gem_point(*sets):
+    return mle._squarem_point(missing._gem_coordinates, missing._gem_params, *sets)
 
 
 def _count_e_steps(monkeypatch):
@@ -79,11 +87,11 @@ def test_accelerated_fit_takes_fewer_e_steps_and_ends_no_lower(monkeypatch, capl
 
 
 def test_worse_extrapolated_point_is_rejected(monkeypatch):
-    real = missing._extrapolated
+    real = missing._squarem_params
     points = []
 
-    def inflated(*sets):
-        point = real(*sets)
+    def inflated(*args):
+        point = real(*args)
         worse = MatrixNormalParams._factored(
             point[0].mean, point[0].row_cov, point[0].col_cov, 10.0 * point[0].scale,
             *_precisions(point[0]),
@@ -91,7 +99,7 @@ def test_worse_extrapolated_point_is_rejected(monkeypatch):
         points.append(worse)
         return [worse]
 
-    monkeypatch.setattr(missing, "_extrapolated", inflated)
+    monkeypatch.setattr(missing, "_squarem_params", inflated)
     result = fit_em(ObservationSet(VALUES))
     assert points
     # every point is rejected, so the loop records exactly the plain updates
@@ -102,7 +110,7 @@ def test_worse_extrapolated_point_is_rejected(monkeypatch):
 
 
 def test_missing_point_falls_back_to_the_plain_updates(monkeypatch, caplog):
-    monkeypatch.setattr(missing, "_extrapolated", lambda *sets: None)
+    monkeypatch.setattr(missing, "_squarem_params", lambda *args: None)
     with caplog.at_level(logging.DEBUG, logger="matnorm"):
         result = fit_em(ObservationSet(VALUES))
     plain, _ = _plain_fit(VALUES)
@@ -111,11 +119,11 @@ def test_missing_point_falls_back_to_the_plain_updates(monkeypatch, caplog):
 
 
 def test_point_whose_update_fails_to_factor_falls_back(monkeypatch):
-    real_point, real_m_step = missing._extrapolated, missing._pooled_m_step
+    real_point, real_m_step = missing._squarem_params, missing._pooled_m_step
     points = []
 
-    def recorded(*sets):
-        points.append(real_point(*sets)[0])
+    def recorded(*args):
+        points.append(real_point(*args)[0])
         return [points[-1]]
 
     def failing(grids, completions, old, jitter):
@@ -123,7 +131,7 @@ def test_point_whose_update_fails_to_factor_falls_back(monkeypatch):
             raise mle.SingularUpdateError("row covariance update is singular even after jitter")
         return real_m_step(grids, completions, old, jitter)
 
-    monkeypatch.setattr(missing, "_extrapolated", recorded)
+    monkeypatch.setattr(missing, "_squarem_params", recorded)
     monkeypatch.setattr(missing, "_pooled_m_step", failing)
     result = fit_em(ObservationSet(VALUES))
     assert points
@@ -147,7 +155,7 @@ def test_non_spd_extrapolated_factor_is_rejected_quietly(monkeypatch, caplog):
     monkeypatch.setattr(model, "ensure_spd", checks.append)
     with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="matnorm"):
         warnings.simplefilter("error")
-        point = _extrapolated(*trio)
+        point = _kronecker_point(*trio)
     assert point is None
     assert caplog.records == []
     assert checks == []
@@ -159,7 +167,7 @@ def test_extrapolated_point_is_pinned_factored_and_shares_its_row_factor():
     for start, *others in sets:
         for prm in others:
             prm.row_cov = start.row_cov
-    point = _extrapolated(*sets)
+    point = _kronecker_point(*sets)
     assert point is not None
     assert point[1].row_cov is point[0].row_cov
     for prm in point:
@@ -174,10 +182,43 @@ def test_unit_step_gives_the_second_update_back():
     # alpha = -1 whenever |r| <= |v|; theta0 + 2r + v is then theta2
     start = [random_params(3, 4, 65)]
     second = [random_params(3, 4, 66)]
-    point = _extrapolated(start, start, second)
+    point = _kronecker_point(start, start, second)
     want = second[0].full_covariance()
     np.testing.assert_allclose(point[0].full_covariance(), want, rtol=1e-12)
     np.testing.assert_allclose(point[0].mean, second[0].mean, rtol=1e-12)
+
+
+def _rel(got, want):
+    return np.linalg.norm(np.subtract(got, want)) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("classes", [1, 2], ids=["one-class", "two-classes"])
+def test_kronecker_coordinates_map_back_to_the_same_sets(classes):
+    sets = [random_params(3, 4, 70 + c) for c in range(classes)]
+    for prm in sets[1:]:
+        prm.row_cov = sets[0].row_cov
+    back = mle._squarem_params(mle._squarem_coordinates(sets, sets), sets)
+    assert len(back) == classes
+    assert all(prm.row_cov is back[0].row_cov for prm in back)
+    for got, want in zip(back, sets):
+        assert _rel(got.mean, want.mean) <= 1e-12
+        assert _rel(got.full_covariance(), want.full_covariance()) <= 1e-12
+        assert got.scale == pytest.approx(want.scale, rel=1e-12)
+        fresh = MatrixNormalParams(got.mean, got.row_cov, got.col_cov, got.scale)
+        for carried, checked in zip(_precisions(got), _precisions(fresh)):
+            np.testing.assert_allclose(carried[0], checked[0], rtol=1e-10, atol=1e-12)
+            assert carried[1] == pytest.approx(checked[1], rel=1e-12, abs=1e-12)
+
+
+def test_gem_coordinates_map_back_to_the_same_set():
+    rng = np.random.default_rng(72)
+    g = rng.standard_normal((6, 6))
+    start = rng.standard_normal(6), g @ g.T + np.eye(6), None
+    mean, cov, chol = missing._gem_params(missing._gem_coordinates(start, start), start)
+    assert _rel(mean, start[0]) <= 1e-12
+    assert _rel(cov, start[1]) <= 1e-12
+    np.testing.assert_array_equal(chol, np.tril(chol))
+    assert _rel(chol @ chol.T, cov) <= 1e-12
 
 
 def _plain_gem(monkeypatch, values, cfg=FitConfig()):
@@ -234,8 +275,8 @@ def test_gem_point_outside_the_spd_cone_or_not_finite_is_none(caplog):
     )
     with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="matnorm"):
         warnings.simplefilter("error")
-        assert _gem_extrapolated(*outside) is None
-        assert _gem_extrapolated(*infinite) is None
+        assert _gem_point(*outside) is None
+        assert _gem_point(*infinite) is None
     assert caplog.records == []
 
 
@@ -244,7 +285,7 @@ def test_gem_unit_step_gives_the_second_update_back_with_its_factor():
     g = rng.standard_normal((6, 6))
     start = rng.standard_normal(6), np.eye(6), None
     second = rng.standard_normal(6), g @ g.T + np.eye(6), None
-    mean, cov, chol = _gem_extrapolated(start, start, second)
+    mean, cov, chol = _gem_point(start, start, second)
     np.testing.assert_allclose(mean, second[0], rtol=1e-12)
     np.testing.assert_allclose(cov, second[1], rtol=1e-12)
     np.testing.assert_allclose(chol @ chol.T, cov, rtol=1e-12)
@@ -253,18 +294,18 @@ def test_gem_unit_step_gives_the_second_update_back_with_its_factor():
 def test_gem_rejected_points_fall_back_to_the_plain_updates(monkeypatch, caplog):
     # every point is pushed out of the SPD cone or off the finite numbers,
     # so the loop records exactly the plain updates
-    real = missing._gem_extrapolated
+    real = mle._squarem_point
     points = []
 
-    def spoiled(start, first, second):
+    def spoiled(coordinates, point, start, first, second):
         mean, cov, chol = second
         spoil = -cov if len(points) % 2 else np.where(np.eye(cov.shape[0]), np.nan, cov)
-        points.append(real(start, first, (mean, spoil, chol)))
+        points.append(real(coordinates, point, start, first, (mean, spoil, chol)))
         return points[-1]
 
     cfg = FitConfig(max_iters=60)
     plain = _plain_gem(monkeypatch, VALUES, cfg)
-    monkeypatch.setattr(missing, "_gem_extrapolated", spoiled)
+    monkeypatch.setattr(mle, "_squarem_point", spoiled)
     with caplog.at_level(logging.DEBUG, logger="matnorm"):
         result = fit_gem(ObservationSet(VALUES), cfg)[1]
     assert len(points) >= 2 and all(point is None for point in points)
@@ -299,7 +340,7 @@ def test_gem_extrapolates_with_holes_and_hands_on_each_factor(monkeypatch, caplo
 
 def test_gem_on_complete_data_never_extrapolates(monkeypatch):
     points = []
-    monkeypatch.setattr(missing, "_gem_extrapolated", lambda *sets: points.append(sets))
+    monkeypatch.setattr(mle, "_squarem_point", lambda *args: points.append(args))
     values = sample(random_params(3, 4, 68), 80, 69).values
     params, result = fit_gem(ObservationSet(values))
     assert points == [] and result.converged

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from matnorm import linalg, missing, mle, model, spectral
-from matnorm.missing import _e_step, detect_pattern, fit_em, fit_mm
+from matnorm.missing import _e_step, detect_pattern, fit_em, fit_gem, fit_mm
 from matnorm.mle import FitConfig, fit_mle
 from matnorm.model import MatrixNormalParams, ObservationSet, _log_densities, sample
 from matnorm.simulate import inject_missing, random_params
@@ -55,7 +55,7 @@ def test_each_iteration_factors_each_new_factor_once(
     choleskys = _count_calls(monkeypatch, "spd_cholesky")
     checks = _count_calls(monkeypatch, "ensure_spd")
     m_steps = _count_calls(monkeypatch, "_pooled_m_step", mle)
-    points = _count_calls(monkeypatch, "_extrapolated", mle)
+    points = _count_calls(monkeypatch, "_squarem_params", mle)
     result = fit()
     assert result.iterations >= 3
     # the identity start needs no factorization, and every later set
@@ -103,6 +103,18 @@ def test_fitted_sets_pass_the_public_checks_unchanged(caplog):
             np.linalg.cholesky(cov)
         assert rebuilt.scale == params.scale
         assert type(params.scale) is float
+
+
+def test_gem_jitters_a_degenerate_covariance_update(caplog):
+    # two cells never vary, so every covariance update has two zero
+    # eigenvalues; one boost of 1e-8 makes it factor and the fit settles
+    with caplog.at_level(logging.WARNING, logger="matnorm"):
+        params, result = fit_gem(ObservationSet(_degenerate_values()))
+    assert "added jitter 1e-08 to a degenerate covariance update" in caplog.text
+    assert result.converged
+    low = np.linalg.eigvalsh(params.cov)[:3]
+    assert low[:2] == pytest.approx([1e-8, 1e-8], rel=1e-6)
+    assert low[2] > 1e-2
 
 
 @pytest.mark.parametrize("factor", ["row_cov", "col_cov"])
