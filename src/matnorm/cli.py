@@ -44,9 +44,7 @@ _TOL_HELP = (
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = _EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+    """Bad command-line input; reported on stderr with exit code 1."""
 
 
 def _positive_int(text: str) -> int:
@@ -62,8 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Matrix-variate normal estimation with missing data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the fit knobs every subcommand takes, defaulting to FitConfig's
+    fitting = argparse.ArgumentParser(add_help=False)
+    fitting.add_argument("--tol", type=float, default=FitConfig.tol, help=_TOL_HELP)
+    fitting.add_argument(
+        "--max-iters", type=_positive_int, default=FitConfig.max_iters, help="fit iteration cap"
+    )
 
-    fit = sub.add_parser("fit", help="fit one model to a dataset CSV")
+    fit = sub.add_parser("fit", parents=[fitting], help="fit one model to a dataset CSV")
     fit.add_argument("--input", required=True, help="dataset CSV path")
     fit.add_argument(
         "--method",
@@ -73,31 +77,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--p", required=True, type=_positive_int, help="rows per observation")
     fit.add_argument("--q", required=True, type=_positive_int, help="columns per observation")
-    fit.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
-    fit.add_argument("--max-iters", type=_positive_int, default=500, help="iteration cap")
     fit.add_argument("--verbose", action="store_true", help="per-iteration summary lines on stderr")
     fit.add_argument("--output", required=True, help="parameter JSON path")
     fit.set_defaults(func=cmd_fit)
 
-    sim = sub.add_parser("simulate", help="run the estimator comparison grid")
+    sim = sub.add_parser("simulate", parents=[fitting], help="run the estimator comparison grid")
     sim.add_argument("--dims", default="3x5,3x7", help="comma list of PxQ shapes, e.g. 3x5,3x7")
     sim.add_argument("--sizes", default="250,500,1000", help="comma list of sample sizes")
     sim.add_argument("--miss", default="0.05,0.1,0.15,0.2", help="comma list of missingness proportions")
     sim.add_argument("--replicates", type=_positive_int, default=100, help="replicates per cell")
     sim.add_argument("--methods", default="mm,gem,em", help="comma list drawn from mm,gem,em")
     sim.add_argument("--seed", type=int, default=0, help="grid seed")
-    sim.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
-    sim.add_argument("--max-iters", type=_positive_int, default=500, help="fit iteration cap")
     sim.add_argument("--output", required=True, help="results CSV path")
     sim.add_argument("--summary", default=None, help="optional per-cell summary JSON path")
     sim.set_defaults(func=cmd_simulate)
 
-    ana = sub.add_parser("analyze", help="class models, projection, and clustering report")
+    ana = sub.add_parser(
+        "analyze", parents=[fitting], help="class models, projection, and clustering report"
+    )
     ana.add_argument("--input", required=True, help="labeled dataset CSV path")
     ana.add_argument("--method", required=True, choices=("mm", "em"), help="missing-data strategy")
     ana.add_argument("--pcs", required=True, type=_positive_int, help="number of components to keep")
-    ana.add_argument("--tol", type=float, default=1e-8, help=_TOL_HELP)
-    ana.add_argument("--max-iters", type=_positive_int, default=500, help="fit iteration cap")
     ana.add_argument("--outdir", required=True, help="directory for report files")
     ana.set_defaults(func=cmd_analyze)
 
@@ -331,10 +331,7 @@ def main(argv: "list | None" = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (DataError, EstimationError, ValueError, OSError) as exc:
+    except (_CliError, DataError, EstimationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except np.linalg.LinAlgError as exc:

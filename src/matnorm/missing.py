@@ -15,13 +15,13 @@ Three fitters cover the usual quality/cost trade:
   an m x m factorization per distinct set of m missing entries.  The
   E-step makes one pass over the data with the factor inverses the last
   M-step handed on, so each factor is factored once per parameter set.  It
-  reads and writes the holes through flat positions indexed once per
-  pattern (:attr:`MissingPattern._holes`), which also locate each hole
-  set's missing precision block in the two factors.  The M-step is the
-  complete data update of :mod:`matnorm.mle` on the completions, plus the
-  conditional covariances: one scatter sums them all onto a single
-  conditional-covariance grid, which each factor update contracts with the
-  other factor's precision.  em is :func:`_fit_classes` with one class,
+  reads and writes the holes through the flat positions that
+  :func:`detect_pattern` builds in its one pass over the mask, which also
+  locate each hole set's missing precision block in the two factors.  The
+  M-step is the complete data update of :mod:`matnorm.mle` on the
+  completions, plus the conditional covariances: one scatter sums them all
+  onto a single conditional-covariance grid, which each factor update
+  contracts with the other factor's precision.  em is :func:`_fit_classes` with one class,
   the driver that also fits the class model of :mod:`matnorm.spectral`.
   It follows each plain update with a squared extrapolation along the last
   two, which the loop takes on the Kronecker coordinates and maps back
@@ -58,7 +58,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -111,104 +110,72 @@ class _PatternGroup:
     """Observations sharing one missing entry count, stacked for batch work.
 
     ``miss`` lists each member's holes, in row ``miss % p`` and column
-    ``miss // p``; the fits read and write them through flat positions
-    indexed once per pattern (:attr:`MissingPattern._holes`), and read
-    ``miss`` again only to name a singular pivot.  When the group holds at
-    most ``_SHARED_HOLES_SHARE`` times as many distinct hole sets as
-    members, ``first`` holds the member position of the first member with
-    each set, in order of appearance, ``pattern_of`` each member's index
-    into ``first``, and ``pattern_counts`` how many members share each set;
-    otherwise all three are None and every member is conditioned on its
-    own.  Every fit factors
-    a shared set once.
+    ``miss // p``; the fits read and write them through the flat positions
+    of :class:`MissingPattern`, of which ``span`` is the group's slice, and
+    read ``miss`` again only to name a singular pivot.  ``pairs`` holds,
+    for every hole set the E-step factors, the positions of each pair of
+    its holes on the conditional-covariance grid (see
+    :class:`MissingPattern`).  When the group holds at most
+    ``_SHARED_HOLES_SHARE`` times as many distinct hole sets as members,
+    ``first`` holds the member position of the first member with each set,
+    in order of appearance, ``pattern_of`` each member's index into
+    ``first``, and ``pattern_counts`` how many members share each set; the
+    E-step factors each distinct set once.  Otherwise all three are None
+    and every member is conditioned on its own.
     """
 
     m: int
     obs_ids: np.ndarray  # (B,)
     miss: np.ndarray  # (B, m) positions into the stacked vector, ascending
+    span: slice  # the group's holes in the pattern's flat positions
+    pairs: np.ndarray  # (U, m, m) view into MissingPattern._pairs
     first: "np.ndarray | None" = None  # (U,)
     pattern_of: "np.ndarray | None" = None  # (B,)
     pattern_counts: "np.ndarray | None" = None  # (U,)
 
 
 @dataclass(eq=False)
-class _HoleIndex:
-    """Flat positions of every hole of a pattern, read by every E-step.
-
-    ``at`` holds each hole's position in the C-ordered (n, p, q) values
-    and ``cells`` its position in the p x q mean, group after group,
-    member after member, each member's holes in ascending stacked order;
-    ``spans[k]`` is group k's slice of both.  ``pairs`` holds, for every
-    hole set the E-step factors (each distinct set of a sharing group,
-    else each member's), the position of each pair of its holes on the
-    (q, q, p, p) conditional-covariance grid, ``(ca * q + cc) * p * p + ra
-    * p + rc`` for holes in rows ``ra, rc`` and columns ``ca, cc``;
-    ``divmod`` by ``p * p`` splits it into the positions of that pair in
-    the column and row factors, which gather em's missing precision block;
-    a pq x pq stacked precision transposed to that grid's layout gives
-    gem's at the same positions.  ``pairs_by_group[k]`` is
-    group k's (U, m, m) view.
-    """
-
-    at: np.ndarray
-    cells: np.ndarray
-    spans: list
-    pairs: np.ndarray
-    pairs_by_group: list
-
-
-@dataclass(eq=False)
 class MissingPattern:
     """Index bookkeeping for the missing entries of an observation set.
 
-    The fitters read only ``_groups``, one :class:`_PatternGroup` per
-    missing entry count present, and the flat positions of ``_holes``
-    (:class:`_HoleIndex`), built on first read so one fit indexes them
-    once.  The per observation views are read-only and built from the
-    groups when read: ``miss[i]`` holds the ascending positions of
-    observation i's missing entries within the column-stacked vector;
-    ``rows[i]`` and ``cols[i]`` are the matching row and column coordinates,
-    ``miss[i] % p`` and ``miss[i] // p``; ``observed[i]`` holds the other
-    positions; ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector
-    matrices built from the coordinates.
+    The fitters read ``_groups``, one :class:`_PatternGroup` per missing
+    entry count present, and four flat arrays that :func:`detect_pattern`
+    builds in its one pass.  Holes come group after group, member after
+    member, each member's in ascending stacked order: ``_at`` holds each
+    hole's position in the C-ordered (n, p, q) values, ``_vec_at`` in the
+    (n, pq) stacked rows, and ``_cells`` in the p x q mean.  ``_pairs``
+    concatenates the groups' ``pairs``: for every hole set the E-step
+    factors (each distinct set of a sharing group, else each member's), the
+    position of each pair of its holes on the (q, q, p, p)
+    conditional-covariance grid, ``(ca * q + cc) * p * p + ra * p + rc``
+    for holes in rows ``ra, rc`` and columns ``ca, cc``; ``divmod`` by ``p
+    * p`` splits it into the positions of that pair in the column and row
+    factors, which gather em's missing precision block, and a pq x pq
+    stacked precision transposed to that grid's layout gives gem's at the
+    same positions.  The flat arrays stay writable: ``np.bincount`` copies
+    a read-only input on every call.
+
+    The per observation views are read-only and built from the groups when
+    read: ``miss[i]`` holds the ascending positions of observation i's
+    missing entries within the column-stacked vector; ``rows[i]`` and
+    ``cols[i]`` are the matching row and column coordinates, ``miss[i] %
+    p`` and ``miss[i] // p``; ``observed[i]`` holds the other positions;
+    ``row_masks[i]`` and ``col_masks[i]`` are the 0/1 selector matrices
+    built from the coordinates.
     """
 
     p: int
     q: int
     n_obs: int
     _groups: list
+    _at: np.ndarray
+    _vec_at: np.ndarray
+    _cells: np.ndarray
+    _pairs: np.ndarray
 
     @property
     def any_missing(self) -> bool:
         return bool(self._groups)
-
-    @cached_property
-    def _holes(self) -> _HoleIndex:
-        p, q, groups = self.p, self.q, self._groups
-        none = np.zeros(0, dtype=np.intp)  # a complete class has no groups
-        ids = np.concatenate([none, *(np.repeat(g.obs_ids, g.m) for g in groups)])
-        miss = np.concatenate([none, *(g.miss.ravel() for g in groups)])
-        ends = np.cumsum([0, *(g.miss.size for g in groups)])
-        sets = [g.miss if g.first is None else g.miss[g.first] for g in groups]
-        size = sum(held.size * held.shape[1] for held in sets)
-        pairs = np.empty(size, dtype=np.intp)
-        pairs_by_group, lo = [], 0
-        for held in sets:
-            u, m = held.shape
-            cols, rows = np.divmod(held, p)
-            view = pairs[lo : lo + u * m * m].reshape(u, m, m)
-            np.add(_grid_pairs(cols, q) * (p * p), _grid_pairs(rows, p), out=view)
-            pairs_by_group.append(view)
-            lo += view.size
-        cols, rows = np.divmod(miss, p)
-        cells = rows * q + cols
-        return _HoleIndex(
-            at=ids * (p * q) + cells,
-            cells=cells,
-            spans=[slice(a, b) for a, b in zip(ends[:-1], ends[1:])],
-            pairs=pairs,
-            pairs_by_group=pairs_by_group,
-        )
 
     @property
     def miss(self) -> tuple:
@@ -279,6 +246,8 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
 
     Groups whose members share few distinct hole sets also record them
     (see :class:`_PatternGroup`); one sort over the whole set finds them.
+    The same pass writes every flat hole position the fits read (see
+    :class:`MissingPattern`).
     """
     values = data.values if isinstance(data, ObservationSet) else np.asarray(data, float)
     if values.ndim != 3:
@@ -294,31 +263,40 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
     lead_counts = counts[lead]
     distinct = np.bincount(lead_counts, minlength=pq + 1)
     sizes = np.bincount(counts, minlength=pq + 1)
-    # Members ranked by missing count, each group a contiguous run.
+    # Members ranked by missing count, each group a contiguous run; every
+    # hole's positions in each layout, group after group, member after member.
     order = np.argsort(counts, kind="stable")
-    ranked = holes[order]
-    miss_all = np.nonzero(ranked)[1]
-    at, hole_at = sizes[0], 0
+    member, miss_all = np.nonzero(holes[order])
+    base = order[member] * pq
+    cols, rows = np.divmod(miss_all, p)
+    cells = rows * q + cols
+    shared = distinct <= _SHARED_HOLES_SHARE * sizes
+    held = np.where(shared, distinct, sizes)
+    pairs = np.empty(int(held @ np.arange(pq + 1) ** 2), dtype=np.intp)
+    start, lo, pair_lo = sizes[0], 0, 0
     groups = []
     for m in np.flatnonzero(sizes[1:]) + 1:
         b = sizes[m]
-        ids = order[at : at + b]
-        holes_of = slice(hole_at, hole_at + b * m)
-        fields = [ids, miss_all[holes_of].reshape(b, m)]
-        at, hole_at = at + b, hole_at + b * m
-        if distinct[m] <= _SHARED_HOLES_SHARE * b:
+        ids = order[start : start + b]
+        span = slice(lo, lo + b * m)
+        start, lo = start + b, lo + b * m
+        set_cols, set_rows = cols[span].reshape(b, m), rows[span].reshape(b, m)
+        sharing = ()
+        if shared[m]:
             sets = np.flatnonzero(lead_counts == m)
             sets = sets[np.argsort(lead[sets])]
             local = np.empty(lead.size, dtype=np.intp)
             local[sets] = np.arange(sets.size)
             pattern_of = local[label[ids]]
-            fields += [
-                np.searchsorted(ids, lead[sets]),
-                pattern_of,
-                np.bincount(pattern_of, minlength=sets.size),
-            ]
-        groups.append(_PatternGroup(int(m), *(_frozen(a) for a in fields)))
-    return MissingPattern(p, q, n, groups)
+            first = np.searchsorted(ids, lead[sets])
+            sharing = (first, pattern_of, np.bincount(pattern_of, minlength=sets.size))
+            set_cols, set_rows = set_cols[first], set_rows[first]
+        view = pairs[pair_lo : pair_lo + held[m] * m * m].reshape(-1, m, m)
+        pair_lo += view.size
+        np.add(_grid_pairs(set_cols, q) * (p * p), _grid_pairs(set_rows, p), out=view)
+        miss = _frozen(miss_all[span].reshape(b, m))
+        groups.append(_PatternGroup(int(m), _frozen(ids), miss, span, view, *map(_frozen, sharing)))
+    return MissingPattern(p, q, n, groups, base + cells, base + miss_all, cells, pairs)
 
 
 def conditional_moments(
@@ -380,21 +358,20 @@ def _condition_holes(
 ) -> tuple[np.ndarray, list, float]:
     """Condition every hole of a pattern on its observation's observed entries.
 
-    ``h`` holds each hole's ``Omega_mo @ r_o`` in the order of
-    :attr:`MissingPattern._holes`, and ``gather(pairs)`` the scale free
-    precision at a group's (U, m, m) grid positions; each group goes
-    through one :func:`~matnorm.linalg._condition_block`.  Returns the
+    ``h`` holds each hole's ``Omega_mo @ r_o`` in the pattern's hole
+    order, and ``gather(pairs)`` the scale free precision at a group's
+    (U, m, m) grid positions; each group goes through one
+    :func:`~matnorm.linalg._condition_block`.  Returns the
     shifts in the order of ``h``, each group's free blocks, and the summed
     log determinants of the missing precision blocks.
     """
-    holes = pattern._holes
     shift = np.empty_like(h)
     free_by_group, block_logdet = [], 0.0
-    for g, span, pairs in zip(pattern._groups, holes.spans, holes.pairs_by_group):
+    for g in pattern._groups:
         g_shift, free, logdet = _condition_block(
-            gather(pairs), h[span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
+            gather(g.pairs), h[g.span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
         )
-        shift[span] = g_shift.ravel()
+        shift[g.span] = g_shift.ravel()
         free_by_group.append(free)
         block_logdet += logdet.sum()
     return shift, free_by_group, float(block_logdet)
@@ -411,18 +388,17 @@ def _e_step(
     missing-count group gathers its missing precision blocks from the two
     factors and goes through one call of the block kernel; the pq x pq
     precision is never formed.  All reads and writes go through the flat
-    positions of :attr:`MissingPattern._holes`, built once per pattern.
+    positions ``_at`` and ``_cells`` that :func:`detect_pattern` built.
     With every shift written into the residual, one quadratic form over all
     n gives each observed block's marginal form, and the log determinants
     of the missing precision blocks correct the full covariance determinant
     to the marginal ones.
     """
     n, p, q = values.shape
-    holes = pattern._holes
     (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
     resid = values - params.mean
-    np.put(resid, holes.at, 0.0)
-    h = np.take(row_prec @ resid @ col_prec, holes.at)
+    np.put(resid, pattern._at, 0.0)
+    h = np.take(row_prec @ resid @ col_prec, pattern._at)
 
     def gather(pairs):
         col_at, row_at = np.divmod(pairs, p * p)
@@ -430,8 +406,8 @@ def _e_step(
 
     shift, free_by_group, block_logdet = _condition_holes(pattern, h, gather)
     completions = values.copy()
-    np.put(completions, holes.at, np.take(params.mean, holes.cells) + shift)
-    np.put(resid, holes.at, shift)
+    np.put(completions, pattern._at, np.take(params.mean, pattern._cells) + shift)
+    np.put(resid, pattern._at, shift)
     dist = _quadratic_forms(resid, row_prec, col_prec)
     loglik = (
         -0.5 * (n * p * q - h.size) * math.log(2.0 * math.pi * params.scale)
@@ -465,7 +441,7 @@ def _conditional_grid(
         ]
     )
     p, q = pattern.p, pattern.q
-    return _scatter_add(pattern._holes.pairs, mass, (q, q, p, p))
+    return _scatter_add(pattern._pairs, mass, (q, q, p, p))
 
 
 def _m_step(
@@ -513,7 +489,7 @@ def _fit_classes(
 
     point = _squarem_params if any(pt.any_missing for pt in patterns) else None
     initial = [_initial_params(values) for values in class_values]
-    entries = sum(int(np.count_nonzero(~np.isnan(values))) for values in class_values)
+    entries = sum(v.size - pt._at.size for v, pt in zip(class_values, patterns))
     sets, (completions, _, _), result = _iterate(
         e_step, m_step, _squarem_coordinates, initial, entries, cfg, start, point
     )
@@ -599,7 +575,8 @@ def _gem_e_step(
     ``cov``, comes from the M-step that checked it or is taken here.
     Transposed from (q, p, q, p), the precision has the layout of the
     conditional-covariance grid, where the hole pairs gather the missing
-    blocks; the hole positions, moved to the stacked rows, read ``h``.
+    blocks; the holes' positions in the stacked rows, ``_vec_at``, read
+    ``h``.
     Roundoff in the explicit precision leaves the shifts off as ``cov``
     nears singular, so two Newton steps with gradients taken through
     ``chol`` refine them.  The observed block's log determinant is ``log
@@ -609,7 +586,7 @@ def _gem_e_step(
     solve with ``chol`` gives every form.
     """
     n, d = vdata.shape
-    p, q, holes = pattern.p, pattern.q, pattern._holes
+    p, q, at = pattern.p, pattern.q, pattern._vec_at
     if chol is None:
         chol = spd_cholesky(cov)
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
@@ -617,8 +594,6 @@ def _gem_e_step(
     root = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True)
     prec = s * (root.T @ root)
     grid = np.ascontiguousarray(prec.reshape(q, p, q, p).transpose(0, 2, 1, 3))
-    cell = holes.at % d  # r * q + c, which the stacked rows hold at c * p + r
-    at = holes.at - cell + (cell % q) * p + cell // q
     resid = vdata - mean
     np.put(resid, at, 0.0)
     shift, free_by_group, block_logdet = _condition_holes(
@@ -627,8 +602,8 @@ def _gem_e_step(
     np.put(resid, at, shift)
     for _ in range(2):
         g = s * np.take(scipy.linalg.cho_solve((chol, True), resid.T).T, at)
-        for grp, span, free in zip(pattern._groups, holes.spans, free_by_group):
-            shift[span] -= (free @ g[span].reshape(-1, grp.m, 1)).ravel()
+        for grp, free in zip(pattern._groups, free_by_group):
+            shift[grp.span] -= (free @ g[grp.span].reshape(-1, grp.m, 1)).ravel()
         np.put(resid, at, shift)
     completions = vdata.copy()
     np.put(completions, at, np.take(mean, at % d) + shift)
@@ -724,7 +699,7 @@ def fit_gem(
         return mean_new, cov_new, chol
 
     point = _gem_params if pattern.any_missing else None
-    entries = int(np.count_nonzero(~np.isnan(values)))
+    entries = values.size - pattern._at.size
     (mean, cov, _), _, result = _iterate(
         e_step, m_step, _gem_coordinates, (mean, cov, None), entries, cfg, start, point
     )

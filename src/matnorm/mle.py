@@ -37,6 +37,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -59,6 +60,17 @@ logger = logging.getLogger(__name__)
 _SCALE_FLOOR = 1e-300
 # the one-shot diagonal boost of a covariance update that fails to factor
 _JITTER = 1e-8
+
+
+def _warn(message: str) -> None:
+    """Warn at the first frame outside the package, so the warning names the caller.
+
+    ``warnings.warn``'s ``skip_file_prefixes`` would do this from Python 3.12.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").startswith("matnorm."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 class EstimationError(RuntimeError):
@@ -426,10 +438,9 @@ def _observed_cell_means(values: np.ndarray) -> np.ndarray:
     blank = np.isnan(mean)
     if blank.any():
         r, c = (int(v) for v in np.argwhere(blank)[0])
-        warnings.warn(
+        _warn(
             f"cell (row {r}, column {c}) is missing in every observation; "
-            "its mean starts at 0",
-            stacklevel=3,
+            "its mean starts at 0"
         )
         mean = np.where(blank, 0.0, mean)
     return mean
@@ -451,16 +462,15 @@ def _initial_params(values: np.ndarray) -> MatrixNormalParams:
 def _check_sample_size(values: np.ndarray, need: int, model: str) -> None:
     """Refuse fewer than 2 observations; warn at no more than ``need``.
 
-    The warning names ``model`` and points at the public fitter's caller.
+    The warning names ``model`` and points at the package's caller.
     """
     n = values.shape[0]
     if n < 2:
         raise EstimationError(f"at least 2 observations required, got {n}")
     if n <= need:
-        warnings.warn(
+        _warn(
             f"only {n} observations for {model}; the covariance estimate "
-            f"may be degenerate without more than {need} observations",
-            stacklevel=3,
+            f"may be degenerate without more than {need} observations"
         )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import matnorm
+from matnorm import cli
 from matnorm.cli import main
 from matnorm.io import atomic_write_text, load_dataset, load_params, save_dataset
 from matnorm.missing import UnstructuredParams
@@ -123,7 +124,7 @@ class TestFit:
                 ["fit", "--input", str(workdir / "complete.csv"), "--method",
                  method, "--p", "3", "--q", "4", "--output", out]
             ) == 0
-            payloads[method] = json.loads(open(out).read())
+            payloads[method] = json.loads(Path(out).read_text())
             payloads[method].pop("meta")
         assert payloads["em"] == payloads["mle"]
         assert payloads["mm"] == payloads["mle"]
@@ -259,13 +260,13 @@ class TestSimulate:
         summ = str(tmp_path / "sim.json")
         code = main(self.ARGS + ["--output", out, "--summary", summ])
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == (
             "method,p,q,N,miss_prop,replicate,rel_err_sigma,rel_err_mu,"
             "runtime_seconds,iterations,converged"
         )
         assert len(lines) == 1 + 2 * 2  # two methods, two replicates, one cell
-        summary = json.loads(open(summ).read())
+        summary = json.loads(Path(summ).read_text())
         assert summary["format_version"] == 1
         assert {c["method"] for c in summary["cells"]} == {"mm", "em"}
         assert "[1/1]" in capsys.readouterr().err
@@ -275,8 +276,8 @@ class TestSimulate:
         second = str(tmp_path / "b.csv")
         assert main(self.ARGS + ["--output", first]) == 0
         assert main(self.ARGS + ["--output", second]) == 0
-        rows_a = [l.split(",") for l in open(first).read().splitlines()]
-        rows_b = [l.split(",") for l in open(second).read().splitlines()]
+        rows_a = [l.split(",") for l in Path(first).read_text().splitlines()]
+        rows_b = [l.split(",") for l in Path(second).read_text().splitlines()]
         assert len(rows_a) == len(rows_b)
         for ra, rb in zip(rows_a, rows_b):
             assert ra[:8] == rb[:8]
@@ -472,3 +473,16 @@ class TestAnalyze:
         assert sorted(f.name for f in outdir.iterdir()) == EXPECTED_REPORTS
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["converged"] is False
+
+
+def test_fit_defaults_come_from_fit_config(monkeypatch):
+    monkeypatch.setattr(cli.FitConfig, "tol", 1e-5)
+    monkeypatch.setattr(cli.FitConfig, "max_iters", 7)
+    parser = cli._build_parser()
+    for argv in (
+        ["fit", "--input", "x.csv", "--method", "em", "--p", "2", "--q", "2", "--output", "y"],
+        ["simulate", "--output", "y.csv"],
+        ["analyze", "--input", "x.csv", "--method", "em", "--pcs", "1", "--outdir", "y"],
+    ):
+        args = parser.parse_args(argv)
+        assert (args.tol, args.max_iters) == (1e-5, 7), argv[0]

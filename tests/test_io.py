@@ -1,6 +1,7 @@
 """CSV dataset and JSON parameter file round trips and error reporting."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestDatasetRoundTrip:
     def test_header_is_column_major(self, tmp_path):
         path = str(tmp_path / "data.csv")
         save_dataset(path, np.zeros((1, 2, 3)))
-        header = open(path).readline().strip()
+        header = Path(path).read_text().splitlines()[0].strip()
         assert header == "x_r1_c1,x_r2_c1,x_r1_c2,x_r2_c2,x_r1_c3,x_r2_c3"
 
     def test_cell_coordinates_match_header_names(self, tmp_path):
@@ -241,7 +242,7 @@ class TestDatasetParsing:
     def test_save_writes_whole_float_labels_as_integers(self, tmp_path):
         path = str(tmp_path / "data.csv")
         save_dataset(path, np.zeros((2, 1, 1)), [1.0, 2.0])
-        assert open(path).read() == "label,x_r1_c1\n1,0.0\n2,0.0\n"
+        assert Path(path).read_text() == "label,x_r1_c1\n1,0.0\n2,0.0\n"
         np.testing.assert_array_equal(load_dataset(path)[1], [1, 2])
 
 
@@ -286,7 +287,7 @@ class TestParamsRoundTrip:
         params = MatrixNormalParams(np.zeros((2, 2)), np.eye(2), np.eye(2), 1.0)
         path = str(tmp_path / "params.json")
         save_params(path, params)
-        payload = json.loads(open(path).read())
+        payload = json.loads(Path(path).read_text())
         assert payload["format_version"] == 1
         assert payload["model"] == "matrix_normal"
         assert (payload["p"], payload["q"]) == (2, 2)
@@ -354,7 +355,7 @@ class TestAtomicWrite:
         path = str(tmp_path / "out.txt")
         atomic_write_text(path, "first")
         atomic_write_text(path, "second")
-        assert open(path).read() == "second"
+        assert Path(path).read_text() == "second"
 
     def test_leaves_no_temp_files(self, tmp_path):
         atomic_write_text(str(tmp_path / "out.txt"), "content")

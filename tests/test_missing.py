@@ -1,6 +1,7 @@
 """Conditioning and the three missing-data fitters."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,62 @@ def test_e_step_matches_references_on_adversarial_patterns(kind, p, q, seed):
     complete = np.flatnonzero(~np.isnan(values).any(axis=(1, 2)))
     assert sorted(seen + complete.tolist()) == list(range(values.shape[0]))
     np.testing.assert_array_equal(completions[complete], values[complete])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(
+        [
+            "complete",
+            "one_observed_entry",
+            "one_per_group",
+            "cell_never_observed",
+            "repeated_pattern",
+        ]
+    ),
+    p=st.integers(1, 4),
+    q=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hole_index_names_every_hole_in_each_layout(kind, p, q, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "complete":
+        values = sample(random_params(rng, p, q), 5, rng).values
+    else:
+        values = _adversarial_values(kind, p, q, rng)
+    n, pq = values.shape[0], p * q
+    pattern = detect_pattern(values)
+    # each layout's NaNs, read off the values, in the pattern's hole order:
+    # group after group, member after member, ascending stacked positions
+    at, vec_at, cells, pairs, lo = [], [], [], [], 0
+    for g in pattern._groups:
+        assert g.span == slice(lo, lo + g.obs_ids.size * g.m)
+        lo = g.span.stop
+        for i in g.obs_ids:
+            miss = np.flatnonzero(np.isnan(vec(values[i])))
+            cells.append(miss % p * q + miss // p)
+            at.append(i * pq + cells[-1])
+            vec_at.append(i * pq + miss)
+        held = g.miss if g.first is None else g.miss[g.first]
+        cols, rows = held // p, held % p
+        np.testing.assert_array_equal(
+            g.pairs,
+            (cols[:, :, None] * q + cols[:, None, :]) * p * p
+            + rows[:, :, None] * p + rows[:, None, :],
+        )
+        assert np.shares_memory(g.pairs, pattern._pairs)
+        pairs.append(g.pairs.ravel())
+    assert lo == pattern._at.size
+    none = [np.zeros(0, dtype=np.intp)]
+    np.testing.assert_array_equal(pattern._at, np.concatenate(none + at))
+    np.testing.assert_array_equal(pattern._vec_at, np.concatenate(none + vec_at))
+    np.testing.assert_array_equal(pattern._cells, np.concatenate(none + cells))
+    np.testing.assert_array_equal(pattern._pairs, np.concatenate(none + pairs))
+    # and exactly the NaNs of each layout
+    stacked = values.transpose(0, 2, 1).reshape(n, pq)
+    np.testing.assert_array_equal(np.sort(pattern._at), np.flatnonzero(np.isnan(values)))
+    np.testing.assert_array_equal(np.sort(pattern._vec_at), np.flatnonzero(np.isnan(stacked)))
+    assert np.isnan(values.reshape(n, pq)[pattern._at // pq, pattern._cells]).all()
 
 
 def _near_tolerance_case(factor):
@@ -967,3 +1024,57 @@ def test_em_beats_mean_fill_on_covariance_error():
         if err(fit_em(data).params) < err(fit_mm(data).params):
             wins += 1
     assert wins >= 80, f"EM won only {wins}/{trials} trials"
+
+
+_SHORT = FitConfig(max_iters=3)
+
+
+def _few(holes):
+    """Three 2 x 3 observations, too few for either model."""
+    rng = np.random.default_rng(24)
+    values = sample(random_params(rng, 2, 3), 3, rng).values
+    if holes:
+        values[0, 0, 0] = np.nan
+    return ObservationSet(values)
+
+
+def _cell_never_observed():
+    """Forty 2 x 3 observations, cell (1, 2) missing in all of them."""
+    rng = np.random.default_rng(26)
+    values = sample(random_params(rng, 2, 3), 40, rng).values
+    values[:, 1, 2] = np.nan
+    return values
+
+
+def _classes(method):
+    values = _cell_never_observed()
+    labels = np.tile([1, 2], values.shape[0] // 2)
+    return lambda: fit_class_models(LabeledObservationSet(values, labels), method, _SHORT)
+
+
+@pytest.mark.parametrize(
+    "fit, match",
+    [
+        (lambda: fit_mle(_few(False), _SHORT), "observations"),
+        (lambda: fit_mm(_few(False), _SHORT), "observations"),
+        (lambda: fit_em(_few(False), _SHORT), "observations"),
+        (lambda: fit_em(_few(True), _SHORT), "observations"),
+        (lambda: fit_gem(_few(True), _SHORT), "observations"),
+        (lambda: fit_em(ObservationSet(_cell_never_observed()), _SHORT), "every observation"),
+        (lambda: fit_mm(ObservationSet(_cell_never_observed()), _SHORT), "every observation"),
+        (lambda: fit_gem(ObservationSet(_cell_never_observed()), _SHORT), "every observation"),
+        (_classes("em"), "every observation"),
+        (_classes("mm"), "every observation"),
+    ],
+    ids=[
+        "mle", "mm", "em-complete", "em-holes", "gem",
+        "cell-em", "cell-mm", "cell-gem", "cell-class-em", "cell-class-mm",
+    ],
+)
+def test_every_warning_names_the_caller(fit, match):
+    """However deep inside the package a warning is raised, it points here."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit()
+    assert any(re.search(match, str(w.message)) for w in caught)
+    assert [w.filename for w in caught] == [__file__] * len(caught)
