@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .io import _csv_text, _write_json, atomic_write_text, load_dataset, save_params
-from .mle import EstimationError, FitConfig, fit_mle
+from .mle import _STEP_TOL, EstimationError, FitConfig, fit_mle
 from .missing import fit_em, fit_gem, fit_mm
 from .model import DataError, ObservationSet
 from .simulate import SimConfig, run_grid
@@ -39,7 +39,7 @@ _EXIT_INPUT = 1
 _EXIT_NO_CONVERGE = 3
 _TOL_HELP = (
     "log-likelihood change per observed entry to stop at; a parameter step on the model's "
-    f"unit-free coordinates below {FitConfig.inner_tol:g} stops the fit too"
+    f"unit-free coordinates below {_STEP_TOL:g} stops the fit too"
 )
 
 

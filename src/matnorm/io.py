@@ -24,7 +24,8 @@ import json
 import math
 import os
 import re
-import tempfile
+import secrets
+import stat
 
 import numpy as np
 
@@ -37,12 +38,25 @@ _NAN = float("nan")
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write a file through a temp name and rename, so readers never see halves."""
+    """Write a file through a temp name and rename, so readers never see halves.
+
+    The file gets the mode ``open(path, "w")`` would give it: a file it
+    replaces keeps its permission bits, and a new file gets 0o666 less the
+    process umask, which the kernel applies when the temp file is created.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -73,7 +73,6 @@ from .linalg import (
 from .mle import (
     FitConfig,
     FitResult,
-    _JITTER,
     _check_sample_size,
     _grid_pairs,
     _initial_params,
@@ -444,24 +443,6 @@ def _conditional_grid(
     return _scatter_add(pattern._pairs, mass, (q, q, p, p))
 
 
-def _m_step(
-    pattern: MissingPattern,
-    completions: np.ndarray,
-    free_by_group: list,
-    old: MatrixNormalParams,
-    jitter: float,
-) -> MatrixNormalParams:
-    """Closed form parameter update from the E-step moments.
-
-    The one-class call of :func:`~matnorm.mle._pooled_m_step`: the column
-    factor is updated first and reused fresh in the row factor update, so
-    every sub-step is a coordinate maximizer of the expected complete log
-    likelihood and the observed likelihood cannot decrease.
-    """
-    grid = _conditional_grid(pattern, free_by_group)
-    return _pooled_m_step([grid], [completions], [old], jitter)[0]
-
-
 def _fit_classes(
     class_values: list, cfg: FitConfig, start: float
 ) -> tuple[list, tuple, FitResult]:
@@ -485,7 +466,7 @@ def _fit_classes(
 
     def m_step(sets, moments):
         grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
-        return _pooled_m_step(grids, moments[0], sets, _JITTER)
+        return _pooled_m_step(grids, moments[0], sets)
 
     point = _squarem_params if any(pt.any_missing for pt in patterns) else None
     initial = [_initial_params(values) for values in class_values]
@@ -695,7 +676,7 @@ def fit_gem(
         resid = completions - mean_new
         cov_new = (resid.T @ resid + extra) / n
         cov_new = (cov_new + cov_new.T) / 2.0
-        (cov_new, chol), _ = _with_jitter(cov_new, _JITTER, _gem_factored, "covariance")
+        (cov_new, chol), _ = _with_jitter(cov_new, _gem_factored, "covariance")
         return mean_new, cov_new, chol
 
     point = _gem_params if pattern.any_missing else None

@@ -60,6 +60,8 @@ logger = logging.getLogger(__name__)
 _SCALE_FLOOR = 1e-300
 # the one-shot diagonal boost of a covariance update that fails to factor
 _JITTER = 1e-8
+# the unit-free step below which a plain update stops the fit (see _iterate)
+_STEP_TOL = 1e-10
 
 
 def _warn(message: str) -> None:
@@ -85,15 +87,15 @@ class SingularUpdateError(EstimationError):
 class FitConfig:
     """Knobs shared by every fitting routine.
 
-    ``tol`` stops on the log-likelihood change per observed entry,
-    ``inner_tol`` on the step on the model's unit-free coordinates
-    (whichever triggers first, see :func:`_iterate`).  A covariance update
-    that fails to factor gets one diagonal boost of ``_JITTER``.
+    ``max_iters`` caps the accepted updates, and ``tol`` stops on the
+    log-likelihood change per observed entry; a step on the model's
+    unit-free coordinates below ``_STEP_TOL`` stops the fit too (whichever
+    triggers first, see :func:`_iterate`).  A covariance update that fails
+    to factor gets one diagonal boost of ``_JITTER``.
     """
 
     max_iters: int = 500
     tol: float = 1e-8
-    inner_tol: float = 1e-10
 
     def __post_init__(self):
         if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
@@ -102,8 +104,6 @@ class FitConfig:
             )
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.inner_tol > 0:
-            raise ValueError(f"inner_tol must be positive, got {self.inner_tol}")
 
 
 @dataclass(eq=False)
@@ -140,31 +140,32 @@ def _pinned_factor(shape: np.ndarray) -> "tuple | None":
         return None
 
 
-def _with_jitter(raw: np.ndarray, jitter: float, factor, name: str) -> tuple:
-    """``factor(raw)``, or once more after a diagonal boost of ``jitter``.
+def _with_jitter(raw: np.ndarray, factor, name: str) -> tuple:
+    """``factor(raw)``, or once more after a diagonal boost of ``_JITTER``.
 
     ``factor`` returns a checked, factored matrix or None when the matrix
     does not factor.  Returns its result and whether the boost was needed.
     """
     for jittered in (False, True):
         if jittered:
-            logger.warning("added jitter %g to a degenerate %s update", jitter, name)
-        out = factor(raw + jitter * np.eye(raw.shape[0]) if jittered else raw)
+            logger.warning("added jitter %g to a degenerate %s update", _JITTER, name)
+        out = factor(raw + _JITTER * np.eye(raw.shape[0]) if jittered else raw)
         if out is not None:
             return out, jittered
     raise SingularUpdateError(f"{name} update is singular even after jitter")
 
 
-def _normalized_spd_update(raw: np.ndarray, jitter: float, name: str) -> tuple:
+def _normalized_spd_update(raw: np.ndarray, name: str) -> tuple:
     """Scale a raw scatter style update to unit top-left entry, jitter once.
 
     Returns the normalized matrix, its (inverse, log determinant) from the
     Cholesky factorization that checks it (:func:`_pinned_factor` through
-    :func:`_with_jitter`), and the scale split off: the top-left entry, or
-    after jitter ``sum(inverse * raw) / dim``, the scale that maximizes the
+    :func:`_with_jitter`, so a shape that fails to factor gets one boost of
+    ``_JITTER``), and the scale split off: the top-left entry, or after
+    jitter ``sum(inverse * raw) / dim``, the scale that maximizes the
     likelihood at the jittered shape.
     """
-    (mat, fac, top), jittered = _with_jitter(raw, jitter, _pinned_factor, name)
+    (mat, fac, top), jittered = _with_jitter(raw, _pinned_factor, name)
     scale = float(np.sum(fac[0] * raw)) / raw.shape[0] if jittered else float(top)
     if not scale > _SCALE_FLOOR:
         raise SingularUpdateError(f"{name} update collapsed to zero")
@@ -222,12 +223,7 @@ def _row_accumulator(
     return (acc + acc.T) / 2.0
 
 
-def _pooled_m_step(
-    grids: list,
-    completions: list,
-    old: list,
-    jitter: float,
-) -> list:
+def _pooled_m_step(grids: list, completions: list, old: list) -> list:
     """Closed form update of K classes that share one row factor.
 
     Every argument holds one entry per class: the grid of summed scale free
@@ -242,7 +238,8 @@ def _pooled_m_step(
     scale, which leaves the class covariances unchanged.  With one class
     this is the Kronecker EM update, and with complete data the flip-flop.
     The old row precision is the one ``old`` carries; each new factor
-    leaves with the inverse and log determinant of its checking Cholesky.
+    leaves with the inverse and log determinant of its checking Cholesky
+    (:func:`_normalized_spd_update`, which jitters a factor once).
     """
     p, q = completions[0].shape[1:]
     n_total = sum(comp.shape[0] for comp in completions)
@@ -255,14 +252,12 @@ def _pooled_m_step(
         resid = comp - mean_new
         col_raw = _col_accumulator(resid, row_prec_old, grid, prm.scale)
         col_raw = col_raw / (p * comp.shape[0])
-        col_new, col_fac, scale_mid = _normalized_spd_update(
-            col_raw, jitter, "column covariance"
-        )
+        col_new, col_fac, scale_mid = _normalized_spd_update(col_raw, "column covariance")
         pooled += _row_accumulator(resid, col_fac[0], grid, prm.scale) / scale_mid
         blocks.append((mean_new, col_new, col_fac, scale_mid))
 
     row_raw = pooled / (q * n_total)
-    row_new, row_fac, kappa = _normalized_spd_update(row_raw, jitter, "row covariance")
+    row_new, row_fac, kappa = _normalized_spd_update(row_raw, "row covariance")
     # The same row_new object goes into every class.
     return [
         MatrixNormalParams._factored(mean, row_new, col, kappa * mid, row_fac, col_fac)
@@ -360,7 +355,7 @@ def _iterate(
     moments)`` returns the updated parameters.  Each plain update is
     recorded, and stops the loop when its objective change per observed
     entry (``entries`` of them) is below ``cfg.tol``, or its step below
-    ``cfg.inner_tol``: the largest change of the model's unit-free
+    ``_STEP_TOL``: the largest change of the model's unit-free
     ``coordinates(params, like)``, both sets taken on the old as ``like``.
 
     Given ``point(x, like)``, the model's way back from the same
@@ -387,7 +382,7 @@ def _iterate(
         nonlocal converged
         if old is not None:
             converged = abs(loglik - trace[-1]) < cfg.tol * entries or (
-                np.abs(coordinates(new, old) - coordinates(old, old)).max() < cfg.inner_tol
+                np.abs(coordinates(new, old) - coordinates(old, old)).max() < _STEP_TOL
             )
         trace.append(loglik)
         how = "" if old is not None else " (extrapolated)"
@@ -497,7 +492,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
         return (float(np.sum(_log_densities(values, sets[0]))),)
 
     def m_step(sets, moments):
-        return _pooled_m_step([None], [values], sets, _JITTER)
+        return _pooled_m_step([None], [values], sets)
 
     initial = [_initial_params(values)]
     (params,), _, result = _iterate(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -61,6 +62,11 @@ class SimConfig:
         self.replicates = int(_whole_labels(self.replicates, "replicates"))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        # an int passes as it is, so a seed past int64 still reaches numpy
+        if not isinstance(self.seed, numbers.Integral):
+            self.seed = int(_whole_labels(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         methods = tuple(dict.fromkeys(m.lower() for m in self.methods))
         unknown = [m for m in methods if m not in _METHODS]
         if unknown or not methods:

@@ -15,15 +15,15 @@ from scipy.optimize import minimize
 
 from matnorm.linalg import kron, vec
 from matnorm.missing import (
+    _conditional_grid,
     _e_step,
-    _m_step,
     conditional_moments,
     detect_pattern,
     fit_em,
     fit_gem,
     fit_mm,
 )
-from matnorm.mle import FitConfig, fit_mle
+from matnorm.mle import FitConfig, _pooled_m_step, fit_mle
 from matnorm.model import MatrixNormalParams, sample
 from matnorm.simulate import SimConfig, inject_missing, random_params, run_grid
 from matnorm.spectral import (
@@ -353,7 +353,7 @@ def test_criterion_10_m_step_matches_numerical_q_maximizer():
     )
     pattern = detect_pattern(values)
     completions, frees, _ = _e_step(values, pattern, old)
-    new = _m_step(pattern, completions, frees, old, 1e-8)
+    new = _pooled_m_step([_conditional_grid(pattern, frees)], [completions], [old])[0]
 
     cond_covs = [conditional_moments(values[i], old).cond_cov for i in range(3)]
 

@@ -311,6 +311,14 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        code = main(
+            ["simulate", "--dims", "2x2", "--seed", "-1",
+             "--output", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+
 
 EXPECTED_REPORTS = [
     "confusion.csv",

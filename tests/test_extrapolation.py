@@ -37,7 +37,8 @@ def _plain_fit(values, cfg=FitConfig()):
         return missing._e_step(values, pattern, params)
 
     def m_step(params, moments):
-        return missing._m_step(pattern, moments[0], moments[1], params, mle._JITTER)
+        grid = missing._conditional_grid(pattern, moments[1])
+        return mle._pooled_m_step([grid], [moments[0]], [params])[0]
 
     def coordinates(params, like):
         return mle._squarem_coordinates([params], [like])
@@ -126,10 +127,10 @@ def test_point_whose_update_fails_to_factor_falls_back(monkeypatch):
         points.append(real_point(*args)[0])
         return [points[-1]]
 
-    def failing(grids, completions, old, jitter):
+    def failing(grids, completions, old):
         if points and old[0] is points[-1]:
             raise mle.SingularUpdateError("row covariance update is singular even after jitter")
-        return real_m_step(grids, completions, old, jitter)
+        return real_m_step(grids, completions, old)
 
     monkeypatch.setattr(missing, "_squarem_params", recorded)
     monkeypatch.setattr(missing, "_pooled_m_step", failing)

@@ -1,6 +1,7 @@
 """CSV dataset and JSON parameter file round trips and error reporting."""
 
 import json
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -360,3 +361,18 @@ class TestAtomicWrite:
     def test_leaves_no_temp_files(self, tmp_path):
         atomic_write_text(str(tmp_path / "out.txt"), "content")
         assert sorted(f.name for f in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        with open(tmp_path / "plain.txt", "w") as handle:
+            handle.write("content")
+        atomic_write_text(str(tmp_path / "out.txt"), "content")
+        plain = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+        assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == plain
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("first")
+        path.chmod(0o640)
+        atomic_write_text(str(path), "second")
+        assert path.read_text() == "second"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640

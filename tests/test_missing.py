@@ -47,7 +47,7 @@ from matnorm.model import (
 )
 from matnorm.spectral import LabeledObservationSet, fit_class_models
 
-TIGHT = FitConfig(max_iters=3000, tol=1e-13, inner_tol=1e-14)
+TIGHT = FitConfig(max_iters=3000, tol=1e-13)
 
 
 def random_params(rng, p, q):

@@ -149,16 +149,26 @@ class TestSimConfig:
             ("dims", ((3.7, 5),)),
             ("sample_sizes", (250.9,)),
             ("replicates", 2.5),
+            ("seed", 1.5),
         ],
     )
     def test_rejects_numbers_that_are_not_whole(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=-1)
+
     def test_accepts_whole_floats(self):
         cfg = SimConfig(dims=((3.0, 5.0),), sample_sizes=(250.0,), replicates=2.0)
         assert cfg.dims == ((3, 5),) and cfg.sample_sizes == (250,)
         assert cfg.replicates == 2 and isinstance(cfg.replicates, int)
+
+    def test_accepts_whole_float_and_large_seeds(self):
+        cfg = SimConfig(seed=7.0)
+        assert cfg.seed == 7 and isinstance(cfg.seed, int)
+        assert SimConfig(seed=2**70).seed == 2**70
 
 
 SMALL = SimConfig(

@@ -26,7 +26,7 @@ from matnorm.spectral import (
     separability,
 )
 
-TIGHT = FitConfig(max_iters=3000, tol=1e-13, inner_tol=1e-14)
+TIGHT = FitConfig(max_iters=3000, tol=1e-13)
 
 
 def shape_matrix(rng, n):
