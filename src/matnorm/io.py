@@ -43,8 +43,11 @@ def atomic_write_text(path: str, text: str) -> None:
     The file gets the mode ``open(path, "w")`` would give it: a file it
     replaces keeps its permission bits, and a new file gets 0o666 less the
     process umask, which the kernel applies when the temp file is created.
+    A symbolic link is followed, as ``open(path, "w")`` follows it: the
+    link stays, and its target is replaced beside itself.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    path = os.path.realpath(path)
+    directory = os.path.dirname(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:

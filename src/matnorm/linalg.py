@@ -9,8 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotri
 
 _PIVOT_TOL = 1e-12
+# Hole sets of at least this many entries take their inverse from the
+# Cholesky factor, one LAPACK dpotri per block (about 2 m**3 / 3 flops).
+# Smaller ones take one batched LU inverse (np.linalg.inv, about 8 m**3 / 3
+# flops): with BLAS on one thread its single call beat a Python loop of
+# dpotri calls at m <= 8 and tied at m = 9, for 3 to 300 blocks.
+_POTRI_MIN_HOLES = 10
 
 
 class SingularPivotError(np.linalg.LinAlgError):
@@ -152,7 +159,11 @@ def _condition_block(
     L.T`` gives the sweep's pivot values, ``diag(L)**2``, and with them
     ``log det Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the
     scale free conditional covariance, and ``-free @ h`` the conditional
-    mean shift.
+    mean shift.  With at least ``_POTRI_MIN_HOLES`` holes the inverse is
+    taken from ``L`` itself, one LAPACK ``dpotri`` per block, a quarter of
+    the flops of the LU inverse; below that one batched ``np.linalg.inv``
+    is faster than a Python loop of small ``dpotri`` calls.  Either way
+    ``free`` is exactly symmetric.
 
     The block depends on the holes alone, so members with the same holes
     share it.  Given ``first``, the member positions of the first member
@@ -169,7 +180,8 @@ def _condition_block(
     position unchanged, since each set's first member is its earliest.
     """
     try:
-        pivots = np.diagonal(np.linalg.cholesky(block), axis1=1, axis2=2) ** 2
+        chol = np.linalg.cholesky(block)
+        pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
     except np.linalg.LinAlgError:
         # Some block is not positive definite: eliminate step by step to get
         # the pivots, the successive Schur complement diagonals.  Past a
@@ -186,8 +198,22 @@ def _condition_block(
         t = int(np.argmax(low.any(axis=0)))
         b = int(np.argmax(low[:, t]))
         raise SingularPivotError(int(miss[b if first is None else first[b], t]))
-    free = np.linalg.inv(block)
-    free = (free + free.transpose(0, 2, 1)) / 2.0
+    if block.shape[1] < _POTRI_MIN_HOLES:
+        free = np.linalg.inv(block)
+        free = (free + free.transpose(0, 2, 1)) / 2.0
+    else:
+        # upper[b] is L.T in C order, so upper[b].T is L in Fortran order,
+        # which dpotri overwrites in place with the lower triangle of the
+        # inverse; read back in C order, that is its upper triangle.
+        upper = np.ascontiguousarray(chol.transpose(0, 2, 1))
+        for b, u in enumerate(upper):
+            info = dpotri(u.T, lower=1, overwrite_c=1)[1]
+            if info:
+                raise np.linalg.LinAlgError(
+                    f"dpotri failed on missing block {b} (info {info})"
+                )
+        free = np.triu(upper)
+        free += np.triu(upper, 1).transpose(0, 2, 1)
     logdet = np.log(pivots).sum(axis=1)
     if first is not None:
         free, logdet = free[pattern_of], logdet[pattern_of]

@@ -12,7 +12,10 @@ Three fitters cover the usual quality/cost trade:
   is gathered entrywise from the two factor inverses, and its Cholesky
   factor gives what sweeping those pivots would (the conditional mean, the
   conditional covariance, and the observed likelihood term) at the cost of
-  an m x m factorization per distinct set of m missing entries.  The
+  an m x m factorization per distinct set of m missing entries.  From 10
+  holes up (:data:`matnorm.linalg._POTRI_MIN_HOLES`) the conditional
+  covariance is inverted from that factor too, by LAPACK ``dpotri``;
+  smaller sets take one batched LU inverse, which is faster there.  The
   E-step makes one pass over the data with the factor inverses the last
   M-step handed on, so each factor is factored once per parameter set.  It
   reads and writes the holes through the flat positions that

@@ -376,3 +376,17 @@ class TestAtomicWrite:
         atomic_write_text(str(path), "second")
         assert path.read_text() == "second"
         assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "target.txt"
+        target.write_text("old")
+        target.chmod(0o640)
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        atomic_write_text(str(link), "new")
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text() == "new"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["link.txt", "real"]
+        assert [f.name for f in (tmp_path / "real").iterdir()] == ["target.txt"]

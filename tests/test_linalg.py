@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from matnorm import linalg
 from matnorm.linalg import (
+    _POTRI_MIN_HOLES,
     SingularPivotError,
     _condition_block,
     ensure_spd,
@@ -242,6 +244,121 @@ def test_swept_panel_rejects_nonpositive_pivot():
     assert culprit(np.diag([1.0, 1e-13]), np.eye(2), np.array([[0], [3]])) == 3
     # first pivot fine, second one zero: the report names the second hole
     assert culprit(np.ones((2, 2)), np.eye(2), np.array([[2, 3]])) == 3
+
+
+def _conditioned_spd(rng, m, cond):
+    """An m x m SPD matrix with eigenvalues log-spaced from 1 down to 1/cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    a = (q * np.logspace(0.0, -np.log10(cond), m)) @ q.T
+    return (a + a.T) / 2.0
+
+
+def _precision_with_holes(rng, m, cond, extra=4):
+    """(Omega, holes): an SPD precision whose block at the holes is ``cond``-conditioned.
+
+    Omega_om = Omega_mm @ g keeps the Schur complement of the hole block at
+    the identity, so Omega is SPD however ill-conditioned that block is.
+    """
+    d = m + extra
+    holes = np.sort(rng.choice(d, m, replace=False))
+    obs = np.setdiff1d(np.arange(d), holes)
+    a = _conditioned_spd(rng, m, cond)
+    g = rng.standard_normal((m, extra))
+    omega = np.empty((d, d))
+    omega[np.ix_(holes, holes)] = a
+    omega[np.ix_(holes, obs)] = a @ g
+    omega[np.ix_(obs, holes)] = (a @ g).T
+    omega[np.ix_(obs, obs)] = g.T @ a @ g + np.eye(extra)
+    return omega, holes
+
+
+def _count_potri(monkeypatch):
+    calls = []
+
+    def record(c, *args, **kwargs):
+        calls.append(c.shape)
+        return real(c, *args, **kwargs)
+
+    real = linalg.dpotri
+    monkeypatch.setattr(linalg, "dpotri", record)
+    return calls
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e8, 1e10])
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("m", [_POTRI_MIN_HOLES - 1, _POTRI_MIN_HOLES, 26])
+def test_condition_block_matches_inverse_and_sweep_across_the_cutoff(
+    monkeypatch, m, shared, cond
+):
+    # below the cut-off the free blocks come from np.linalg.inv, at and above
+    # it from dpotri on the Cholesky factor; both must give inv(Omega_mm) and
+    # what sweeping the holes out of the precision gives, to the accuracy
+    # the block's condition number allows
+    rng = np.random.default_rng(m + int(np.log10(cond)))
+    sets = [_precision_with_holes(rng, m, cond) for _ in range(2)]
+    pattern_of = np.array([0, 1, 0, 0, 1])
+    first = np.array([0, 1])
+    resid = [rng.standard_normal(len(sets[u][0])) for u in pattern_of]
+    miss = np.stack([sets[u][1] for u in pattern_of])
+    h = np.stack([
+        np.delete(omega[holes], holes, axis=1) @ np.delete(r, holes)
+        for (omega, holes), r in zip((sets[u] for u in pattern_of), resid)
+    ])
+    blocks = np.stack([omega[np.ix_(holes, holes)] for omega, holes in sets])
+    potri = _count_potri(monkeypatch)
+    if shared:
+        shift, free, logdet = _condition_block(blocks, h, miss, first, pattern_of)
+    else:
+        shift, free, logdet = _condition_block(blocks[pattern_of], h, miss)
+    factored = len(first) if shared else len(pattern_of)
+    assert potri == ([(m, m)] * factored if m >= _POTRI_MIN_HOLES else [])
+    assert np.array_equal(free, free.transpose(0, 2, 1))
+    tol = 100 * cond * np.finfo(float).eps
+    for b, u in enumerate(pattern_of):
+        omega, holes = sets[u]
+        obs = np.setdiff1d(np.arange(len(omega)), holes)
+        swept = sweep(omega, holes)
+        for ref in (np.linalg.inv(blocks[u]), swept[np.ix_(holes, holes)]):
+            assert np.abs(free[b] - ref).max() <= tol * np.abs(ref).max()
+        fill = -swept[np.ix_(obs, holes)].T @ resid[b][obs]
+        assert np.abs(shift[b] - fill).max() <= tol * np.abs(fill).max()
+        assert abs(logdet[b] - spd_logdet(blocks[u])) <= tol * m
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_bad_pivot_above_the_cutoff_is_named_before_any_inverse(monkeypatch, shared):
+    m = _POTRI_MIN_HOLES + 2
+    rng = np.random.default_rng(41)
+    good = random_spd(rng, m)
+    chol = np.linalg.cholesky(random_spd(rng, m))
+    chol[5] *= 1e-7  # pivot 5 is about 1e-14: the Cholesky succeeds, the check fails
+    bad = chol @ chol.T
+    pattern_of = np.array([0, 0, 1, 1, 0])
+    first = np.array([0, 2])
+    miss = np.stack([np.arange(m) + 2 * u for u in pattern_of])
+    blocks = np.stack([good, bad])
+    h = np.zeros((len(pattern_of), m))
+    potri = _count_potri(monkeypatch)
+    with pytest.raises(SingularPivotError) as info:
+        if shared:
+            _condition_block(blocks, h, miss, first, pattern_of)
+        else:
+            _condition_block(blocks[pattern_of], h, miss)
+    # the first member holding the bad set is member 2, whose holes start at 2
+    assert info.value.pivot == miss[2, 5] == 7
+    assert potri == []
+
+
+def test_failing_potri_raises_instead_of_returning_a_half_inverted_stack(monkeypatch):
+    m = _POTRI_MIN_HOLES
+    rng = np.random.default_rng(42)
+    block = np.stack([random_spd(rng, m) for _ in range(3)])
+    real = linalg.dpotri
+    monkeypatch.setattr(
+        linalg, "dpotri", lambda c, **kwargs: (real(c, **kwargs)[0], 2)
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="dpotri"):
+        _condition_block(block, np.zeros((3, m)), np.tile(np.arange(m), (3, 1)))
 
 
 def test_indicator_matrix_selects_entries():

@@ -15,6 +15,7 @@ import matnorm.missing
 import matnorm.mle
 from matnorm.linalg import (
     _PIVOT_TOL,
+    _POTRI_MIN_HOLES,
     SingularPivotError,
     kron,
     vec,
@@ -493,29 +494,61 @@ def _dropout_values(rng, p, q, n):
     return values
 
 
-def test_e_step_factors_each_distinct_hole_set_once(monkeypatch):
-    rng = np.random.default_rng(34)
-    params = random_params(rng, 3, 5)
-    dropout = _dropout_values(rng, 3, 5, 60)
-    mcar = knock_out(sample(params, 40, rng).values, 0.2, rng)
-    batches = []
-    for name in ("cholesky", "inv"):
+def _record_factorizations(monkeypatch, names):
+    """Record ``(name, shape)`` of every np.linalg call in ``names`` and every dpotri."""
+    calls = []
+    for name in names:
         def record(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            batches.append((_name, a.shape[0]))
+            calls.append((_name, a.shape))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, record)
 
-    for values, all_distinct in ((dropout, False), (mcar, True)):
+    def potri(c, *args, _real=matnorm.linalg.dpotri, **kwargs):
+        calls.append(("dpotri", c.shape))
+        return _real(c, *args, **kwargs)
+
+    monkeypatch.setattr(matnorm.linalg, "dpotri", potri)
+    return calls
+
+
+def _expected_factorizations(m, sets):
+    """One batched Cholesky of a group's factored sets, then their inverse:
+    one batched inv below the dpotri cut-off, one dpotri per set at or above it."""
+    shape = (sets, m, m)
+    if m < _POTRI_MIN_HOLES:
+        return [("cholesky", shape), ("inv", shape)]
+    return [("cholesky", shape)] + [("dpotri", (m, m))] * sets
+
+
+def test_e_step_factors_each_distinct_hole_set_once(monkeypatch):
+    rng = np.random.default_rng(34)
+    small = random_params(rng, 3, 5)
+    cases = [
+        (small, _dropout_values(rng, 3, 5, 60), False),
+        (small, knock_out(sample(small, 40, rng).values, 0.2, rng), True),
+    ]
+    # groups at and above the dpotri cut-off: tails of 3 columns at 4 x 6
+    # (12 holes), and 8 x 16 at 20% MCAR (about 26 holes)
+    wide = random_params(rng, 8, 16)
+    cases += [
+        (random_params(rng, 4, 6), _dropout_values(rng, 4, 6, 60), False),
+        (wide, knock_out(sample(wide, 30, rng).values, 0.2, rng), True),
+    ]
+    calls = _record_factorizations(monkeypatch, ("cholesky", "inv"))
+    hole_counts = set()
+    for params, values, all_distinct in cases:
         pattern = detect_pattern(values)
         sizes = [g.obs_ids.size for g in pattern._groups]
         distinct = [len({tuple(holes) for holes in g.miss}) for g in pattern._groups]
         assert (distinct == sizes) == all_distinct
-        batches.clear()
+        calls.clear()
         completions, free_by_group, _ = _e_step(values, pattern, params)
-        expected = sizes if all_distinct else distinct
-        assert [size for name, size in batches if name == "cholesky"] == expected
-        assert [size for name, size in batches if name == "inv"] == expected
+        expected = []
+        for g, sets in zip(pattern._groups, sizes if all_distinct else distinct):
+            expected += _expected_factorizations(g.m, sets)
+            hole_counts.add(g.m)
+        assert calls == expected
         # each member still reads its own block
         for g, free in zip(pattern._groups, free_by_group):
             assert free.shape == (g.obs_ids.size, g.m, g.m)
@@ -524,6 +557,7 @@ def test_e_step_factors_each_distinct_hole_set_once(monkeypatch):
                 np.testing.assert_allclose(
                     params.scale * free[b], ref.cond_cov, atol=1e-10
                 )
+    assert min(hole_counts) < _POTRI_MIN_HOLES <= max(hole_counts)
 
 
 def test_em_path_never_forms_the_kronecker_precision(monkeypatch):
@@ -930,22 +964,20 @@ class TestFitGem:
 
     def test_e_step_factors_each_observed_block_once(self, monkeypatch):
         rng = np.random.default_rng(39)
-        p, q = 3, 5
-        d = p * q
-        dropout = _dropout_values(rng, p, q, 60)
-        mcar = knock_out(sample(random_params(rng, p, q), 40, rng).values, 0.2, rng)
-        g = rng.standard_normal((d, d))
-        cov = g @ g.T / d + 0.2 * np.eye(d)
-        mean = rng.standard_normal(d)
-        calls = []
-        for name in ("cholesky", "solve", "inv", "slogdet"):
-            def record(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append((_name, a.shape))
-                return _real(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, record)
-
-        for values, shares in ((dropout, True), (mcar, False)):
+        cases = [
+            (3, 5, _dropout_values(rng, 3, 5, 60), True),
+            (3, 5, knock_out(sample(random_params(rng, 3, 5), 40, rng).values, 0.2, rng), False),
+            # groups at and above the dpotri cut-off
+            (4, 6, _dropout_values(rng, 4, 6, 60), True),
+            (8, 16, knock_out(sample(random_params(rng, 8, 16), 30, rng).values, 0.2, rng), False),
+        ]
+        calls = _record_factorizations(monkeypatch, ("cholesky", "solve", "inv", "slogdet"))
+        hole_counts = set()
+        for p, q, values, shares in cases:
+            d = p * q
+            g = rng.standard_normal((d, d))
+            cov = g @ g.T / d + 0.2 * np.eye(d)
+            mean = rng.standard_normal(d)
             pattern = detect_pattern(values)
             expected = []
             for grp in pattern._groups:
@@ -954,14 +986,15 @@ class TestFitGem:
                 else:
                     sets = len({tuple(holes) for holes in grp.miss})
                     assert grp.first.size == sets < grp.obs_ids.size
-                # one m x m Cholesky and one m x m inverse per factored set,
-                # of the missing precision block; no observed block is solved
-                shape = (sets, grp.m, grp.m)
-                expected += [("cholesky", shape), ("inv", shape)]
+                # only the m x m missing precision block of each factored set
+                # is factored and inverted; no observed block is solved
+                expected += _expected_factorizations(grp.m, sets)
+                hole_counts.add(grp.m)
             assert any(grp.first is not None for grp in pattern._groups) == shares
             calls.clear()
             _gem_e_step(values.transpose(0, 2, 1).reshape(-1, d), pattern, mean, cov)
             assert sorted(calls) == sorted(expected)
+        assert min(hole_counts) < _POTRI_MIN_HOLES <= max(hole_counts)
 
     def test_observed_loglik_never_decreases(self):
         rng = np.random.default_rng(20)
