@@ -275,11 +275,10 @@ def _precision_with_holes(rng, m, cond, extra=4):
 def _count_potri(monkeypatch):
     calls = []
 
-    def record(c, *args, **kwargs):
+    def record(c, *args, _real=linalg.dpotri, **kwargs):
         calls.append(c.shape)
-        return real(c, *args, **kwargs)
+        return _real(c, *args, **kwargs)
 
-    real = linalg.dpotri
     monkeypatch.setattr(linalg, "dpotri", record)
     return calls
 
