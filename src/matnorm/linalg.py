@@ -15,8 +15,10 @@ _PIVOT_TOL = 1e-12
 # Hole sets of at least this many entries take their inverse from the
 # Cholesky factor, one LAPACK dpotri per block (about 2 m**3 / 3 flops).
 # Smaller ones take one batched LU inverse (np.linalg.inv, about 8 m**3 / 3
-# flops): with BLAS on one thread its single call beat a Python loop of
-# dpotri calls at m <= 8 and tied at m = 9, for 3 to 300 blocks.
+# flops).  Timing the inverse alone with BLAS on one thread, inv's single
+# call beat a Python loop of dpotri calls at m <= 8 for 3 to 300 blocks; at
+# m = 9 dpotri was ahead for 20 to 300 blocks but behind for 3, and from
+# m = 10 it was ahead for every stack size tried.
 _POTRI_MIN_HOLES = 10
 
 
@@ -186,7 +188,10 @@ def _condition_block(
         # Some block is not positive definite: eliminate step by step to get
         # the pivots, the successive Schur complement diagonals.  Past a
         # block's first bad pivot they are meaningless; only the first bad
-        # step is reported.
+        # step is reported.  Elimination rounds differently from LAPACK, so
+        # a stack can pass the pivot check here with no factor to invert
+        # from; it takes the LU inverse below.
+        chol = None
         a = block.copy()
         pivots = np.empty(block.shape[:2])
         with np.errstate(all="ignore"):
@@ -198,20 +203,23 @@ def _condition_block(
         t = int(np.argmax(low.any(axis=0)))
         b = int(np.argmax(low[:, t]))
         raise SingularPivotError(int(miss[b if first is None else first[b], t]))
-    if block.shape[1] < _POTRI_MIN_HOLES:
+    if chol is None or block.shape[1] < _POTRI_MIN_HOLES:
         free = np.linalg.inv(block)
         free = (free + free.transpose(0, 2, 1)) / 2.0
     else:
         # upper[b] is L.T in C order, so upper[b].T is L in Fortran order,
-        # which dpotri overwrites in place with the lower triangle of the
-        # inverse; read back in C order, that is its upper triangle.
+        # which dpotri overwrites with the lower triangle of the inverse;
+        # read back in C order, that is its upper triangle.  Storing the
+        # array dpotri returns is a no-op when it worked in place and keeps
+        # the result right should it return a copy instead.
         upper = np.ascontiguousarray(chol.transpose(0, 2, 1))
         for b, u in enumerate(upper):
-            info = dpotri(u.T, lower=1, overwrite_c=1)[1]
+            inverse, info = dpotri(u.T, lower=1, overwrite_c=1)
             if info:
                 raise np.linalg.LinAlgError(
                     f"dpotri failed on missing block {b} (info {info})"
                 )
+            upper[b] = inverse.T
         free = np.triu(upper)
         free += np.triu(upper, 1).transpose(0, 2, 1)
     logdet = np.log(pivots).sum(axis=1)

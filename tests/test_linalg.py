@@ -360,6 +360,45 @@ def test_failing_potri_raises_instead_of_returning_a_half_inverted_stack(monkeyp
         _condition_block(block, np.zeros((3, m)), np.tile(np.arange(m), (3, 1)))
 
 
+def test_stack_that_fails_lapack_cholesky_but_passes_the_pivot_check_takes_inv(
+    monkeypatch,
+):
+    # elimination and LAPACK round differently, so a stack can fail the
+    # Cholesky yet pass the pivot check; with no factor to invert from, a
+    # stack above the cut-off must fall back to the LU inverse
+    m = _POTRI_MIN_HOLES + 2
+    rng = np.random.default_rng(43)
+    block = np.stack([random_spd(rng, m) for _ in range(3)])
+
+    def refuse(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    potri = _count_potri(monkeypatch)
+    h = rng.standard_normal((3, m))
+    shift, free, logdet = _condition_block(block, h, np.tile(np.arange(m), (3, 1)))
+    assert potri == []
+    inverse = np.linalg.inv(block)
+    np.testing.assert_allclose(free, inverse, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(shift, -(inverse @ h[:, :, None])[:, :, 0], rtol=1e-10)
+    np.testing.assert_allclose(logdet, [spd_logdet(b) for b in block], rtol=1e-10)
+
+
+def test_free_blocks_do_not_rely_on_dpotri_working_in_place(monkeypatch):
+    # should dpotri hand back a copy instead of overwriting its input, the
+    # free blocks must still be the inverse, not the Cholesky factor
+    m = _POTRI_MIN_HOLES
+    rng = np.random.default_rng(44)
+    block = np.stack([random_spd(rng, m) for _ in range(3)])
+    real = linalg.dpotri
+    monkeypatch.setattr(
+        linalg, "dpotri",
+        lambda c, lower, overwrite_c: real(np.array(c, order="F"), lower=lower),
+    )
+    free = _condition_block(block, np.zeros((3, m)), np.tile(np.arange(m), (3, 1)))[1]
+    np.testing.assert_allclose(free, np.linalg.inv(block), rtol=1e-10, atol=1e-12)
+
+
 def test_indicator_matrix_selects_entries():
     e = indicator_matrix(np.array([2, 0]), 4)
     np.testing.assert_array_equal(e, [[0, 0, 1, 0], [1, 0, 0, 0]])

@@ -3,21 +3,24 @@
     python3 tools/bench_record.py pr21 --workload fit-wide --workload sim-grid \\
         --checkout parent=../parent --checkout change=.
 
-For each workload and seed it runs, in every checkout in turn,
+For each workload and each of the ten seeds in ``SEEDS`` it runs, in every
+checkout in turn,
 
-    python3 bench/run.py --workload W --seed S --seconds 30 --trace 0
+    python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
 one run at a time, with the checkout that goes first rotating by seed, so
-that two checkouts are timed as alternating pairs.  It reads each run's
-``environment`` line and its result line (the last line of standard output)
-and writes, per checkout and workload, every run (seed, exit code,
-``correct``, failed operations, metrics) and, per end-to-end metric, the
-median, the quartiles, and the quartile distance over the median next to
-the metric's bound in ``BENCHMARK.json``.  A spread wider than the bound
+that two checkouts are timed as ten alternating pairs.  T is
+``run_seconds`` from ``BENCHMARK.json``, which fixes the run length.  It
+reads each run's ``environment`` line and its result line (the last line of
+standard output) and writes, per checkout and workload, every run (seed,
+exit code, ``correct``, failed operations, metrics) and, per end-to-end
+metric, the median, the quartiles, and the quartile distance over the
+median next to the metric's bound in ``BENCHMARK.json``.  A spread wider than the bound
 means the runs cannot resolve a change of that size.  Each checkout also
 records its ``git rev-parse HEAD``.
 
-Standard library only.  The seeds default to 1-5.
+Standard library only.  The seeds are fixed so that every recording is
+comparable with the others.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Each bench/run.py run stops its own workers after 170 s; this only keeps a
 # run that hangs outside them from holding the recorder for good.
 RUN_TIMEOUT_S = 600
+SEEDS = list(range(21, 31))
 
 
 def parse_run(stdout: str) -> tuple:
@@ -142,18 +146,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument(
         "--checkout", type=_checkout, action="append",
         help="NAME=PATH of a source checkout to run (default: this one)",
     )
-    parser.add_argument("--out", help="where to write (default: BENCH_<label>.json here)")
     args = parser.parse_args(argv)
     checkouts = args.checkout or [("head", ROOT)]
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        bounds = {m["name"]: m["bound"] for m in json.load(handle)["end_to_end"]}
+        benchmark = json.load(handle)
+    seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     sides = {
         name: {"head": git_head(path), "workloads": {}}
         for name, path in checkouts
@@ -161,10 +164,10 @@ def main(argv=None) -> int:
     for workload in args.workload:
         runs = {name: [] for name, _ in checkouts}
         environments = {}
-        for k, seed in enumerate(args.seeds):
+        for k, seed in enumerate(SEEDS):
             turn = k % len(checkouts)
             for name, path in checkouts[turn:] + checkouts[:turn]:
-                environment, run = record_run(path, workload, seed, args.seconds)
+                environment, run = record_run(path, workload, seed, seconds)
                 if environment is not None:
                     environments.setdefault(name, environment)
                 runs[name].append(run)
@@ -175,14 +178,13 @@ def main(argv=None) -> int:
                 )
         for name, _ in checkouts:
             sides[name]["workloads"][workload] = {
-                "seeds": args.seeds,
+                "seeds": SEEDS,
                 "environment": environments.get(name),
                 "summary": summarize(runs[name], bounds),
                 "runs": runs[name],
             }
-    out = args.out or os.path.join(ROOT, f"BENCH_{args.label}.json")
-    command = "bench/run.py --workload W --seed S --seconds %d --trace 0" % args.seconds
-    with open(out, "w") as handle:
+    command = "bench/run.py --workload W --seed S --seconds %d --trace 0" % seconds
+    with open(os.path.join(ROOT, f"BENCH_{args.label}.json"), "w") as handle:
         json.dump({"label": args.label, "command": command, "checkouts": sides},
                   handle, indent=2, sort_keys=True)
         handle.write("\n")
