@@ -164,8 +164,10 @@ def _condition_block(
     mean shift.  With at least ``_POTRI_MIN_HOLES`` holes the inverse is
     taken from ``L`` itself, one LAPACK ``dpotri`` per block, a quarter of
     the flops of the LU inverse; below that one batched ``np.linalg.inv``
-    is faster than a Python loop of small ``dpotri`` calls.  Either way
-    ``free`` is exactly symmetric.
+    is faster than a Python loop of small ``dpotri`` calls.  A stack whose
+    Cholesky failed but whose pivots, found by elimination, pass the check
+    has no ``L`` and takes ``np.linalg.inv`` too.  Either way ``free`` is
+    exactly symmetric.
 
     The block depends on the holes alone, so members with the same holes
     share it.  Given ``first``, the member positions of the first member
