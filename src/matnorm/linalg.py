@@ -13,13 +13,14 @@ from scipy.linalg.lapack import dpotri
 
 _PIVOT_TOL = 1e-12
 # Hole sets of at least this many entries take their inverse from the
-# Cholesky factor, one LAPACK dpotri per block (about 2 m**3 / 3 flops).
-# Smaller ones take one batched LU inverse (np.linalg.inv, about 8 m**3 / 3
-# flops).  Timing the inverse alone with BLAS on one thread, inv's single
-# call beat a Python loop of dpotri calls at m <= 8 for 3 to 300 blocks; at
-# m = 9 dpotri was ahead for 20 to 300 blocks but behind for 3, and from
-# m = 10 it was ahead for every stack size tried.
-_POTRI_MIN_HOLES = 10
+# Cholesky factor, one LAPACK dpotri per block (about 2 m**3 / 3 flops) in
+# place in the factor stack, then one mirroring add.  Smaller ones take one
+# batched LU inverse (np.linalg.inv, about 8 m**3 / 3 flops).  Timing one
+# group's inverse, mirror included, with BLAS on one thread for 3 to 300
+# blocks, the dpotri path took 0.72-0.76 of inv's time at m = 9 and at most
+# 0.68 from m = 10 up, but 0.82-1.03 at m = 8 and up to 1.29 at m <= 6,
+# where a Python loop of small dpotri calls loses to inv's single call.
+_POTRI_MIN_HOLES = 9
 
 
 class SingularPivotError(np.linalg.LinAlgError):
@@ -163,11 +164,15 @@ def _condition_block(
     scale free conditional covariance, and ``-free @ h`` the conditional
     mean shift.  With at least ``_POTRI_MIN_HOLES`` holes the inverse is
     taken from ``L`` itself, one LAPACK ``dpotri`` per block, a quarter of
-    the flops of the LU inverse; below that one batched ``np.linalg.inv``
-    is faster than a Python loop of small ``dpotri`` calls.  A stack whose
-    Cholesky failed but whose pivots, found by elimination, pass the check
-    has no ``L`` and takes ``np.linalg.inv`` too.  Either way ``free`` is
-    exactly symmetric.
+    the flops of the LU inverse: it overwrites each factor in the stack
+    ``np.linalg.cholesky`` returned with one triangle of the inverse, and
+    one add of the stack and its transpose, with the doubled diagonal
+    halved, mirrors it to the full block.  Below that one batched
+    ``np.linalg.inv`` is faster than a Python loop of small ``dpotri``
+    calls.  A stack whose Cholesky failed but whose pivots, found by
+    elimination, pass the check has no ``L`` and takes ``np.linalg.inv``
+    too.  Either way ``free`` is exactly symmetric, and ``block`` is never
+    written.
 
     The block depends on the holes alone, so members with the same holes
     share it.  Given ``first``, the member positions of the first member
@@ -209,21 +214,25 @@ def _condition_block(
         free = np.linalg.inv(block)
         free = (free + free.transpose(0, 2, 1)) / 2.0
     else:
-        # upper[b] is L.T in C order, so upper[b].T is L in Fortran order,
-        # which dpotri overwrites with the lower triangle of the inverse;
-        # read back in C order, that is its upper triangle.  Storing the
-        # array dpotri returns is a no-op when it worked in place and keeps
-        # the result right should it return a copy instead.
-        upper = np.ascontiguousarray(chol.transpose(0, 2, 1))
-        for b, u in enumerate(upper):
-            inverse, info = dpotri(u.T, lower=1, overwrite_c=1)
+        # chol[b] is L in C order with zeros above the diagonal (numpy
+        # zeroes them), so chol[b].T is L.T in Fortran order, an upper
+        # factor that dpotri overwrites with the upper triangle of the
+        # inverse; read back in C order, chol[b] then holds the inverse's
+        # lower triangle and still zeros above.  A copy dpotri returns
+        # instead of working in place is stored back.
+        for b, c in enumerate(chol):
+            upper = c.T
+            inverse, info = dpotri(upper, lower=0, overwrite_c=1)
             if info:
                 raise np.linalg.LinAlgError(
                     f"dpotri failed on missing block {b} (info {info})"
                 )
-            upper[b] = inverse.T
-        free = np.triu(upper)
-        free += np.triu(upper, 1).transpose(0, 2, 1)
+            if inverse is not upper:
+                c[...] = inverse.T
+        # the mirror doubles the diagonal; halving it back is exact
+        free = chol + chol.transpose(0, 2, 1)
+        m = block.shape[1]
+        free.reshape(-1, m * m)[:, :: m + 1] *= 0.5
     logdet = np.log(pivots).sum(axis=1)
     if first is not None:
         free, logdet = free[pattern_of], logdet[pattern_of]

@@ -12,15 +12,18 @@ Three fitters cover the usual quality/cost trade:
   is gathered entrywise from the two factor inverses, and its Cholesky
   factor gives what sweeping those pivots would (the conditional mean, the
   conditional covariance, and the observed likelihood term) at the cost of
-  an m x m factorization per distinct set of m missing entries.  From 10
+  an m x m factorization per distinct set of m missing entries.  From 9
   holes up (:data:`matnorm.linalg._POTRI_MIN_HOLES`) the conditional
-  covariance is inverted from that factor too, by LAPACK ``dpotri``;
-  smaller sets take one batched LU inverse, which is faster there.  The
-  E-step makes one pass over the data with the factor inverses the last
-  M-step handed on, so each factor is factored once per parameter set.  It
-  reads and writes the holes through the flat positions that
-  :func:`detect_pattern` builds in its one pass over the mask, which also
-  locate each hole set's missing precision block in the two factors.  The
+  covariance is inverted from that factor too, by LAPACK ``dpotri`` in
+  place over the factor; smaller sets take one batched LU inverse, which is
+  faster there.  The E-step makes one pass over the data with the factor
+  inverses the last M-step handed on, so each factor is factored once per
+  parameter set.  It reads and writes the holes through the flat positions
+  that :func:`detect_pattern` builds in its one pass over the mask, which
+  also locate each hole set's missing precision block in the two factors:
+  one integer per pair of holes, whose high bits a shift reads as the
+  pair's column-factor position and whose low bits a mask reads as its
+  row-factor position.  The
   M-step is the complete data update of :mod:`matnorm.mle` on the
   completions, plus the conditional covariances: one scatter sums them all
   onto a single conditional-covariance grid, which each factor update
@@ -102,6 +105,11 @@ from .model import (
 _SHARED_HOLES_SHARE = 0.5
 
 
+def _row_pair_bits(p: int) -> int:
+    """Low bits of a hole pair's grid position that hold its row-factor position."""
+    return (p * p - 1).bit_length()
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -115,9 +123,8 @@ class _PatternGroup:
     ``miss // p``; the fits read and write them through the flat positions
     of :class:`MissingPattern`, of which ``span`` is the group's slice, and
     read ``miss`` again only to name a singular pivot.  ``pairs`` holds,
-    for every hole set the E-step factors, the positions of each pair of
-    its holes on the conditional-covariance grid (see
-    :class:`MissingPattern`).  When the group holds at most
+    for every hole set the E-step factors, the packed positions of each
+    pair of its holes in the two factors (see :class:`MissingPattern`).  When the group holds at most
     ``_SHARED_HOLES_SHARE`` times as many distinct hole sets as members,
     ``first`` holds the member position of the first member with each set,
     in order of appearance, ``pattern_of`` each member's index into
@@ -148,14 +155,16 @@ class MissingPattern:
     (n, pq) stacked rows, and ``_cells`` in the p x q mean.  ``_pairs``
     concatenates the groups' ``pairs``: for every hole set the E-step
     factors (each distinct set of a sharing group, else each member's), the
-    position of each pair of its holes on the (q, q, p, p)
-    conditional-covariance grid, ``(ca * q + cc) * p * p + ra * p + rc``
-    for holes in rows ``ra, rc`` and columns ``ca, cc``; ``divmod`` by ``p
-    * p`` splits it into the positions of that pair in the column and row
-    factors, which gather em's missing precision block, and a pq x pq
-    stacked precision transposed to that grid's layout gives gem's at the
-    same positions.  The flat arrays stay writable: ``np.bincount`` copies
-    a read-only input on every call.
+    position of each pair of its holes, in rows ``ra, rc`` and columns
+    ``ca, cc``, packed as ``(ca * q + cc) << k | (ra * p + rc)`` with ``k =
+    (p * p - 1).bit_length()``: ``pairs >> k`` is the pair's position in
+    the q x q column factor and ``pairs & (2**k - 1)`` in the p x p row
+    factor, which gather em's missing precision block.  Read whole, it is
+    the pair's flat position on the (q * q, 2**k) conditional-covariance
+    grid, each row padded from p * p to 2**k entries; a pq x pq stacked
+    precision transposed to that grid's layout gives gem's missing blocks
+    at the same positions.  The flat arrays stay writable: ``np.bincount``
+    copies a read-only input on every call.
 
     The per observation views are read-only and built from the groups when
     read: ``miss[i]`` holds the ascending positions of observation i's
@@ -274,6 +283,7 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
     cells = rows * q + cols
     shared = distinct <= _SHARED_HOLES_SHARE * sizes
     held = np.where(shared, distinct, sizes)
+    bits = _row_pair_bits(p)
     pairs = np.empty(int(held @ np.arange(pq + 1) ** 2), dtype=np.intp)
     start, lo, pair_lo = sizes[0], 0, 0
     groups = []
@@ -295,7 +305,8 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
             set_cols, set_rows = set_cols[first], set_rows[first]
         view = pairs[pair_lo : pair_lo + held[m] * m * m].reshape(-1, m, m)
         pair_lo += view.size
-        np.add(_grid_pairs(set_cols, q) * (p * p), _grid_pairs(set_rows, p), out=view)
+        np.left_shift(_grid_pairs(set_cols, q), bits, out=view)
+        view |= _grid_pairs(set_rows, p)
         miss = _frozen(miss_all[span].reshape(b, m))
         groups.append(_PatternGroup(int(m), _frozen(ids), miss, span, view, *map(_frozen, sharing)))
     return MissingPattern(p, q, n, groups, base + cells, base + miss_all, cells, pairs)
@@ -402,9 +413,11 @@ def _e_step(
     np.put(resid, pattern._at, 0.0)
     h = np.take(row_prec @ resid @ col_prec, pattern._at)
 
+    bits = _row_pair_bits(p)
+    row_bits = (1 << bits) - 1
+
     def gather(pairs):
-        col_at, row_at = np.divmod(pairs, p * p)
-        return np.take(col_prec, col_at) * np.take(row_prec, row_at)
+        return np.take(col_prec, pairs >> bits) * np.take(row_prec, pairs & row_bits)
 
     shift, free_by_group, block_logdet = _condition_holes(pattern, h, gather)
     completions = values.copy()
@@ -430,8 +443,11 @@ def _conditional_grid(
     observations: gem's accumulated conditional covariance without the
     scale, its entries reordered so that each factor's precision contracts
     it in one matrix-vector product.  A shared hole set is summed once,
-    weighted by its member count, and one scatter serves every group.
-    None when nothing is missing.
+    weighted by its member count, and one scatter serves every group.  The
+    scatter lands at the packed pair positions of :class:`MissingPattern`,
+    on a (q * q, 2**k) grid whose rows are padded past p * p; the grid
+    returned is the view of its first p * p columns.  None when nothing is
+    missing.
     """
     if not pattern.any_missing:
         return None
@@ -443,7 +459,8 @@ def _conditional_grid(
         ]
     )
     p, q = pattern.p, pattern.q
-    return _scatter_add(pattern._pairs, mass, (q, q, p, p))
+    grid = _scatter_add(pattern._pairs, mass, (q * q, 1 << _row_pair_bits(p)))
+    return grid[:, : p * p].reshape(q, q, p, p)
 
 
 def _fit_classes(
@@ -557,10 +574,10 @@ def _gem_e_step(
     d``, so that the kernel's absolute pivot floor meets blocks of one size
     whatever the data's units.  ``chol``, the lower Cholesky factor of
     ``cov``, comes from the M-step that checked it or is taken here.
-    Transposed from (q, p, q, p), the precision has the layout of the
-    conditional-covariance grid, where the hole pairs gather the missing
-    blocks; the holes' positions in the stacked rows, ``_vec_at``, read
-    ``h``.
+    Transposed from (q, p, q, p) and padded like the conditional-covariance
+    grid of :func:`_conditional_grid`, the precision has that grid's
+    layout, where the hole pairs gather the missing blocks; the holes'
+    positions in the stacked rows, ``_vec_at``, read ``h``.
     Roundoff in the explicit precision leaves the shifts off as ``cov``
     nears singular, so two Newton steps with gradients taken through
     ``chol`` refine them.  The observed block's log determinant is ``log
@@ -577,7 +594,8 @@ def _gem_e_step(
     s = float(np.sum(chol * chol)) / d
     root = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True)
     prec = s * (root.T @ root)
-    grid = np.ascontiguousarray(prec.reshape(q, p, q, p).transpose(0, 2, 1, 3))
+    grid = np.zeros((q * q, 1 << _row_pair_bits(p)))
+    grid[:, : p * p] = prec.reshape(q, p, q, p).transpose(0, 2, 1, 3).reshape(q * q, p * p)
     resid = vdata - mean
     np.put(resid, at, 0.0)
     shift, free_by_group, block_logdet = _condition_holes(

@@ -285,7 +285,7 @@ def _count_potri(monkeypatch):
 
 @pytest.mark.parametrize("cond", [1e2, 1e8, 1e10])
 @pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("m", [_POTRI_MIN_HOLES - 1, _POTRI_MIN_HOLES, 26])
+@pytest.mark.parametrize("m", [_POTRI_MIN_HOLES - 1, _POTRI_MIN_HOLES, _POTRI_MIN_HOLES + 1, 26])
 def test_condition_block_matches_inverse_and_sweep_across_the_cutoff(
     monkeypatch, m, shared, cond
 ):
@@ -397,6 +397,21 @@ def test_free_blocks_do_not_rely_on_dpotri_working_in_place(monkeypatch):
     )
     free = _condition_block(block, np.zeros((3, m)), np.tile(np.arange(m), (3, 1)))[1]
     np.testing.assert_allclose(free, np.linalg.inv(block), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [_POTRI_MIN_HOLES - 1, _POTRI_MIN_HOLES + 2])
+def test_condition_block_leaves_the_callers_blocks_untouched(monkeypatch, m):
+    # dpotri inverts in place in the factor stack, never in the caller's
+    # blocks; neither path may write to them
+    rng = np.random.default_rng(45 + m)
+    block = np.stack([random_spd(rng, m) for _ in range(3)])
+    before = block.copy()
+    potri = _count_potri(monkeypatch)
+    free = _condition_block(block, rng.standard_normal((3, m)), np.tile(np.arange(m), (3, 1)))[1]
+    assert len(potri) == (3 if m >= _POTRI_MIN_HOLES else 0)
+    assert block.tobytes() == before.tobytes()
+    assert not np.shares_memory(free, block)
+    np.testing.assert_allclose(free, np.linalg.inv(before), rtol=1e-10, atol=1e-12)
 
 
 def test_indicator_matrix_selects_entries():

@@ -390,10 +390,16 @@ def test_hole_index_names_every_hole_in_each_layout(kind, p, q, seed):
             vec_at.append(i * pq + miss)
         held = g.miss if g.first is None else g.miss[g.first]
         cols, rows = held // p, held % p
+        # the high bits name the pair's position in the q x q column factor,
+        # the low bits, below 2**bits >= p * p, its position in the p x p row
+        # factor
+        bits = (p * p - 1).bit_length()
+        assert 2**bits >= p * p and (bits == 0 or 2 ** (bits - 1) < p * p)
         np.testing.assert_array_equal(
-            g.pairs,
-            (cols[:, :, None] * q + cols[:, None, :]) * p * p
-            + rows[:, :, None] * p + rows[:, None, :],
+            g.pairs >> bits, cols[:, :, None] * q + cols[:, None, :]
+        )
+        np.testing.assert_array_equal(
+            g.pairs & (2**bits - 1), rows[:, :, None] * p + rows[:, None, :]
         )
         assert np.shares_memory(g.pairs, pattern._pairs)
         pairs.append(g.pairs.ravel())
@@ -611,10 +617,12 @@ def _assert_accumulators_match_masks(values, params):
     np.testing.assert_allclose(row_got, row_ref, atol=1e-12)
 
 
-def test_scatter_accumulators_match_mask_identity():
-    rng = np.random.default_rng(9)
+@pytest.mark.parametrize("p", [1, 3, 5])
+def test_scatter_accumulators_match_mask_identity(p):
+    # the conditional grid is scattered onto rows padded from p * p to the
+    # next power of two (1, 16 and 32 here) and read back through a view
+    rng = np.random.default_rng(9 + p)
     for _ in range(10):
-        p = int(rng.integers(2, 4))
         q = int(rng.integers(2, 5))
         params = random_params(rng, p, q)
         values = knock_out(sample(params, 8, rng).values, 0.3, rng)

@@ -19,6 +19,13 @@ median next to the metric's bound in ``BENCHMARK.json``.  A spread wider than th
 means the runs cannot resolve a change of that size.  Each checkout also
 records its ``git rev-parse HEAD``.
 
+The throughputs are also summarized as seconds (``SECONDS_OF``): seconds
+per fit for each ``grid_*_fits_per_s`` and seconds per 1000 observations
+for ``classify_obs_per_s``, since a rate's spread grows with its speed-up.
+With two checkouts, ``pairs`` holds per workload and metric how many of the
+seeds the second checkout won, and whether the two medians lie further
+apart than the first checkout's quartile distance.
+
 Standard library only.  The seeds are fixed so that every recording is
 comparable with the others.
 """
@@ -37,6 +44,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # run that hangs outside them from holding the recorder for good.
 RUN_TIMEOUT_S = 600
 SEEDS = list(range(21, 31))
+# throughput -> (seconds metric, unit, units per rate unit)
+SECONDS_OF = {
+    "grid_mm_fits_per_s": ("grid_mm_s_per_fit", "s/fit", 1.0),
+    "grid_em_fits_per_s": ("grid_em_s_per_fit", "s/fit", 1.0),
+    "grid_gem_fits_per_s": ("grid_gem_s_per_fit", "s/fit", 1.0),
+    "classify_obs_per_s": ("classify_s_per_1000_obs", "s/1000 obs", 1000.0),
+}
 
 
 def parse_run(stdout: str) -> tuple:
@@ -67,18 +81,35 @@ def _quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
+def with_seconds(metrics: dict) -> dict:
+    """A run's metrics plus the seconds each throughput in ``SECONDS_OF`` stands for."""
+    out = dict(metrics)
+    for name, (seconds, unit, per) in SECONDS_OF.items():
+        rate = metrics.get(name, {}).get("value")
+        if rate:
+            out[seconds] = {"value": per / rate, "unit": unit}
+    return out
+
+
+def _values(runs: list) -> tuple:
+    """({metric: [value per run with a result]}, {metric: unit}), seconds included."""
+    values, units = {}, {}
+    for run in runs:
+        for name, metric in with_seconds(run.get("metrics") or {}).items():
+            values.setdefault(name, []).append(metric["value"])
+            units[name] = metric["unit"]
+    return values, units
+
+
 def summarize(runs: list, bounds: dict) -> dict:
     """Per metric over the runs that printed a result: median, quartiles, spread.
 
     ``runs`` are records as :func:`record_run` makes them, ``bounds`` maps a
     metric to its relative bound.  ``spread`` is the quartile distance over
-    the median; ``wider_than_bound`` flags a spread above the bound.
+    the median; ``wider_than_bound`` flags a spread above the bound.  The
+    seconds of ``SECONDS_OF`` are summarized too, with no bound.
     """
-    values, units = {}, {}
-    for run in runs:
-        for name, metric in (run.get("metrics") or {}).items():
-            values.setdefault(name, []).append(metric["value"])
-            units[name] = metric["unit"]
+    values, units = _values(runs)
     summary = {}
     for name in sorted(values):
         q1, median, q3 = _quartiles(sorted(values[name]))
@@ -95,6 +126,44 @@ def summarize(runs: list, bounds: dict) -> dict:
             "wider_than_bound": None if bound is None or spread is None else spread > bound,
         }
     return summary
+
+
+def tally_pairs(first: list, second: list, better: dict) -> dict:
+    """Per metric, how the second checkout's runs compare with the first's.
+
+    ``first`` and ``second`` are the two checkouts' runs of one workload and
+    ``better`` maps a metric to "lower" or "higher"; the seconds of
+    ``SECONDS_OF`` are lower-better.  A pair is the two runs of one seed
+    that both printed a result; the second wins it when strictly better.
+    ``apart`` says whether the medians differ by more than the first
+    checkout's quartile distance, the least gap its runs can resolve.
+    """
+    better = dict(better)
+    better.update({seconds: "lower" for seconds, _, _ in SECONDS_OF.values()})
+    by_seed = [
+        {run["seed"]: with_seconds(run["metrics"]) for run in runs if run.get("metrics")}
+        for runs in (first, second)
+    ]
+    (first_values, _), (second_values, _) = _values(first), _values(second)
+    tally = {}
+    for name in sorted(set(first_values) & set(second_values) & set(better)):
+        sign = 1.0 if better[name] == "lower" else -1.0
+        pairs = [
+            (a[name]["value"], by_seed[1][seed][name]["value"])
+            for seed, a in by_seed[0].items()
+            if name in a and name in by_seed[1].get(seed, {})
+        ]
+        q1, median_first, q3 = _quartiles(sorted(first_values[name]))
+        median_second = _quartiles(sorted(second_values[name]))[1]
+        tally[name] = {
+            "pairs": len(pairs),
+            "second_won": sum(sign * (b - a) < 0 for a, b in pairs),
+            "median_first": median_first,
+            "median_second": median_second,
+            "first_quartile_distance": q3 - q1,
+            "apart": abs(median_second - median_first) > q3 - q1,
+        }
+    return tally
 
 
 def record_run(checkout: str, workload: str, seed: int, seconds: int) -> tuple:
@@ -157,10 +226,14 @@ def main(argv=None) -> int:
         benchmark = json.load(handle)
     seconds = benchmark["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    better = {
+        m["name"]: m["better"] for m in benchmark["end_to_end"] + benchmark["per_layer"]
+    }
     sides = {
         name: {"head": git_head(path), "workloads": {}}
         for name, path in checkouts
     }
+    tallies = {}
     for workload in args.workload:
         runs = {name: [] for name, _ in checkouts}
         environments = {}
@@ -183,10 +256,19 @@ def main(argv=None) -> int:
                 "summary": summarize(runs[name], bounds),
                 "runs": runs[name],
             }
+        if len(checkouts) == 2:
+            (first, _), (second, _) = checkouts
+            tallies[workload] = {
+                "first": first,
+                "second": second,
+                "metrics": tally_pairs(runs[first], runs[second], better),
+            }
     command = "bench/run.py --workload W --seed S --seconds %d --trace 0" % seconds
+    record = {"label": args.label, "command": command, "checkouts": sides}
+    if tallies:
+        record["pairs"] = tallies
     with open(os.path.join(ROOT, f"BENCH_{args.label}.json"), "w") as handle:
-        json.dump({"label": args.label, "command": command, "checkouts": sides},
-                  handle, indent=2, sort_keys=True)
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return 0
 
