@@ -414,10 +414,10 @@ def _e_step(
     h = np.take(row_prec @ resid @ col_prec, pattern._at)
 
     bits = _row_pair_bits(p)
-    row_bits = (1 << bits) - 1
+    row_mask = (1 << bits) - 1
 
     def gather(pairs):
-        return np.take(col_prec, pairs >> bits) * np.take(row_prec, pairs & row_bits)
+        return np.take(col_prec, pairs >> bits) * np.take(row_prec, pairs & row_mask)
 
     shift, free_by_group, block_logdet = _condition_holes(pattern, h, gather)
     completions = values.copy()

@@ -91,16 +91,6 @@ def with_seconds(metrics: dict) -> dict:
     return out
 
 
-def _values(runs: list) -> tuple:
-    """({metric: [value per run with a result]}, {metric: unit}), seconds included."""
-    values, units = {}, {}
-    for run in runs:
-        for name, metric in with_seconds(run.get("metrics") or {}).items():
-            values.setdefault(name, []).append(metric["value"])
-            units[name] = metric["unit"]
-    return values, units
-
-
 def summarize(runs: list, bounds: dict) -> dict:
     """Per metric over the runs that printed a result: median, quartiles, spread.
 
@@ -109,7 +99,11 @@ def summarize(runs: list, bounds: dict) -> dict:
     the median; ``wider_than_bound`` flags a spread above the bound.  The
     seconds of ``SECONDS_OF`` are summarized too, with no bound.
     """
-    values, units = _values(runs)
+    values, units = {}, {}
+    for run in runs:
+        for name, metric in with_seconds(run.get("metrics") or {}).items():
+            values.setdefault(name, []).append(metric["value"])
+            units[name] = metric["unit"]
     summary = {}
     for name in sorted(values):
         q1, median, q3 = _quartiles(sorted(values[name]))
@@ -140,21 +134,23 @@ def tally_pairs(first: list, second: list, better: dict) -> dict:
     """
     better = dict(better)
     better.update({seconds: "lower" for seconds, _, _ in SECONDS_OF.values()})
-    by_seed = [
+    sides = [
         {run["seed"]: with_seconds(run["metrics"]) for run in runs if run.get("metrics")}
         for runs in (first, second)
     ]
-    (first_values, _), (second_values, _) = _values(first), _values(second)
     tally = {}
-    for name in sorted(set(first_values) & set(second_values) & set(better)):
+    for name in sorted(better):
+        values = [sorted(m[name]["value"] for m in side.values() if name in m) for side in sides]
+        if not all(values):
+            continue
         sign = 1.0 if better[name] == "lower" else -1.0
         pairs = [
-            (a[name]["value"], by_seed[1][seed][name]["value"])
-            for seed, a in by_seed[0].items()
-            if name in a and name in by_seed[1].get(seed, {})
+            (a[name]["value"], sides[1][seed][name]["value"])
+            for seed, a in sides[0].items()
+            if name in a and name in sides[1].get(seed, {})
         ]
-        q1, median_first, q3 = _quartiles(sorted(first_values[name]))
-        median_second = _quartiles(sorted(second_values[name]))[1]
+        q1, median_first, q3 = _quartiles(values[0])
+        median_second = _quartiles(values[1])[1]
         tally[name] = {
             "pairs": len(pairs),
             "second_won": sum(sign * (b - a) < 0 for a, b in pairs),
