@@ -227,11 +227,22 @@ def _log_densities(values: np.ndarray, params: MatrixNormalParams) -> np.ndarray
     """
     (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
     dist = _quadratic_forms(values - params.mean, row_prec, col_prec)
+    return _log_likelihood(dist, 1, params, row_logdet, col_logdet)
+
+
+def _log_likelihood(dist, count: int, params, row_logdet: float, col_logdet: float):
+    """Summed log density of ``count`` observations whose scale free forms sum to ``dist``.
+
+    The log determinants are those of ``params``'s two factors.
+    """
     p, q = params.p, params.q
     return (
-        -0.5 * p * q * math.log(2.0 * math.pi * params.scale)
-        - 0.5 * q * row_logdet
-        - 0.5 * p * col_logdet
+        count
+        * (
+            -0.5 * p * q * math.log(2.0 * math.pi * params.scale)
+            - 0.5 * q * row_logdet
+            - 0.5 * p * col_logdet
+        )
         - 0.5 * dist / params.scale
     )
 
@@ -318,7 +329,5 @@ def sample(
     row_chol = spd_cholesky(params.row_cov)
     col_chol = spd_cholesky(params.col_cov)
     noise = rng.standard_normal((n, params.p, params.q))
-    draws = params.mean + math.sqrt(params.scale) * np.einsum(
-        "ij,njk,lk->nil", row_chol, noise, col_chol
-    )
+    draws = params.mean + math.sqrt(params.scale) * (row_chol @ noise @ col_chol.T)
     return ObservationSet(draws)
