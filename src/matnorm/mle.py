@@ -72,10 +72,10 @@ _STEP_TOL = 1e-10
 # passes an iteration makes over the data then reads pq rows instead of n.
 # fit_mle time with the QR over without it (median of 31 interleaved fits,
 # BLAS on one thread, 2-core host), by pq / (p + q): 1.02-1.19 at n = pq +
-# 1, 1.02-1.07 at n = 1.5 pq and 0.96-1.02 at n = 2 pq for shapes up to
-# 7x14; at N=1000, 0.50 at 3x7 (2.1), 0.54 at 5x10 (3.3) and 0.58 at 6x12
-# (4.0).  Wider, the gain depends on the shape: 0.74 at 7x14 (4.7) and
-# 0.68 at 9x18 (6.0), but 1.16-1.19 at 8x16 (5.3) and 1.20 at 12x24
+# 1, 1.02-1.07 at n = 1.5 pq and 0.96-1.08 at n = 2 pq for shapes up to
+# 7x14; at N=1000, 0.50 at 3x7 (2.1), 0.54 at 5x10 (3.3) and 0.58-0.71 at
+# 6x12 (4.0).  Wider, the gain depends on the shape: 0.59-0.74 at 7x14
+# (4.7) and 0.68 at 9x18 (6.0), but 0.84-1.19 at 8x16 (5.3), 1.20 at 12x24
 # N=1152 (8.0), and 1.21-2.30 at 16x32 (10.7) for N = 1024 to 3000.
 _QR_MIN_DEPTH = 2
 _QR_MAX_WIDTH = 4
@@ -247,7 +247,7 @@ def _centered(values: np.ndarray) -> tuple:
 
 
 def _residual_rows(resid: np.ndarray) -> np.ndarray:
-    """Rows with the scatter of an (n, p, q) residual stack, fewest to hand.
+    """A (k, p, q) stack with the same scatter as the (n, p, q) residuals.
 
     With n > ``_QR_MIN_DEPTH * pq`` and pq at most ``_QR_MAX_WIDTH * (p +
     q)``, the pq rows of the R factor of the n x pq residual matrix T, as
@@ -270,9 +270,9 @@ def _pooled_m_step(grids: list, completions: list, old: list) -> list:
     conditional covariances (None for complete data), the conditional
     completions, and the current parameters.  A class whose data do not
     change between updates may hand in its :func:`_centered` tuple (mean,
-    residual rows, count) in place of its completions: any rows whose
-    scatter ``sum_k vec(r_k) vec(r_k).T`` is the residuals' serve, such as
-    the rows of their R factor (:func:`_residual_rows`).
+    residual rows, count) in place of its completions.  The rows may be
+    any whose scatter ``sum_k vec(r_k) vec(r_k).T`` equals the residuals',
+    such as the rows of their R factor (:func:`_residual_rows`).
     Each class gets its mean and its column factor with a provisional scale,
     the joint maximizer of the expected complete log likelihood at the old
     row factor; the row factor then pools every class's row-side scatter,

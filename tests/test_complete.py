@@ -238,8 +238,8 @@ def test_fit_on_residual_rows_matches_the_plain_flip_flop(p, q, n, rows):
     ref, trace = _plain_flip_flop(values, cfg)
     assert result.iterations == len(trace) - 1
     assert abs(result.loglik_trace[-1] - trace[-1]) <= 1e-12 * abs(trace[-1])
-    for got, want in ((result.params.row_cov, ref.row_cov), (result.params.col_cov, ref.col_cov)):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(result.params.row_cov, ref.row_cov, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(result.params.col_cov, ref.col_cov, rtol=0, atol=1e-10)
     assert result.params.scale == pytest.approx(ref.scale, rel=1e-10)
 
 
