@@ -53,9 +53,8 @@ at most half as many distinct hole sets as observations (a dropout tail, a
 lost band), each distinct block is factored once and its conditional
 covariance weighted by the number of observations sharing it; otherwise
 every observation's block is factored on its own.  All three run the
-iteration loop of :func:`matnorm.mle._iterate`: mm through
-:func:`~matnorm.mle.fit_mle`, em through :func:`_fit_classes`, gem
-directly.
+iteration loop of :func:`matnorm.mle._iterate`: mm and em through
+:func:`_fit_classes`, the one Kronecker driver, and gem directly.
 """
 
 from __future__ import annotations
@@ -79,22 +78,24 @@ from .linalg import (
 from .mle import (
     FitConfig,
     FitResult,
+    _centered,
     _check_sample_size,
     _grid_pairs,
     _initial_params,
     _iterate,
     _observed_cell_means,
     _pooled_m_step,
+    _residual_rows,
     _scatter_add,
     _squarem_coordinates,
     _squarem_params,
     _with_jitter,
-    fit_mle,
 )
 from .model import (
     DataError,
     MatrixNormalParams,
     ObservationSet,
+    _log_likelihood,
     _precisions,
     _quadratic_forms,
 )
@@ -434,7 +435,7 @@ def _e_step(
 
 
 def _conditional_grid(
-    pattern: MissingPattern, free_by_group: list
+    pattern: MissingPattern, free_by_group: "list | None"
 ) -> "np.ndarray | None":
     """Every scale free conditional covariance, summed once onto one grid.
 
@@ -447,9 +448,9 @@ def _conditional_grid(
     scatter lands at the packed pair positions of :class:`MissingPattern`,
     on a (q * q, 2**k) grid whose rows are padded past p * p; the grid
     returned is the view of its first p * p columns.  None when nothing is
-    missing.
+    missing: no groups, or None for a class without holes (:func:`_held`).
     """
-    if not pattern.any_missing:
+    if not free_by_group:
         return None
     mass = np.concatenate(
         [
@@ -463,59 +464,91 @@ def _conditional_grid(
     return grid[:, : p * p].reshape(q, q, p, p)
 
 
-def _fit_classes(
-    class_values: list, cfg: FitConfig, start: float
-) -> tuple[list, tuple, FitResult]:
+def _held(values: np.ndarray) -> "MissingPattern | tuple":
+    """A class's :func:`detect_pattern`; without holes, (mean, residual rows, count)."""
+    if np.isnan(values).any():
+        return detect_pattern(values)
+    mean, resid, n = _centered(values)
+    return mean, _residual_rows(resid), n
+
+
+def _class_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple:
+    """One class's E-step: :func:`_e_step` when it has holes, else its rows.
+
+    A class without holes hands on its :func:`_held` tuple as completions and
+    no conditional covariances.  Its forms over the rows plus n times the form
+    of the sample mean's offset from ``params.mean`` sum the n observations'.
+    """
+    if isinstance(held, MissingPattern):
+        return _e_step(values, held, params)
+    mean, rows, n = held
+    (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
+    dist = np.sum(_quadratic_forms(rows, row_prec, col_prec))
+    dist += n * _quadratic_forms(mean - params.mean, row_prec, col_prec)
+    return held, None, float(_log_likelihood(dist, n, params, row_logdet, col_logdet))
+
+
+def _fit_classes(class_values: list, cfg: FitConfig, start: float) -> tuple[list, list, FitResult]:
     """The Kronecker EM of K classes that share one row factor.
 
-    The one ECM behind :func:`fit_em` (one class) and
+    The one Kronecker driver, behind :func:`~matnorm.mle.fit_mle`,
+    :func:`fit_mm` and :func:`fit_em` (one class) and
     :func:`~matnorm.spectral.fit_class_models`: each E-step sums
-    :func:`_e_step` over the classes, each M-step is
+    :func:`_class_e_step` over the classes, each M-step is
     :func:`~matnorm.mle._pooled_m_step` on every class's conditional grid,
     a step is measured on :func:`~matnorm.mle._squarem_coordinates`, and
     the loop extrapolates on them, back through
     :func:`~matnorm.mle._squarem_params`, when any class has holes, where
     they slow the ascent.  ``start`` is the caller's entry time.  Returns
-    each class's parameters, its completions, and the fit record.
+    each class's parameters, its completions (a class without holes, its
+    values), and the fit record.
     """
-    patterns = [detect_pattern(values) for values in class_values]
+    held = [_held(values) for values in class_values]
 
     def e_step(sets):
-        completions, frees, logliks = zip(*map(_e_step, class_values, patterns, sets))
+        completions, frees, logliks = zip(*map(_class_e_step, class_values, held, sets))
         return completions, frees, sum(logliks)
 
     def m_step(sets, moments):
-        grids = [_conditional_grid(pt, fr) for pt, fr in zip(patterns, moments[1])]
+        grids = [_conditional_grid(pt, fr) for pt, fr in zip(held, moments[1])]
         return _pooled_m_step(grids, moments[0], sets)
 
-    point = _squarem_params if any(pt.any_missing for pt in patterns) else None
+    holes = [pt._at.size for pt in held if isinstance(pt, MissingPattern)]
+    point = _squarem_params if holes else None
     initial = [_initial_params(values) for values in class_values]
-    entries = sum(v.size - pt._at.size for v, pt in zip(class_values, patterns))
+    entries = sum(values.size for values in class_values) - sum(holes)
     sets, (completions, _, _), result = _iterate(
         e_step, m_step, _squarem_coordinates, initial, entries, cfg, start, point
     )
+    completions = [v if isinstance(c, tuple) else c for v, c in zip(class_values, completions)]
     return sets, completions, result
+
+
+def _fit_one_class(values: np.ndarray, cfg: FitConfig, start: float) -> FitResult:
+    """:func:`_fit_classes` on one class, after the sample size check."""
+    p, q = values.shape[1:]
+    _check_sample_size(values, max(p, q), f"a {p} x {q} model")
+    (params,), _, result = _fit_classes([values], cfg, start)
+    result.params = params
+    return result
 
 
 def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
     """Kronecker structured EM fit tolerating missing entries.
 
-    :func:`_fit_classes` with one class.  Reduces exactly to
-    :func:`~matnorm.mle.fit_mle` when nothing is missing.  The trace
-    records the observed log likelihood at the initial parameters and
-    after each update; it is non-decreasing up to roundoff.
+    :func:`_fit_classes` with one class, so on complete data it is
+    :func:`~matnorm.mle.fit_mle`, bit for bit.  The trace records the
+    observed log likelihood at the initial parameters and after each
+    update; it is non-decreasing up to roundoff.
     """
     start = time.perf_counter()
-    cfg = config or FitConfig()
-    if not data.has_missing:
-        result = fit_mle(data, cfg)
-        result.wall_time = time.perf_counter() - start
-        return result
-    p, q = data.values.shape[1:]
-    _check_sample_size(data.values, max(p, q), f"a {p} x {q} model")
-    (params,), _, result = _fit_classes([data.values], cfg, start)
-    result.params = params
-    return result
+    return _fit_one_class(data.values, config or FitConfig(), start)
+
+
+def _mean_filled(values: np.ndarray) -> np.ndarray:
+    """``values`` with every hole at its cell's observed mean."""
+    holes = np.isnan(values)
+    return np.where(holes, _observed_cell_means(values), values) if holes.any() else values
 
 
 def fit_mm(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult:
@@ -524,18 +557,12 @@ def fit_mm(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
     The observed per-cell means are a fixed point of re-imputation: filling
     a cell with its observed mean leaves the completed data's cell mean at
     that same value, so the fill never changes across passes and a single
-    fill followed by the complete data fit realizes the whole iteration.
+    fill followed by the complete data fit realizes the whole iteration,
+    which :func:`_fit_classes` runs as :func:`~matnorm.mle.fit_mle` does.
     The trace is the complete data log likelihood of the filled set.
     """
     start = time.perf_counter()
-    cfg = config or FitConfig()
-    values = data.values
-    if np.isnan(values).any():
-        cell_means = _observed_cell_means(values)
-        data = ObservationSet(np.where(np.isnan(values), cell_means, values))
-    result = fit_mle(data, cfg)
-    result.wall_time = time.perf_counter() - start
-    return result
+    return _fit_one_class(_mean_filled(data.values), config or FitConfig(), start)
 
 
 @dataclass(eq=False)

@@ -6,14 +6,14 @@ other, so the fit alternates the two updates, renormalizes the top-left
 entries to 1, and re-derives the variance scale, until the log likelihood
 stops moving.  Both the updates and the log likelihood read the data only
 through the sample mean and the pq x pq scatter of the residuals about
-it, so ``fit_mle`` centers the data once and, when n is large next to pq
+it, so a fit centers complete data once and, when n is large next to pq
 and pq small next to p + q, iterates on the pq rows of the residuals' R
 factor instead of the n residuals (``_residual_rows``).
 
-The missing-data and class fits share this machinery: ``_iterate`` is the
-one iteration loop (trace, unit-free convergence test, timing, record), run by
-``fit_mle``, ``fit_gem`` and ``matnorm.missing._fit_classes``, the one
-Kronecker EM driver behind ``fit_em`` and the class fit; and
+Every fit shares this machinery: ``_iterate`` is the one iteration loop
+(trace, unit-free convergence test, timing, record), run by ``fit_gem``
+and by ``matnorm.missing._fit_classes``, the one Kronecker driver behind
+``fit_mle``, ``fit_mm``, ``fit_em`` and the class fit; and
 ``_pooled_m_step`` is the one closed form update, which pools the row
 factor over classes and adds the conditional covariance of missing
 entries: each class hands it in as one grid, summed in one
@@ -54,7 +54,6 @@ from .model import (
     MatrixNormalParams,
     ObservationSet,
     _first_missing,
-    _log_likelihood,
     _precisions,
     _quadratic_forms,
 )
@@ -119,8 +118,8 @@ class FitConfig:
             raise ValueError(
                 f"max_iters must be an integer >= 1, got {self.max_iters!r}"
             )
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
 
 
 @dataclass(eq=False)
@@ -519,15 +518,12 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
     present.  With fewer observations than max(p, q) the alternating
     updates may not have a unique optimum; the fit proceeds but warns.
 
-    The data are centered once on their sample mean, which is every
-    update's mean.  Each update and each log likelihood then reads the
-    residual rows of :func:`_residual_rows` (pq rows of their R factor or
-    the n residuals themselves): the log likelihood sums their quadratic
-    forms plus n times the form of the sample mean's offset from the
-    parameters' mean, which is the sum of the n observations' forms.
+    The fit is :func:`matnorm.missing._fit_classes` on one class without
+    holes: centered once, it iterates on the rows of :func:`_residual_rows`.
     """
+    from .missing import _fit_one_class  # missing imports this module
+
     start = time.perf_counter()
-    cfg = config or FitConfig()
     values = data.values
     if np.isnan(values).any():
         i, r, c = _first_missing(values)
@@ -535,28 +531,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
             f"fit_mle requires complete data; first missing entry at "
             f"observation {i}, row {r}, column {c}"
         )
-    p, q = values.shape[1:]
-    _check_sample_size(values, max(p, q), f"a {p} x {q} model")
-
-    mean, resid, n = _centered(values)
-    rows = _residual_rows(resid)
-
-    def e_step(sets):
-        prm = sets[0]
-        (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(prm)
-        dist = np.sum(_quadratic_forms(rows, row_prec, col_prec))
-        dist += n * _quadratic_forms(mean - prm.mean, row_prec, col_prec)
-        return (float(_log_likelihood(dist, n, prm, row_logdet, col_logdet)),)
-
-    def m_step(sets, moments):
-        return _pooled_m_step([None], [(mean, rows, n)], sets)
-
-    initial = [_initial_params(values)]
-    (params,), _, result = _iterate(
-        e_step, m_step, _squarem_coordinates, initial, values.size, cfg, start
-    )
-    result.params = params
-    return result
+    return _fit_one_class(values, config or FitConfig(), start)
 
 
 def stationarity_residual(data: ObservationSet, params: MatrixNormalParams) -> float:

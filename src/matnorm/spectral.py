@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import spd_cholesky, spd_inverse
-from .mle import EstimationError, FitConfig, _observed_cell_means
-from .missing import _fit_classes
+from .mle import EstimationError, FitConfig
+from .missing import _fit_classes, _mean_filled
 from .model import DataError, MatrixNormalParams, ObservationSet
 from .model import _log_densities, _whole_labels
 from .model import log_density  # noqa: F401  (spectral.log_density stays a public binding)
@@ -128,12 +128,9 @@ def fit_class_models(
     if method not in ("mm", "em"):
         raise ValueError(f"method must be 'mm' or 'em', got {method!r}")
     class_ids = [data.class_indices(c) for c in range(1, data.n_classes + 1)]
-    class_values = []
-    for ids in class_ids:
-        vals = data.values[ids]
-        if method == "mm" and np.isnan(vals).any():
-            vals = np.where(np.isnan(vals), _observed_cell_means(vals), vals)
-        class_values.append(vals)
+    class_values = [data.values[ids] for ids in class_ids]
+    if method == "mm":
+        class_values = [_mean_filled(vals) for vals in class_values]
     class_params, completions, result = _fit_classes(class_values, cfg, start)
     merged = np.empty_like(data.values)
     for ids, comp in zip(class_ids, completions):

@@ -141,6 +141,17 @@ class TestFit:
         assert meta["converged"] is False
         assert "without meeting the tolerance" in capsys.readouterr().err
 
+    def test_infinite_tol_is_a_usage_error(self, workdir, tmp_path, capsys):
+        # an infinite tol would stop every fit after one update as converged
+        out = tmp_path / "em.json"
+        code = main(
+            ["fit", "--input", str(workdir / "missing.csv"), "--method", "em",
+             "--p", "3", "--q", "7", "--tol", "inf", "--output", str(out)]
+        )
+        assert code == 1
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mle_with_missing_names_first_hole(self, workdir, tmp_path, capsys):
         code = main(
             ["fit", "--input", str(workdir / "missing.csv"), "--method", "mle",

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from matnorm import missing
+from matnorm.missing import fit_em, fit_mm
 from matnorm.mle import (
     _STEP_TOL,
     EstimationError,
@@ -21,6 +23,7 @@ from matnorm.model import (
     full_log_likelihood,
     sample,
 )
+from matnorm.spectral import LabeledObservationSet, fit_class_models
 
 TIGHT = FitConfig(max_iters=2000, tol=1e-14)
 
@@ -268,3 +271,47 @@ def test_trace_on_residual_rows_is_accurate_at_ill_conditioned_factors(p, q):
     result = fit_mle(data)
     ref = full_log_likelihood(data, result.params)
     assert abs(result.loglik_trace[-1] - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "p, q, n",
+    [
+        (3, 5, 16),  # n <= 2 pq: the residuals themselves
+        (3, 7, 1000),  # the R factor's pq rows
+        (6, 14, 400),  # pq > 4 (p + q): the residuals themselves
+    ],
+)
+def test_one_class_fit_on_complete_data_is_fit_mle(p, q, n):
+    rng = np.random.default_rng(p * q + n)
+    data = sample(random_params(rng, p, q), n, rng)
+    ref = fit_mle(data)
+    labeled = LabeledObservationSet(data.values, np.ones(n, dtype=int))
+    for method in ("em", "mm"):
+        model = fit_class_models(labeled, method)
+        got = model.class_params[0]
+        np.testing.assert_array_equal(model.loglik_trace, ref.loglik_trace)
+        np.testing.assert_array_equal(got.mean, ref.params.mean)
+        np.testing.assert_array_equal(got.row_cov, ref.params.row_cov)
+        np.testing.assert_array_equal(got.col_cov, ref.params.col_cov)
+        assert got.scale == ref.params.scale
+
+
+def test_fits_without_holes_never_index_or_condition_holes(monkeypatch):
+    # a class without holes reads its residual rows: mm fills its holes
+    # first, so it never reaches the hole index or the missing-data E-step
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit without holes reached the missing-data path")
+
+    rng = np.random.default_rng(8)
+    data = sample(random_params(rng, 3, 5), 60, rng)
+    holed = data.values.copy()
+    holed[rng.random(holed.shape) < 0.1] = np.nan
+    labels = np.repeat([1, 2], 30)
+    monkeypatch.setattr(missing, "detect_pattern", refuse)
+    monkeypatch.setattr(missing, "_e_step", refuse)
+    for fit in (fit_mle, fit_mm, fit_em):
+        assert fit(data).converged
+    assert fit_mm(ObservationSet(holed)).converged
+    for values in (data.values, holed):
+        assert fit_class_models(LabeledObservationSet(values, labels), "mm").converged
+    assert fit_class_models(LabeledObservationSet(data.values, labels), "em").converged

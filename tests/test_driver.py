@@ -140,6 +140,7 @@ def test_wall_time_covers_the_whole_call(monkeypatch, name, binding):
         ("max_iters", float("nan")),
         ("tol", 0.0),
         ("tol", float("nan")),
+        ("tol", float("inf")),
     ],
 )
 def test_config_rejects_bad_values(field, bad):

@@ -144,6 +144,20 @@ class TestFitClassModels:
             model.completions[observed], data.values[observed]
         )
 
+    def test_class_without_holes_keeps_its_values_beside_one_with_holes(self):
+        rng = np.random.default_rng(6)
+        data, _, _ = two_class_data(rng, miss=0.0)
+        first, second = data.class_indices(1), data.class_indices(2)
+        values = data.values.copy()
+        values[second] = knock_out(values[second], 0.15, rng)
+        model = fit_class_models(LabeledObservationSet(values, data.labels), "em", TIGHT)
+        np.testing.assert_array_equal(model.completions[first], data.values[first])
+        assert not np.isnan(model.completions[second]).any()
+        trace = model.loglik_trace
+        assert model.iterations >= 3
+        slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
+        assert np.all(np.diff(trace) >= -slack)
+
     def test_mean_fill_variant_runs_and_converges(self):
         rng = np.random.default_rng(4)
         data, _, _ = two_class_data(rng)
