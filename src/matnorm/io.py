@@ -244,6 +244,15 @@ def load_params(
     """Load a parameter file written by :func:`save_params`."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+
+    def field(key):
+        try:
+            return payload[key]
+        except KeyError:
+            raise ValueError(f"{path}: missing key {key!r}") from None
+
     version = payload.get("format_version")
     if version != 1:
         raise ValueError(f"{path}: unsupported format_version {version!r}")
@@ -251,12 +260,12 @@ def load_params(
     meta = payload.get("meta", {})
     if model == "matrix_normal":
         params = MatrixNormalParams(
-            np.asarray(payload["mu"], dtype=float),
-            np.asarray(payload["sigma_s"], dtype=float),
-            np.asarray(payload["sigma_c"], dtype=float),
-            float(payload["sigma2"]),
+            np.asarray(field("mu"), dtype=float),
+            np.asarray(field("sigma_s"), dtype=float),
+            np.asarray(field("sigma_c"), dtype=float),
+            float(field("sigma2")),
         )
-        expected = (int(payload["p"]), int(payload["q"]))
+        expected = (int(field("p")), int(field("q")))
         if (params.p, params.q) != expected:
             raise ValueError(
                 f"{path}: declared shape {expected} does not match arrays "
@@ -266,10 +275,10 @@ def load_params(
     if model == "unstructured":
         return (
             UnstructuredParams(
-                p=int(payload["p"]),
-                q=int(payload["q"]),
-                mean=np.asarray(payload["mean"], dtype=float),
-                cov=np.asarray(payload["cov"], dtype=float),
+                p=int(field("p")),
+                q=int(field("q")),
+                mean=np.asarray(field("mean"), dtype=float),
+                cov=np.asarray(field("cov"), dtype=float),
             ),
             meta,
         )

@@ -63,11 +63,15 @@ def ensure_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     callers that share one covariance array between several parameter sets
     keep that sharing intact.  Small asymmetries from accumulated roundoff
     are repaired by averaging with the transpose; anything larger is an
-    error, as is a non positive definite matrix.
+    error, as is a non-finite entry or a non positive definite matrix.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"{name}[{r}, {c}] = {a[r, c]} is not finite")
     if not np.array_equal(a, a.T):
         if not np.allclose(a, a.T, rtol=1e-8, atol=1e-10):
             raise ValueError(f"{name} is not symmetric")

@@ -18,16 +18,17 @@ Three fitters cover the usual quality/cost trade:
   place over the factor; smaller sets take one batched LU inverse, which is
   faster there.  The E-step makes one pass over the data with the factor
   inverses the last M-step handed on, so each factor is factored once per
-  parameter set.  It reads and writes the holes through the flat positions
-  that :func:`detect_pattern` builds in its one pass over the mask, which
-  also locate each hole set's missing precision block in the two factors:
-  one integer per pair of holes, whose high bits a shift reads as the
-  pair's column-factor position and whose low bits a mask reads as its
-  row-factor position.  The
-  M-step is the complete data update of :mod:`matnorm.mle` on the
-  completions, plus the conditional covariances: one scatter sums them all
-  onto a single conditional-covariance grid, which each factor update
-  contracts with the other factor's precision.  em is :func:`_fit_classes` with one class,
+  parameter set; near singular factors it refines its conditional means
+  (:data:`_REFINE_COND`).  It reads and writes the holes through the flat
+  positions that :func:`detect_pattern` builds in its one pass over the
+  mask, which also locate each hole set's missing precision block in the
+  two factors: one integer per pair of holes, whose high bits a shift
+  reads as the pair's column-factor position and whose low bits a mask
+  reads as its row-factor position.  The M-step is the complete data
+  update of :mod:`matnorm.mle` on the completions, plus the conditional
+  covariances: one scatter sums them all onto a single
+  conditional-covariance grid, which each factor update contracts with the
+  other factor's precision.  em is :func:`_fit_classes` with one class,
   the driver that also fits the class model of :mod:`matnorm.spectral`.
   It follows each plain update with a squared extrapolation along the last
   two, which the loop takes on the Kronecker coordinates and maps back
@@ -37,13 +38,11 @@ Three fitters cover the usual quality/cost trade:
 * :func:`fit_gem` is the classical EM for an unstructured multivariate
   normal on the stacked vectors: pq(pq+1)/2 free covariance entries, no
   Kronecker assumption.  The flexible baseline, and the slowest: each
-  E-step pays for a pq x pq precision.  Its E-step is em's with that
-  precision, inverted from the Cholesky factor that checked the
-  covariance: the same hole positions gather its missing blocks, and the
-  same kernel conditions them.  With holes it extrapolates like em, by
-  the loop's one step on its own coordinates, which it maps both ways
-  (:func:`_gem_coordinates` and :func:`_gem_params`); its M-step jitters
-  by the Kronecker updates' rule (:func:`matnorm.mle._with_jitter`).
+  E-step pays for a pq x pq precision.  That model is the matrix normal
+  of one row, whose column factor times the scale is the covariance of
+  the stacked vector, so gem is :func:`_fit_classes` on the 1 x pq rows
+  of the stacked observations, E-step, M-step, extrapolation and jitter
+  included.
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
@@ -52,9 +51,9 @@ same holes share one missing precision block to factor: when a batch holds
 at most half as many distinct hole sets as observations (a dropout tail, a
 lost band), each distinct block is factored once and its conditional
 covariance weighted by the number of observations sharing it; otherwise
-every observation's block is factored on its own.  All three run the
-iteration loop of :func:`matnorm.mle._iterate`: mm and em through
-:func:`_fit_classes`, the one Kronecker driver, and gem directly.
+every observation's block is factored on its own.  All three run
+:func:`_fit_classes`, the one Kronecker driver and the one caller of the
+iteration loop :func:`matnorm.mle._iterate`.
 """
 
 from __future__ import annotations
@@ -73,7 +72,6 @@ from .linalg import (
     indicator_matrix,
     spd_cholesky,
     unvec,
-    vec,
 )
 from .mle import (
     FitConfig,
@@ -89,7 +87,6 @@ from .mle import (
     _scatter_add,
     _squarem_coordinates,
     _squarem_params,
-    _with_jitter,
 )
 from .model import (
     DataError,
@@ -99,6 +96,17 @@ from .model import (
     _precisions,
     _quadratic_forms,
 )
+
+# The E-step refines its shifts by two Newton steps, and whitens its forms,
+# through the factors' Cholesky factors when cond(row_cov) * cond(col_cov)
+# in the 1-norm, read off each factor and the inverse it holds, exceeds
+# this.  The observed log likelihood's largest relative error unrefined ->
+# refined, over 10 draws of 40 rows of 1 x 21 with 30% MCAR holes each
+# (BLAS on one thread), by 1-norm condition: 3e5, 3e-14 -> 4e-15; 3e6,
+# 3e-13 -> 1.5e-14; 3e7, 3.6e-12 -> 4.6e-14; 3e8, 1.8e-11 -> 6.5e-13; 3e10,
+# 1.0e-9 -> 3.1e-11; 3e12, 1.1e-7 -> 6.9e-10.  A refined E-step took 1.1-1.35
+# times as long.
+_REFINE_COND = 1e6
 
 # A missing-count group conditions its distinct hole sets rather than its
 # members only when there are at most this share as many of them: below,
@@ -149,23 +157,21 @@ class MissingPattern:
     """Index bookkeeping for the missing entries of an observation set.
 
     The fitters read ``_groups``, one :class:`_PatternGroup` per missing
-    entry count present, and four flat arrays that :func:`detect_pattern`
+    entry count present, and three flat arrays that :func:`detect_pattern`
     builds in its one pass.  Holes come group after group, member after
     member, each member's in ascending stacked order: ``_at`` holds each
-    hole's position in the C-ordered (n, p, q) values, ``_vec_at`` in the
-    (n, pq) stacked rows, and ``_cells`` in the p x q mean.  ``_pairs``
-    concatenates the groups' ``pairs``: for every hole set the E-step
-    factors (each distinct set of a sharing group, else each member's), the
-    position of each pair of its holes, in rows ``ra, rc`` and columns
-    ``ca, cc``, packed as ``(ca * q + cc) << k | (ra * p + rc)`` with ``k =
-    (p * p - 1).bit_length()``: ``pairs >> k`` is the pair's position in
+    hole's position in the C-ordered (n, p, q) values and ``_cells`` in
+    the p x q mean.  ``_pairs`` concatenates the groups' ``pairs``: for
+    every hole set the E-step factors (each distinct set of a sharing
+    group, else each member's), the position of each pair of its holes, in
+    rows ``ra, rc`` and columns ``ca, cc``, packed as ``(ca * q + cc) << k
+    | (ra * p + rc)`` with ``k = (p * p - 1).bit_length()``: ``pairs >>
+    k`` is the pair's position in
     the q x q column factor and ``pairs & (2**k - 1)`` in the p x p row
-    factor, which gather em's missing precision block.  Read whole, it is
+    factor, which gather the missing precision block.  Read whole, it is
     the pair's flat position on the (q * q, 2**k) conditional-covariance
-    grid, each row padded from p * p to 2**k entries; a pq x pq stacked
-    precision transposed to that grid's layout gives gem's missing blocks
-    at the same positions.  The flat arrays stay writable: ``np.bincount``
-    copies a read-only input on every call.
+    grid, each row padded from p * p to 2**k entries.  The flat arrays stay
+    writable: ``np.bincount`` copies a read-only input on every call.
 
     The per observation views are read-only and built from the groups when
     read: ``miss[i]`` holds the ascending positions of observation i's
@@ -181,7 +187,6 @@ class MissingPattern:
     n_obs: int
     _groups: list
     _at: np.ndarray
-    _vec_at: np.ndarray
     _cells: np.ndarray
     _pairs: np.ndarray
 
@@ -310,7 +315,7 @@ def detect_pattern(data: "ObservationSet | np.ndarray") -> MissingPattern:
         view |= _grid_pairs(set_rows, p)
         miss = _frozen(miss_all[span].reshape(b, m))
         groups.append(_PatternGroup(int(m), _frozen(ids), miss, span, view, *map(_frozen, sharing)))
-    return MissingPattern(p, q, n, groups, base + cells, base + miss_all, cells, pairs)
+    return MissingPattern(p, q, n, groups, base + cells, cells, pairs)
 
 
 def conditional_moments(
@@ -367,30 +372,6 @@ def conditional_moments(
     return ConditionalMoments(completions[0], params.scale * free[0])
 
 
-def _condition_holes(
-    pattern: MissingPattern, h: np.ndarray, gather
-) -> tuple[np.ndarray, list, float]:
-    """Condition every hole of a pattern on its observation's observed entries.
-
-    ``h`` holds each hole's ``Omega_mo @ r_o`` in the pattern's hole
-    order, and ``gather(pairs)`` the scale free precision at a group's
-    (U, m, m) grid positions; each group goes through one
-    :func:`~matnorm.linalg._condition_block`.  Returns the
-    shifts in the order of ``h``, each group's free blocks, and the summed
-    log determinants of the missing precision blocks.
-    """
-    shift = np.empty_like(h)
-    free_by_group, block_logdet = [], 0.0
-    for g in pattern._groups:
-        g_shift, free, logdet = _condition_block(
-            gather(g.pairs), h[g.span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
-        )
-        shift[g.span] = g_shift.ravel()
-        free_by_group.append(free)
-        block_logdet += logdet.sum()
-    return shift, free_by_group, float(block_logdet)
-
-
 def _e_step(
     values: np.ndarray, pattern: MissingPattern, params: MatrixNormalParams
 ) -> tuple[np.ndarray, list, float]:
@@ -400,13 +381,17 @@ def _e_step(
     R0, is weighted once as ``row_prec @ R0 @ col_prec``, every hole's
     ``h = Omega_mo @ r_o`` is read off that product in one gather, and each
     missing-count group gathers its missing precision blocks from the two
-    factors and goes through one call of the block kernel; the pq x pq
-    precision is never formed.  All reads and writes go through the flat
-    positions ``_at`` and ``_cells`` that :func:`detect_pattern` built.
-    With every shift written into the residual, one quadratic form over all
-    n gives each observed block's marginal form, and the log determinants
-    of the missing precision blocks correct the full covariance determinant
-    to the marginal ones.
+    factors at its (U, m, m) packed pair positions and goes through one
+    call of the block kernel, :func:`~matnorm.linalg._condition_block`; the
+    pq x pq precision is never formed.  All reads and writes go through
+    the flat positions ``_at`` and ``_cells`` that :func:`detect_pattern`
+    built.  With every shift written into the residual, one quadratic form
+    over all n gives each observed block's marginal form, and the log
+    determinants of the missing precision blocks correct the full
+    covariance determinant to the marginal ones.  Roundoff in the explicit inverses leaves the
+    shifts off as the factors near singular, so past ``_REFINE_COND`` two
+    Newton steps, with gradients taken through the factors' Cholesky
+    factors, refine them, and the same factors whiten the forms.
     """
     n, p, q = values.shape
     (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
@@ -416,20 +401,51 @@ def _e_step(
 
     bits = _row_pair_bits(p)
     row_mask = (1 << bits) - 1
+    shift = np.empty_like(h)
+    free_by_group, block_logdet = [], 0.0
+    for g in pattern._groups:
+        block = np.take(col_prec, g.pairs >> bits) * np.take(row_prec, g.pairs & row_mask)
+        g_shift, free, logdet = _condition_block(
+            block, h[g.span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
+        )
+        shift[g.span] = g_shift.ravel()
+        free_by_group.append(free)
+        block_logdet += logdet.sum()
+    np.put(resid, pattern._at, shift)
+    cond = math.prod(
+        np.abs(a).sum(axis=0).max()
+        for a in (params.row_cov, row_prec, params.col_cov, col_prec)
+    )
+    if cond > _REFINE_COND:
+        chols = spd_cholesky(params.row_cov), spd_cholesky(params.col_cov)
 
-    def gather(pairs):
-        return np.take(col_prec, pairs >> bits) * np.take(row_prec, pairs & row_mask)
+        def through(solve, r):
+            # solve(L, .) with each factor's Cholesky L on both sides of every
+            # residual; returns the (q, n * p) transpose of the (n, p, q) result
+            x = solve(chols[0], r.transpose(1, 0, 2).reshape(p, n * q))
+            return solve(chols[1], x.reshape(p, n, q).transpose(1, 0, 2).reshape(n * p, q).T)
 
-    shift, free_by_group, block_logdet = _condition_holes(pattern, h, gather)
+        def cho(chol, b):
+            return scipy.linalg.cho_solve((chol, True), b)
+
+        def white(chol, b):
+            return scipy.linalg.solve_triangular(chol, b, lower=True)
+
+        for _ in range(2):
+            grad = np.take(through(cho, resid).T, pattern._at)
+            for g, free in zip(pattern._groups, free_by_group):
+                shift[g.span] -= (free @ grad[g.span].reshape(-1, g.m, 1)).ravel()
+            np.put(resid, pattern._at, shift)
+        dist = float(np.sum(through(white, resid) ** 2))
+    else:
+        dist = float(np.sum(_quadratic_forms(resid, row_prec, col_prec)))
     completions = values.copy()
     np.put(completions, pattern._at, np.take(params.mean, pattern._cells) + shift)
-    np.put(resid, pattern._at, shift)
-    dist = _quadratic_forms(resid, row_prec, col_prec)
     loglik = (
         -0.5 * (n * p * q - h.size) * math.log(2.0 * math.pi * params.scale)
         - 0.5 * n * (p * col_logdet + q * row_logdet)
         - 0.5 * block_logdet
-        - 0.5 * dist.sum() / params.scale
+        - 0.5 * dist / params.scale
     )
     return completions, free_by_group, float(loglik)
 
@@ -441,11 +457,11 @@ def _conditional_grid(
 
     Entry ``[ca, cc, ra, rc]`` of the (q, q, p, p) grid sums the conditional
     covariance between the holes at (ra, ca) and (rc, cc) over all
-    observations: gem's accumulated conditional covariance without the
-    scale, its entries reordered so that each factor's precision contracts
-    it in one matrix-vector product.  A shared hole set is summed once,
-    weighted by its member count, and one scatter serves every group.  The
-    scatter lands at the packed pair positions of :class:`MissingPattern`,
+    observations: the summed conditional covariance of the stacked vectors
+    without the scale, its entries reordered so that each factor's
+    precision contracts it in one matrix-vector product.  A shared hole set
+    is summed once, weighted by its member count, and one scatter serves
+    every group.  The scatter lands at the packed pair positions of :class:`MissingPattern`,
     on a (q * q, 2**k) grid whose rows are padded past p * p; the grid
     returned is the view of its first p * p columns.  None when nothing is
     missing: no groups, or None for a class without holes (:func:`_held`).
@@ -579,6 +595,9 @@ class UnstructuredParams:
         d = self.p * self.q
         if self.mean.shape != (d,):
             raise ValueError(f"mean must have shape ({d},), got {self.mean.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.mean))
+        if bad.size:
+            raise ValueError(f"mean[{bad[0]}] = {self.mean[bad[0]]} is not finite")
         self.cov = ensure_spd(self.cov, "covariance")
         if self.cov.shape != (d, d):
             raise ValueError(f"covariance must be {d} x {d}, got {self.cov.shape}")
@@ -586,100 +605,6 @@ class UnstructuredParams:
     def mean_matrix(self) -> np.ndarray:
         """The mean restored to its p x q matrix layout."""
         return unvec(self.mean, self.p, self.q)
-
-
-def _gem_e_step(
-    vdata: np.ndarray,
-    pattern: MissingPattern,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    chol: "np.ndarray | None" = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Completions, accumulated conditional covariance, observed loglik.
-
-    :func:`_e_step` with the precision ``s * inv(cov)``, ``s = trace(cov) /
-    d``, so that the kernel's absolute pivot floor meets blocks of one size
-    whatever the data's units.  ``chol``, the lower Cholesky factor of
-    ``cov``, comes from the M-step that checked it or is taken here.
-    Transposed from (q, p, q, p) and padded like the conditional-covariance
-    grid of :func:`_conditional_grid`, the precision has that grid's
-    layout, where the hole pairs gather the missing blocks; the holes'
-    positions in the stacked rows, ``_vec_at``, read ``h``.
-    Roundoff in the explicit precision leaves the shifts off as ``cov``
-    nears singular, so two Newton steps with gradients taken through
-    ``chol`` refine them.  The observed block's log determinant is ``log
-    det Sigma + log det P_mm``, accurate where ``-log det Sigma_mm.o`` is
-    not; with every hole at its conditional mean, a completed row's
-    quadratic form under ``cov`` is its observed block's, so one triangular
-    solve with ``chol`` gives every form.
-    """
-    n, d = vdata.shape
-    p, q, at = pattern.p, pattern.q, pattern._vec_at
-    if chol is None:
-        chol = spd_cholesky(cov)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    s = float(np.sum(chol * chol)) / d
-    root = scipy.linalg.solve_triangular(chol, np.eye(d), lower=True)
-    prec = s * (root.T @ root)
-    grid = np.zeros((q * q, 1 << _row_pair_bits(p)))
-    grid[:, : p * p] = prec.reshape(q, p, q, p).transpose(0, 2, 1, 3).reshape(q * q, p * p)
-    resid = vdata - mean
-    np.put(resid, at, 0.0)
-    shift, free_by_group, block_logdet = _condition_holes(
-        pattern, np.take(resid @ prec, at), grid.take
-    )
-    np.put(resid, at, shift)
-    for _ in range(2):
-        g = s * np.take(scipy.linalg.cho_solve((chol, True), resid.T).T, at)
-        for grp, free in zip(pattern._groups, free_by_group):
-            shift[grp.span] -= (free @ g[grp.span].reshape(-1, grp.m, 1)).ravel()
-        np.put(resid, at, shift)
-    completions = vdata.copy()
-    np.put(completions, at, np.take(mean, at % d) + shift)
-    white = scipy.linalg.solve_triangular(chol, resid.T, lower=True)
-    mass = _conditional_grid(pattern, free_by_group)
-    extra = np.zeros((d, d)) if mass is None else s * mass.transpose(0, 2, 1, 3).reshape(d, d)
-    loglik = (
-        -0.5 * (n * d - at.size) * math.log(2.0 * math.pi)
-        - 0.5 * (n * logdet + block_logdet - at.size * math.log(s))
-        - 0.5 * float(np.sum(white * white))
-    )
-    return completions, extra, loglik
-
-
-def _gem_coordinates(params: tuple, like: tuple) -> np.ndarray:
-    """gem's coordinates ``(mean / sqrt(s), cov / s)`` on the reference set ``like``.
-
-    ``s`` is the largest variance, and so the largest entry, of its covariance.
-    """
-    s = float(like[1].diagonal().max())
-    return np.concatenate([params[0] / math.sqrt(s), params[1].ravel() / s])
-
-
-def _gem_factored(cov: np.ndarray) -> "tuple | None":
-    """``(cov, chol)`` with the lower Cholesky factor that checks ``cov``, or None."""
-    try:
-        return cov, spd_cholesky(cov)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _gem_params(x: np.ndarray, like: tuple) -> "tuple | None":
-    """The gem set at ``x`` on :func:`_gem_coordinates` on ``like``.
-
-    The covariance is symmetrized and checked by :func:`_gem_factored`
-    before the scale goes back on; the set carries that Cholesky factor to
-    :func:`_gem_e_step`.  None when the covariance does not factor.
-    """
-    d = like[0].size
-    shape = x[d:].reshape(d, d)
-    factored = _gem_factored((shape + shape.T) / 2.0)
-    if factored is None:
-        return None
-    shape, chol = factored
-    s = float(like[1].diagonal().max())
-    root = math.sqrt(s)
-    return x[:d] * root, shape * s, chol * root
 
 
 def fit_gem(
@@ -690,46 +615,24 @@ def fit_gem(
     Ignores the Kronecker structure entirely, which makes it the slowest of
     the three fitters and the hungriest for data (the covariance has
     pq(pq+1)/2 free entries); with more observations than pq it can resolve
-    structure the factored model cannot.  With holes, each plain update is
-    followed by the loop's squared extrapolation on
-    :func:`_gem_coordinates`, back through :func:`_gem_params`, kept only
-    when one update from it ends no lower, so the trace ascends and counts
-    accepted extrapolated entries as em's does; complete data take plain
-    steps, and reach the sample moments in one.  A covariance update that
-    fails to factor gets one diagonal boost
-    (:func:`~matnorm.mle._with_jitter`).  Returns the parameter estimate
-    together with fit metadata whose ``params`` field is None, since the
-    output is not a matrix normal parameter set.
+    structure the factored model cannot.  A matrix normal with one row is
+    the unstructured model: its column factor times its scale is the pq x
+    pq covariance of the stacked vector.  So the fit is :func:`_fit_classes`
+    on the 1 x pq rows of the stacked observations, E-step, M-step,
+    extrapolation and jitter included; complete data reach the sample
+    moments in one update.  Returns the parameter estimate together with
+    fit metadata whose ``params`` field is None, since the output is not a
+    matrix normal parameter set.
     """
     start = time.perf_counter()
-    cfg = config or FitConfig()
     values = data.values
-    pattern = detect_pattern(data)
     n, p, q = values.shape
-    d = p * q
-    _check_sample_size(values, d, f"an unstructured {p} x {q} model")
-    vdata = values.transpose(0, 2, 1).reshape(n, d)
-    mean = vec(_observed_cell_means(values))
+    _check_sample_size(values, p * q, f"an unstructured {p} x {q} model")
+    rows = values.transpose(0, 2, 1).reshape(n, 1, p * q)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        sq_dev = float(np.nanmean((vdata - mean) ** 2))
-    cov = (sq_dev if sq_dev > 0 else 1.0) * np.eye(d)
-
-    def e_step(params):
-        return _gem_e_step(vdata, pattern, *params)
-
-    def m_step(params, moments):
-        completions, extra, _ = moments
-        mean_new = completions.mean(axis=0)
-        resid = completions - mean_new
-        cov_new = (resid.T @ resid + extra) / n
-        cov_new = (cov_new + cov_new.T) / 2.0
-        (cov_new, chol), _ = _with_jitter(cov_new, _gem_factored, "covariance")
-        return mean_new, cov_new, chol
-
-    point = _gem_params if pattern.any_missing else None
-    entries = values.size - pattern._at.size
-    (mean, cov, _), _, result = _iterate(
-        e_step, m_step, _gem_coordinates, (mean, cov, None), entries, cfg, start, point
-    )
-    return UnstructuredParams(p=p, q=q, mean=mean, cov=cov), result
+        if np.isnan(values).all(axis=0).any():
+            # name the cell never observed in the p x q layout, not the 1 x pq one
+            _observed_cell_means(values)
+            warnings.filterwarnings("ignore", "cell .* is missing in every observation")
+        (params,), _, result = _fit_classes([rows], config or FitConfig(), start)
+    return UnstructuredParams(p, q, params.mean.ravel(), params.scale * params.col_cov), result

@@ -11,29 +11,30 @@ and pq small next to p + q, iterates on the pq rows of the residuals' R
 factor instead of the n residuals (``_residual_rows``).
 
 Every fit shares this machinery: ``_iterate`` is the one iteration loop
-(trace, unit-free convergence test, timing, record), run by ``fit_gem``
-and by ``matnorm.missing._fit_classes``, the one Kronecker driver behind
-``fit_mle``, ``fit_mm``, ``fit_em`` and the class fit; and
-``_pooled_m_step`` is the one closed form update, which pools the row
-factor over classes and adds the conditional covariance of missing
-entries: each class hands it in as one grid, summed in one
-``_scatter_add``, that the two accumulators contract with the row and the
-column precision.
+(trace, unit-free convergence test, timing, record), run only by
+``matnorm.missing._fit_classes``, the one driver behind ``fit_mle``,
+``fit_mm``, ``fit_em``, ``fit_gem`` (the Kronecker model of one row) and
+the class fit; and ``_pooled_m_step`` is the one closed form update,
+which pools the row factor over classes and adds the conditional
+covariance of missing entries: each class hands it in as one grid, summed
+in one ``_scatter_add``, that the two accumulators contract with the row
+and the column precision.  A factor update that fails to factor gets one
+diagonal boost (``_normalized_spd_update``).
 Each factor is factored once per parameter set: the Cholesky factorization
 that checks a new factor also gives the inverse and log determinant that
 the next E-step and M-step read.
 
 EM converges linearly, at a rate set by the fraction of missing
-information, so when the data have holes ``_fit_classes`` and
-``fit_gem`` let the loop extrapolate: after each plain update it tries a
-squared extrapolation (SQUAREM, Varadhan & Roland 2008) along the last two
-updates, and keeps the point only when one update from it ends no lower
-than the plain update did.  The loop owns the step (``_squarem_point``);
-each model maps its coordinates both ways, into them (which the stop reads
-too) and back to a checked parameter set (``_squarem_params`` for the
-Kronecker model).  One jitter rule, ``_with_jitter``, serves every M-step.
-The complete data fits keep plain steps; they settle in a few iterations,
-where an extrapolation cycle costs more than it saves.
+information, so when the data have holes ``_fit_classes`` lets the loop
+extrapolate: after each plain update it tries a squared extrapolation
+(SQUAREM, Varadhan & Roland 2008) along the last two updates, and keeps
+the point only when one update from it ends no lower than the plain
+update did.  The loop owns the step (``_squarem_point``); the model maps
+its coordinates both ways, into them (``_squarem_coordinates``, which the
+stop reads too) and back to a checked parameter set
+(``_squarem_params``).  The complete data fits keep plain steps; they
+settle in a few iterations, where an extrapolation cycle costs more than
+it saves.
 """
 
 from __future__ import annotations
@@ -156,32 +157,24 @@ def _pinned_factor(shape: np.ndarray) -> "tuple | None":
         return None
 
 
-def _with_jitter(raw: np.ndarray, factor, name: str) -> tuple:
-    """``factor(raw)``, or once more after a diagonal boost of ``_JITTER``.
-
-    ``factor`` returns a checked, factored matrix or None when the matrix
-    does not factor.  Returns its result and whether the boost was needed.
-    """
-    for jittered in (False, True):
-        if jittered:
-            logger.warning("added jitter %g to a degenerate %s update", _JITTER, name)
-        out = factor(raw + _JITTER * np.eye(raw.shape[0]) if jittered else raw)
-        if out is not None:
-            return out, jittered
-    raise SingularUpdateError(f"{name} update is singular even after jitter")
-
-
 def _normalized_spd_update(raw: np.ndarray, name: str) -> tuple:
     """Scale a raw scatter style update to unit top-left entry, jitter once.
 
     Returns the normalized matrix, its (inverse, log determinant) from the
-    Cholesky factorization that checks it (:func:`_pinned_factor` through
-    :func:`_with_jitter`, so a shape that fails to factor gets one boost of
-    ``_JITTER``), and the scale split off: the top-left entry, or after
-    jitter ``sum(inverse * raw) / dim``, the scale that maximizes the
-    likelihood at the jittered shape.
+    Cholesky factorization that checks it (:func:`_pinned_factor`; a shape
+    that fails to factor gets one diagonal boost of ``_JITTER``), and the
+    scale split off: the top-left entry, or after jitter ``sum(inverse *
+    raw) / dim``, the scale that maximizes the likelihood at the jittered
+    shape.
     """
-    (mat, fac, top), jittered = _with_jitter(raw, _pinned_factor, name)
+    pinned = _pinned_factor(raw)
+    jittered = pinned is None
+    if jittered:
+        logger.warning("added jitter %g to a degenerate %s update", _JITTER, name)
+        pinned = _pinned_factor(raw + _JITTER * np.eye(raw.shape[0]))
+        if pinned is None:
+            raise SingularUpdateError(f"{name} update is singular even after jitter")
+    mat, fac, top = pinned
     scale = float(np.sum(fac[0] * raw)) / raw.shape[0] if jittered else float(top)
     if not scale > _SCALE_FLOOR:
         raise SingularUpdateError(f"{name} update collapsed to zero")

@@ -66,6 +66,10 @@ class MatrixNormalParams:
         self.mean = np.asarray(self.mean, dtype=float)
         if self.mean.ndim != 2:
             raise ValueError(f"mean must be 2-d, got shape {self.mean.shape}")
+        bad = np.argwhere(~np.isfinite(self.mean))
+        if bad.size:
+            r, c = bad[0]
+            raise ValueError(f"mean[{r}, {c}] = {self.mean[r, c]} is not finite")
         self.row_cov = ensure_spd(self.row_cov, "row_cov")
         self.col_cov = ensure_spd(self.col_cov, "col_cov")
         p, q = self.mean.shape
@@ -78,8 +82,8 @@ class MatrixNormalParams:
                 f"col_cov shape {self.col_cov.shape} does not match mean columns {q}"
             )
         self.scale = float(self.scale)
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be a positive finite number, got {self.scale}")
         if self.require_normalized:
             for name, cov in (("row_cov", self.row_cov), ("col_cov", self.col_cov)):
                 if abs(cov[0, 0] - 1.0) > _NORMALIZATION_TOL:

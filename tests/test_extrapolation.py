@@ -52,10 +52,6 @@ def _kronecker_point(*sets):
     return mle._squarem_point(mle._squarem_coordinates, mle._squarem_params, *sets)
 
 
-def _gem_point(*sets):
-    return mle._squarem_point(missing._gem_coordinates, missing._gem_params, *sets)
-
-
 def _count_e_steps(monkeypatch):
     real = missing._e_step
     calls = []
@@ -211,17 +207,6 @@ def test_kronecker_coordinates_map_back_to_the_same_sets(classes):
             assert carried[1] == pytest.approx(checked[1], rel=1e-12, abs=1e-12)
 
 
-def test_gem_coordinates_map_back_to_the_same_set():
-    rng = np.random.default_rng(72)
-    g = rng.standard_normal((6, 6))
-    start = rng.standard_normal(6), g @ g.T + np.eye(6), None
-    mean, cov, chol = missing._gem_params(missing._gem_coordinates(start, start), start)
-    assert _rel(mean, start[0]) <= 1e-12
-    assert _rel(cov, start[1]) <= 1e-12
-    np.testing.assert_array_equal(chol, np.tril(chol))
-    assert _rel(chol @ chol.T, cov) <= 1e-12
-
-
 def _plain_gem(monkeypatch, values, cfg=FitConfig()):
     """``fit_gem`` through the loop without extrapolation."""
     real = missing._iterate
@@ -260,53 +245,24 @@ def test_gem_fit_whose_covariance_collapses_converges_below_the_cap():
     assert row.iterations < cfg.fit.max_iters
 
 
-def _gem_sets(mean_shift, cov):
-    """A (mean, cov, chol) gem set on a stacked vector of length 2."""
-    return np.full(2, mean_shift), np.asarray(cov, dtype=float), None
-
-
-def test_gem_point_outside_the_spd_cone_or_not_finite_is_none(caplog):
-    # |r| = 0.71 along the mean over |v| = 0.014 in the covariance gives
-    # alpha = -50, and alpha^2 v puts 25 off the diagonal of a unit shape
-    outside = _gem_sets(0.0, np.eye(2)), _gem_sets(0.5, np.eye(2)), _gem_sets(
-        1.0, [[1.0, 0.01], [0.01, 1.0]]
-    )
-    infinite = _gem_sets(0.0, np.eye(2)), _gem_sets(0.5, np.eye(2)), _gem_sets(
-        np.inf, np.eye(2)
-    )
-    with warnings.catch_warnings(), caplog.at_level(logging.DEBUG, logger="matnorm"):
-        warnings.simplefilter("error")
-        assert _gem_point(*outside) is None
-        assert _gem_point(*infinite) is None
-    assert caplog.records == []
-
-
-def test_gem_unit_step_gives_the_second_update_back_with_its_factor():
-    rng = np.random.default_rng(67)
-    g = rng.standard_normal((6, 6))
-    start = rng.standard_normal(6), np.eye(6), None
-    second = rng.standard_normal(6), g @ g.T + np.eye(6), None
-    mean, cov, chol = _gem_point(start, start, second)
-    np.testing.assert_allclose(mean, second[0], rtol=1e-12)
-    np.testing.assert_allclose(cov, second[1], rtol=1e-12)
-    np.testing.assert_allclose(chol @ chol.T, cov, rtol=1e-12)
-
-
 def test_gem_rejected_points_fall_back_to_the_plain_updates(monkeypatch, caplog):
     # every point is pushed out of the SPD cone or off the finite numbers,
     # so the loop records exactly the plain updates
-    real = mle._squarem_point
+    real = missing._squarem_params
     points = []
 
-    def spoiled(coordinates, point, start, first, second):
-        mean, cov, chol = second
-        spoil = -cov if len(points) % 2 else np.where(np.eye(cov.shape[0]), np.nan, cov)
-        points.append(real(coordinates, point, start, first, (mean, spoil, chol)))
+    def spoiled(x, like):
+        # x holds the 1 x 1 row shape, the mean, the column shape, the log scale
+        d = like[0].q
+        x = x.copy()
+        shape = x[1 + d : 1 + d + d * d]
+        shape[:] = -shape if len(points) % 2 else np.where(np.eye(d).ravel(), np.nan, shape)
+        points.append(real(x, like))
         return points[-1]
 
     cfg = FitConfig(max_iters=60)
     plain = _plain_gem(monkeypatch, VALUES, cfg)
-    monkeypatch.setattr(mle, "_squarem_point", spoiled)
+    monkeypatch.setattr(missing, "_squarem_params", spoiled)
     with caplog.at_level(logging.DEBUG, logger="matnorm"):
         result = fit_gem(ObservationSet(VALUES), cfg)[1]
     assert len(points) >= 2 and all(point is None for point in points)
@@ -317,23 +273,27 @@ def test_gem_rejected_points_fall_back_to_the_plain_updates(monkeypatch, caplog)
 
 def test_gem_extrapolates_with_holes_and_hands_on_each_factor(monkeypatch, caplog):
     plain = _plain_gem(monkeypatch, VALUES)
-    real = missing._gem_e_step
-    factored_here = []
+    real = missing._squarem_params
+    points = []
 
-    def recorded(vdata, pattern, mean, cov, chol=None):
-        factored_here.append(chol is None)
-        return real(vdata, pattern, mean, cov, chol)
+    def recorded(x, like):
+        points.append(real(x, like))
+        return points[-1]
 
-    monkeypatch.setattr(missing, "_gem_e_step", recorded)
+    monkeypatch.setattr(missing, "_squarem_params", recorded)
+    e_steps = _count_e_steps(monkeypatch)
     with caplog.at_level(logging.DEBUG, logger="matnorm"):
         _, fast = fit_gem(ObservationSet(VALUES))
     assert "(extrapolated)" in caplog.text
     # at 40% missing plain steps crawl to the cap unconverged
     assert fast.converged and not plain.converged
-    assert len(factored_here) < plain.iterations + 1
-    # only the start is factored by the E-step; every later set, points
-    # included, arrives with the Cholesky factor that checked it
-    assert factored_here[0] and not any(factored_here[1:])
+    assert len(e_steps) < plain.iterations + 1
+    # every point arrives with the factorization that checked each factor
+    assert any(point is not None for point in points)
+    for point in points:
+        for prm in point or ():
+            carried = prm._factors
+            assert carried[0][0] is prm.row_cov and carried[1][0] is prm.col_cov
     end, plain_end = fast.loglik_trace[-1], plain.loglik_trace[-1]
     assert end >= plain_end - 1e-9 * abs(plain_end)
     _assert_ascends(fast.loglik_trace)

@@ -1,6 +1,7 @@
 """CSV dataset and JSON parameter file round trips and error reporting."""
 
 import json
+import re
 import stat
 from pathlib import Path
 
@@ -336,6 +337,27 @@ class TestParamsErrors:
         payload["p"] = 3
         with pytest.raises(ValueError, match="declared shape"):
             load_params(self.write_payload(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "model, key",
+        [("matrix_normal", k) for k in ("p", "q", "mu", "sigma_s", "sigma_c", "sigma2")]
+        + [("unstructured", k) for k in ("p", "q", "mean", "cov")]
+        + [("list", None)],
+    )
+    def test_malformed_file_names_path_and_key(self, tmp_path, model, key):
+        if model == "list":
+            payload, message = [self.base_payload()], "expected a JSON object, got list"
+        else:
+            payload = self.base_payload()
+            if model == "unstructured":
+                for k in ("mu", "sigma_s", "sigma_c", "sigma2"):
+                    del payload[k]
+                payload.update(model=model, mean=[0.0] * 4, cov=np.eye(4).tolist())
+            del payload[key]
+            message = f"missing key {key!r}"
+        path = self.write_payload(tmp_path, payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_params(path)
 
     def test_unstructured_shape_mismatch(self, tmp_path):
         payload = {

@@ -32,7 +32,6 @@ from matnorm.missing import (
     ConditionalMoments,
     _conditional_grid,
     _e_step,
-    _gem_e_step,
     conditional_moments,
     detect_pattern,
     fit_em,
@@ -379,7 +378,7 @@ def test_hole_index_names_every_hole_in_each_layout(kind, p, q, seed):
     pattern = detect_pattern(values)
     # each layout's NaNs, read off the values, in the pattern's hole order:
     # group after group, member after member, ascending stacked positions
-    at, vec_at, cells, pairs, lo = [], [], [], [], 0
+    at, cells, pairs, lo = [], [], [], 0
     for g in pattern._groups:
         assert g.span == slice(lo, lo + g.obs_ids.size * g.m)
         lo = g.span.stop
@@ -387,7 +386,6 @@ def test_hole_index_names_every_hole_in_each_layout(kind, p, q, seed):
             miss = np.flatnonzero(np.isnan(vec(values[i])))
             cells.append(miss % p * q + miss // p)
             at.append(i * pq + cells[-1])
-            vec_at.append(i * pq + miss)
         held = g.miss if g.first is None else g.miss[g.first]
         cols, rows = held // p, held % p
         # the high bits name the pair's position in the q x q column factor,
@@ -406,13 +404,10 @@ def test_hole_index_names_every_hole_in_each_layout(kind, p, q, seed):
     assert lo == pattern._at.size
     none = [np.zeros(0, dtype=np.intp)]
     np.testing.assert_array_equal(pattern._at, np.concatenate(none + at))
-    np.testing.assert_array_equal(pattern._vec_at, np.concatenate(none + vec_at))
     np.testing.assert_array_equal(pattern._cells, np.concatenate(none + cells))
     np.testing.assert_array_equal(pattern._pairs, np.concatenate(none + pairs))
     # and exactly the NaNs of each layout
-    stacked = values.transpose(0, 2, 1).reshape(n, pq)
     np.testing.assert_array_equal(np.sort(pattern._at), np.flatnonzero(np.isnan(values)))
-    np.testing.assert_array_equal(np.sort(pattern._vec_at), np.flatnonzero(np.isnan(stacked)))
     assert np.isnan(values.reshape(n, pq)[pattern._at // pq, pattern._cells]).all()
 
 
@@ -805,6 +800,27 @@ class TestFitMm:
         assert wins >= 80, f"variance understated in only {wins}/{trials} trials"
 
 
+def _rows_params(mean, cov):
+    """Parameters of 1 x d rows whose covariance is exactly ``cov``."""
+    d = mean.size
+    return MatrixNormalParams(mean.reshape(1, d), np.eye(1), cov, 1.0, require_normalized=False)
+
+
+def _row_e_step(vdata, params):
+    """:func:`_e_step` on the 1 x d rows of (n, d) stacked observations.
+
+    Returns the (n, d) completions, the summed conditional covariance and
+    the observed log likelihood.
+    """
+    n, d = vdata.shape
+    rows = vdata.reshape(n, 1, d)
+    pattern = detect_pattern(rows)
+    completions, free_by_group, loglik = _e_step(rows, pattern, params)
+    grid = _conditional_grid(pattern, free_by_group)
+    extra = np.zeros((d, d)) if grid is None else params.scale * grid.reshape(d, d)
+    return completions.reshape(n, d), extra, loglik
+
+
 class TestFitGem:
     def test_complete_data_is_sample_moments(self):
         rng = np.random.default_rng(18)
@@ -832,11 +848,8 @@ class TestFitGem:
             x_vec = vec(x)
             x_vec[miss] = np.nan
             x_nan = x_vec.reshape(q, p).T
-            completions, extra, _ = _gem_e_step(
-                x_vec[None],
-                detect_pattern(x_nan[None]),
-                vec(params.mean),
-                params.full_covariance(),
+            completions, extra, _ = _row_e_step(
+                x_vec[None], _rows_params(vec(params.mean), params.full_covariance())
             )
             ref = conditional_moments(x_nan, params)
             np.testing.assert_allclose(
@@ -855,11 +868,9 @@ class TestFitGem:
                 pattern = detect_pattern(values)
                 completions, free_by_group, loglik = _e_step(values, pattern, params)
                 grid = _conditional_grid(pattern, free_by_group)
-                got, extra, got_loglik = _gem_e_step(
+                got, extra, got_loglik = _row_e_step(
                     values.transpose(0, 2, 1).reshape(-1, d),
-                    pattern,
-                    vec(params.mean),
-                    params.full_covariance(),
+                    _rows_params(vec(params.mean), params.full_covariance()),
                 )
                 np.testing.assert_allclose(
                     got, completions.transpose(0, 2, 1).reshape(-1, d), rtol=0, atol=1e-10
@@ -890,7 +901,7 @@ class TestFitGem:
             cov = g @ g.T / d + 0.2 * np.eye(d)
             mean = rng.standard_normal(d)
             vdata = values.transpose(0, 2, 1).reshape(-1, d)
-            completions, extra, loglik = _gem_e_step(vdata, pattern, mean, cov)
+            completions, extra, loglik = _row_e_step(vdata, _rows_params(mean, cov))
 
             ref_completions, ref_extra, ref_loglik = vdata.copy(), np.zeros((d, d)), 0.0
             for i, x in enumerate(vdata):
@@ -927,8 +938,7 @@ class TestFitGem:
             else:
                 vdata[rng.random(vdata.shape) < 0.45] = np.nan
                 vdata[np.isnan(vdata).all(axis=1), 0] = mean[0]
-            values = vdata.reshape(-1, q, p).transpose(0, 2, 1)
-            _, _, got = _gem_e_step(vdata, detect_pattern(values), mean, cov)
+            _, _, got = _row_e_step(vdata, _rows_params(mean, cov))
             ref = 0.0
             for x in vdata:
                 seen = np.flatnonzero(~np.isnan(x))
@@ -956,8 +966,7 @@ class TestFitGem:
             else:
                 vdata[rng.random(vdata.shape) < 0.45] = np.nan
                 vdata[np.isnan(vdata).all(axis=1), 0] = mean[0]
-            values = vdata.reshape(-1, q, p).transpose(0, 2, 1)
-            _, _, got = _gem_e_step(vdata, detect_pattern(values), mean, cov)
+            _, _, got = _row_e_step(vdata, _rows_params(mean, cov))
             ref = 0.0
             for x in vdata:
                 seen = ~np.isnan(x)
@@ -969,6 +978,32 @@ class TestFitGem:
                     + white @ white
                 )
             assert abs(got - ref) <= 1e-9 * abs(ref), f"trial {trial}"
+
+    def test_well_conditioned_fit_never_refines(self, monkeypatch):
+        # the E-step takes the factors' Cholesky factors only to refine its
+        # shifts past _REFINE_COND; a well-conditioned fit never gets there
+        real = matnorm.missing.spd_cholesky
+        calls = []
+
+        def spy(a):
+            calls.append(a.shape)
+            return real(a)
+
+        monkeypatch.setattr(matnorm.missing, "spd_cholesky", spy)
+        rng = np.random.default_rng(44)
+        values = knock_out(sample(random_params(rng, 3, 5), 200, rng).values, 0.2, rng)
+        _, result = fit_gem(ObservationSet(values))
+        assert result.converged and result.iterations >= 3
+        assert calls == []
+        # an E-step past the bound does: one Cholesky of each factor
+        d = 15
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        cov = (basis * np.geomspace(1.0, 1e-8, d)) @ basis.T
+        cov = (cov + cov.T) / 2.0
+        vdata = rng.multivariate_normal(np.zeros(d), cov, size=40, method="eigh")
+        vdata[:, 3] = np.nan
+        _row_e_step(vdata, _rows_params(np.zeros(d), cov))
+        assert calls == [(1, 1), (d, d)]
 
     def test_e_step_factors_each_observed_block_once(self, monkeypatch):
         rng = np.random.default_rng(39)
@@ -986,6 +1021,7 @@ class TestFitGem:
             g = rng.standard_normal((d, d))
             cov = g @ g.T / d + 0.2 * np.eye(d)
             mean = rng.standard_normal(d)
+            params = _rows_params(mean, cov)
             pattern = detect_pattern(values)
             expected = []
             for grp in pattern._groups:
@@ -1000,7 +1036,7 @@ class TestFitGem:
                 hole_counts.add(grp.m)
             assert any(grp.first is not None for grp in pattern._groups) == shares
             calls.clear()
-            _gem_e_step(values.transpose(0, 2, 1).reshape(-1, d), pattern, mean, cov)
+            _row_e_step(values.transpose(0, 2, 1).reshape(-1, d), params)
             assert sorted(calls) == sorted(expected)
         assert min(hole_counts) < _POTRI_MIN_HOLES <= max(hole_counts)
 

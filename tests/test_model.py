@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.integrate
 import scipy.stats
 
 from matnorm.linalg import kron, vec
+from matnorm.missing import UnstructuredParams
 from matnorm.model import (
     DataError,
     MatrixNormalParams,
@@ -38,6 +40,20 @@ def mvn_logpdf(x_vec, mean_vec, cov):
     )
 
 
+def _with(a, at, value):
+    a = a.copy()
+    a[at] = value
+    return a
+
+
+def _params(scale=1.0, **bad):
+    """A 2 x 2 parameter set with each named field's entry (r, c) set to a value."""
+    fields = {"mean": np.zeros((2, 2)), "row_cov": np.eye(2), "col_cov": np.eye(2)}
+    for name, (r, c, value) in bad.items():
+        fields[name] = _with(fields[name], (r, c), value)
+    return MatrixNormalParams(fields["mean"], fields["row_cov"], fields["col_cov"], scale)
+
+
 class TestParams:
     def test_scalar_standard_normal(self):
         params = MatrixNormalParams(np.zeros((1, 1)), np.eye(1), np.eye(1), 1.0)
@@ -60,6 +76,32 @@ class TestParams:
     def test_nonpositive_scale(self):
         with pytest.raises(ValueError):
             MatrixNormalParams(np.zeros((2, 2)), np.eye(2), np.eye(2), 0.0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _params(scale=math.inf), "scale must be a positive finite number, got inf"),
+            (lambda: _params(mean=(1, 0, math.nan)), "mean[1, 0] = nan is not finite"),
+            (lambda: _params(mean=(0, 1, -math.inf)), "mean[0, 1] = -inf is not finite"),
+            (lambda: _params(row_cov=(1, 1, math.inf)), "row_cov[1, 1] = inf is not finite"),
+            (lambda: _params(col_cov=(0, 1, math.nan)), "col_cov[0, 1] = nan is not finite"),
+            (
+                lambda: UnstructuredParams(2, 2, _with(np.zeros(4), 3, math.nan), np.eye(4)),
+                "mean[3] = nan is not finite",
+            ),
+            (
+                lambda: UnstructuredParams(2, 2, np.zeros(4), _with(np.eye(4), (2, 2), math.inf)),
+                "covariance[2, 2] = inf is not finite",
+            ),
+        ],
+        ids=[
+            "scale-inf", "mean-nan", "mean-inf", "row_cov-inf", "col_cov-nan",
+            "unstructured-mean-nan", "unstructured-cov-inf",
+        ],
+    )
+    def test_non_finite_entry_is_rejected_by_name(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
 
     def test_full_covariance_layout(self):
         rng = np.random.default_rng(0)
