@@ -68,9 +68,8 @@ def ensure_spd(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        r, c = bad[0]
+    if not np.isfinite(a).all():
+        r, c = np.argwhere(~np.isfinite(a))[0]
         raise ValueError(f"{name}[{r}, {c}] = {a[r, c]} is not finite")
     if not np.array_equal(a, a.T):
         if not np.allclose(a, a.T, rtol=1e-8, atol=1e-10):

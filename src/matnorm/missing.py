@@ -412,10 +412,13 @@ def _e_step(
         free_by_group.append(free)
         block_logdet += logdet.sum()
     np.put(resid, pattern._at, shift)
-    cond = math.prod(
-        np.abs(a).sum(axis=0).max()
-        for a in (params.row_cov, row_prec, params.col_cov, col_prec)
-    )
+    # An SPD matrix has its largest entry on its diagonal, so the product of
+    # the four diagonal maxima bounds the 1-norm condition product from
+    # below and, times (pq)**2, from above: only a close call sums columns.
+    factors = (params.row_cov, row_prec, params.col_cov, col_prec)
+    cond = math.prod(a.diagonal().max() for a in factors)
+    if cond * (p * q) ** 2 > _REFINE_COND:
+        cond = math.prod(np.abs(a).sum(axis=0).max() for a in factors)
     if cond > _REFINE_COND:
         chols = spd_cholesky(params.row_cov), spd_cholesky(params.col_cov)
 
@@ -595,9 +598,9 @@ class UnstructuredParams:
         d = self.p * self.q
         if self.mean.shape != (d,):
             raise ValueError(f"mean must have shape ({d},), got {self.mean.shape}")
-        bad = np.flatnonzero(~np.isfinite(self.mean))
-        if bad.size:
-            raise ValueError(f"mean[{bad[0]}] = {self.mean[bad[0]]} is not finite")
+        if not np.isfinite(self.mean).all():
+            i = np.flatnonzero(~np.isfinite(self.mean))[0]
+            raise ValueError(f"mean[{i}] = {self.mean[i]} is not finite")
         self.cov = ensure_spd(self.cov, "covariance")
         if self.cov.shape != (d, d):
             raise ValueError(f"covariance must be {d} x {d}, got {self.cov.shape}")

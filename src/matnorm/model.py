@@ -66,9 +66,8 @@ class MatrixNormalParams:
         self.mean = np.asarray(self.mean, dtype=float)
         if self.mean.ndim != 2:
             raise ValueError(f"mean must be 2-d, got shape {self.mean.shape}")
-        bad = np.argwhere(~np.isfinite(self.mean))
-        if bad.size:
-            r, c = bad[0]
+        if not np.isfinite(self.mean).all():
+            r, c = np.argwhere(~np.isfinite(self.mean))[0]
             raise ValueError(f"mean[{r}, {c}] = {self.mean[r, c]} is not finite")
         self.row_cov = ensure_spd(self.row_cov, "row_cov")
         self.col_cov = ensure_spd(self.col_cov, "col_cov")
