@@ -26,6 +26,7 @@ import os
 import re
 import secrets
 import stat
+from functools import partial
 
 import numpy as np
 
@@ -247,25 +248,35 @@ def load_params(
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
 
-    def field(key):
+    def field(key, convert):
         try:
-            return payload[key]
+            return convert(payload[key])
         except KeyError:
             raise ValueError(f"{path}: missing key {key!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: key {key!r}: {exc}") from None
 
+    def build(cls, keys):
+        """``cls`` on the file's ``keys`` by argument name; a failed check names its key."""
+        args = {arg: field(key, convert) for arg, (key, convert) in keys.items()}
+        try:
+            return cls(**args)
+        except ValueError as exc:
+            key = next((key for arg, (key, _) in keys.items() if str(exc).startswith(arg)), None)
+            raise ValueError(f"{path}: key {key!r}: {exc}" if key else f"{path}: {exc}") from None
+
+    array = partial(np.asarray, dtype=float)
     version = payload.get("format_version")
     if version != 1:
         raise ValueError(f"{path}: unsupported format_version {version!r}")
     model = payload.get("model")
     meta = payload.get("meta", {})
     if model == "matrix_normal":
-        params = MatrixNormalParams(
-            np.asarray(field("mu"), dtype=float),
-            np.asarray(field("sigma_s"), dtype=float),
-            np.asarray(field("sigma_c"), dtype=float),
-            float(field("sigma2")),
-        )
-        expected = (int(field("p")), int(field("q")))
+        params = build(MatrixNormalParams, {
+            "mean": ("mu", array), "row_cov": ("sigma_s", array),
+            "col_cov": ("sigma_c", array), "scale": ("sigma2", float),
+        })
+        expected = (field("p", int), field("q", int))
         if (params.p, params.q) != expected:
             raise ValueError(
                 f"{path}: declared shape {expected} does not match arrays "
@@ -273,13 +284,6 @@ def load_params(
             )
         return params, meta
     if model == "unstructured":
-        return (
-            UnstructuredParams(
-                p=int(field("p")),
-                q=int(field("q")),
-                mean=np.asarray(field("mean"), dtype=float),
-                cov=np.asarray(field("cov"), dtype=float),
-            ),
-            meta,
-        )
+        keys = {"p": ("p", int), "q": ("q", int), "mean": ("mean", array), "cov": ("cov", array)}
+        return build(UnstructuredParams, keys), meta
     raise ValueError(f"{path}: unknown model kind {model!r}")

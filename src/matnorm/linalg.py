@@ -152,22 +152,22 @@ def _condition_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional shifts, free blocks and log dets of stacked hole sets.
 
-    ``Omega`` is any scale free precision of a column-stacked residual:
-    ``kron(col_prec, row_prec)``, never formed, for the Kronecker model, or
-    a full pq x pq precision scaled to unit mean variance.  Member b has
-    holes at the stacked positions ``miss[b]`` (``col * p + row``,
-    ascending), and ``h[b] = Omega_mo @ r_o``, its observed residual
-    weighted by the precision at the holes.  ``block`` holds the missing
-    precision blocks ``Omega_mm``, gathered by the caller (entrywise from
-    the two factors, ``col_prec[cols[a], cols[c]] * row_prec[rows[a],
-    rows[c]]``, in the Kronecker case).  This yields what sweeping the
-    holes out of the precision would.  One batched Cholesky ``Omega_mm = L
-    L.T`` gives the sweep's pivot values, ``diag(L)**2``, and with them
-    ``log det Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the
-    scale free conditional covariance, and ``-free @ h`` the conditional
-    mean shift.  With at least ``_POTRI_MIN_HOLES`` holes the inverse is
-    taken from ``L`` itself, one LAPACK ``dpotri`` per block, a quarter of
-    the flops of the LU inverse: it overwrites each factor in the stack
+    ``Omega`` is the scale free precision ``kron(col_prec, row_prec)`` of a
+    column-stacked residual, never formed; gem's unstructured model reaches
+    it as the Kronecker case with p = 1, its pq x pq covariance the column
+    factor.  Member b has holes at the stacked positions ``miss[b]`` (``col *
+    p + row``, ascending), and ``h[b] = Omega_mo @ r_o``, its observed
+    residual weighted by the precision at the holes.  ``block`` holds the
+    missing precision blocks ``Omega_mm``, gathered by the caller (entrywise
+    from the two factors, ``col_prec[cols[a], cols[c]] * row_prec[rows[a],
+    rows[c]]``, in the Kronecker case).  This yields what sweeping the holes
+    out of the precision would.  One batched Cholesky ``Omega_mm = L L.T``
+    gives the sweep's pivot values, ``diag(L)**2``, and with them ``log det
+    Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the scale free
+    conditional covariance, and ``-free @ h`` the conditional mean
+    shift.  With at least ``_POTRI_MIN_HOLES`` holes the inverse is taken
+    from ``L`` itself, one LAPACK ``dpotri`` per block, a quarter of the
+    flops of the LU inverse: it overwrites each factor in the stack
     ``np.linalg.cholesky`` returned with one triangle of the inverse, and
     one add of the stack and its transpose, with the doubled diagonal
     halved, mirrors it to the full block.  Below that one batched

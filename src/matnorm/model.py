@@ -256,18 +256,24 @@ def log_density(x: np.ndarray, params: MatrixNormalParams) -> float:
     return float(_log_densities(x, params))
 
 
-def full_log_likelihood(data: ObservationSet, params: MatrixNormalParams) -> float:
-    """Sum of log densities over a fully observed set.
-
-    This is the ascent monitor for the complete data fits.  Data with
-    missing entries is rejected; use :func:`observed_log_likelihood` there.
-    """
+def _checked_values(data: ObservationSet, params: MatrixNormalParams) -> np.ndarray:
+    """The set's values, once their p x q shape is checked against the parameters."""
     values = data.values
     if values.shape[1:] != (params.p, params.q):
         raise ValueError(
             f"data shape {values.shape[1:]} does not match parameters "
             f"({params.p}, {params.q})"
         )
+    return values
+
+
+def full_log_likelihood(data: ObservationSet, params: MatrixNormalParams) -> float:
+    """Sum of log densities over a fully observed set.
+
+    This is the ascent monitor for the complete data fits.  Data with
+    missing entries is rejected; use :func:`observed_log_likelihood` there.
+    """
+    values = _checked_values(data, params)
     if np.isnan(values).any():
         i, r, c = _first_missing(values)
         raise DataError(
@@ -286,12 +292,7 @@ def observed_log_likelihood(data: ObservationSet, params: MatrixNormalParams) ->
     density directly from the pq x pq covariance.  Deliberately simple: the
     fitting code has a faster route, and this one serves as its reference.
     """
-    values = data.values
-    if values.shape[1:] != (params.p, params.q):
-        raise ValueError(
-            f"data shape {values.shape[1:]} does not match parameters "
-            f"({params.p}, {params.q})"
-        )
+    values = _checked_values(data, params)
     full_cov = params.full_covariance()
     mean_vec = vec(params.mean)
     total = 0.0

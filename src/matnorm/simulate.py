@@ -14,7 +14,7 @@ import logging
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -114,12 +114,7 @@ class SimReport:
     def csv_text(self) -> str:
         return _csv_text(
             _CSV_HEADER,
-            (
-                [r.method, r.p, r.q, r.n, r.miss_prop, r.replicate, r.rel_err_sigma,
-                 r.rel_err_mu, r.runtime_seconds, r.iterations,
-                 "true" if r.converged else "false"]
-                for r in self.sorted_rows()
-            ),
+            ([*astuple(r)[:-1], "true" if r.converged else "false"] for r in self.sorted_rows()),
         )
 
     def summary(self) -> dict:

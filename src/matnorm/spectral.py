@@ -30,19 +30,18 @@ from .model import log_density  # noqa: F401  (spectral.log_density stays a publ
 
 
 @dataclass(eq=False)
-class LabeledObservationSet:
+class LabeledObservationSet(ObservationSet):
     """Observations with dense integer class labels 1..K, each class >= 2 strong."""
 
-    values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.values = ObservationSet(self.values).values
+        super().__post_init__()
         self.labels = _whole_labels(self.labels)
-        if self.labels.shape != (self.values.shape[0],):
+        if self.labels.shape != (self.n_obs,):
             raise ValueError(
                 f"labels shape {self.labels.shape} does not match "
-                f"{self.values.shape[0]} observations"
+                f"{self.n_obs} observations"
             )
         present = np.unique(self.labels)
         k = present.size
@@ -54,18 +53,6 @@ class LabeledObservationSet:
         if (counts < 2).any():
             c = int(np.flatnonzero(counts < 2)[0]) + 1
             raise ValueError(f"class {c} has {counts[c - 1]} observation(s); need >= 2")
-
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.values.shape[2]
 
     @property
     def n_classes(self) -> int:

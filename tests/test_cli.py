@@ -10,14 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from support import random_params, shape_matrix
 
 import matnorm
-from matnorm import cli
+from matnorm import cli, simulate
 from matnorm.cli import main
 from matnorm.io import atomic_write_text, load_dataset, load_params, save_dataset
 from matnorm.missing import UnstructuredParams
 from matnorm.model import MatrixNormalParams, sample
-from matnorm.simulate import random_params
 from matnorm.spectral import (
     LabeledObservationSet,
     distance_matrix,
@@ -31,29 +31,17 @@ from matnorm.spectral import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def shape_matrix(rng, n):
-    g = rng.standard_normal((n, n))
-    s = g @ g.T / n + 0.3 * np.eye(n)
-    return s / s[0, 0]
-
-
-def make_params(rng, p, q, scale=1.0):
-    return MatrixNormalParams(
-        rng.standard_normal((p, q)), shape_matrix(rng, p), shape_matrix(rng, q), scale
-    )
-
-
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     rng = np.random.default_rng(42)
 
-    complete = sample(make_params(rng, 3, 4), 60, rng).values
+    complete = sample(random_params(rng, 3, 4, scale=1.0), 60, rng).values
     save_dataset(str(root / "complete.csv"), complete)
 
     # fixed hole pattern at stacked indices 1, 2, 8, 12, 17, 18 of a 3x7
     # observation, applied to every fifth data row
-    holey = sample(make_params(rng, 3, 7), 50, rng).values
+    holey = sample(random_params(rng, 3, 7, scale=1.0), 50, rng).values
     for i in range(0, 50, 5):
         for idx in (1, 2, 8, 12, 17, 18):
             holey[i, idx % 3, idx // 3] = np.nan
@@ -437,7 +425,7 @@ class TestAnalyze:
         # fit must see the same C-ordered values, and so run its sums in the
         # same order, as an in-memory caller (this draw differs otherwise)
         rng = np.random.default_rng(27)
-        truth = random_params(3, 4, rng)
+        truth = simulate.random_params(3, 4, rng)
         values = np.concatenate(
             [sample(truth, 20, rng).values, sample(truth, 20, rng).values + 1]
         )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from support import random_params
 
 from matnorm import missing
 from matnorm.missing import fit_em, fit_mm
@@ -26,17 +27,6 @@ from matnorm.model import (
 from matnorm.spectral import LabeledObservationSet, fit_class_models
 
 TIGHT = FitConfig(max_iters=2000, tol=1e-14)
-
-
-def random_params(rng, p, q):
-    def shape(n):
-        g = rng.standard_normal((n, n))
-        s = g @ g.T / n + 0.3 * np.eye(n)
-        return s / s[0, 0]
-
-    return MatrixNormalParams(
-        rng.standard_normal((p, q)), shape(p), shape(q), float(rng.uniform(0.5, 2.0))
-    )
 
 
 def test_rejects_missing_data():

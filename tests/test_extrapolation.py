@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from support import ascends, spy
 
 from matnorm import missing, mle, model
 from matnorm.missing import detect_pattern, fit_em, fit_gem
@@ -52,26 +53,9 @@ def _kronecker_point(*sets):
     return mle._squarem_point(mle._squarem_coordinates, mle._squarem_params, *sets)
 
 
-def _count_e_steps(monkeypatch):
-    real = missing._e_step
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(missing, "_e_step", counted)
-    return calls
-
-
-def _assert_ascends(trace):
-    slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
-    assert np.all(np.diff(trace) >= -slack)
-
-
 def test_accelerated_fit_takes_fewer_e_steps_and_ends_no_lower(monkeypatch, caplog):
     plain, plain_e_steps = _plain_fit(VALUES)
-    e_steps = _count_e_steps(monkeypatch)
+    e_steps = spy(monkeypatch, missing._e_step)
     with caplog.at_level(logging.DEBUG, logger="matnorm"):
         fast = fit_em(ObservationSet(VALUES))
     assert "(extrapolated)" in caplog.text
@@ -80,7 +64,7 @@ def test_accelerated_fit_takes_fewer_e_steps_and_ends_no_lower(monkeypatch, capl
     assert fast.iterations < plain.iterations
     end, plain_end = fast.loglik_trace[-1], plain.loglik_trace[-1]
     assert end >= plain_end - 1e-9 * abs(plain_end)
-    _assert_ascends(fast.loglik_trace)
+    assert ascends(fast.loglik_trace)
 
 
 def test_worse_extrapolated_point_is_rejected(monkeypatch):
@@ -103,7 +87,7 @@ def test_worse_extrapolated_point_is_rejected(monkeypatch):
     plain, _ = _plain_fit(VALUES)
     np.testing.assert_array_equal(result.loglik_trace, plain.loglik_trace)
     assert result.converged
-    _assert_ascends(result.loglik_trace)
+    assert ascends(result.loglik_trace)
 
 
 def test_missing_point_falls_back_to_the_plain_updates(monkeypatch, caplog):
@@ -229,7 +213,7 @@ def test_gem_fit_that_crawled_to_the_cap_now_converges():
     clean = sample(random_params(3, 7, params_rng), 250, sample_rng)
     _, result = fit_gem(inject_missing(clean, 0.2, miss_rng), cfg.fit)
     assert result.converged and result.iterations == row.iterations
-    _assert_ascends(result.loglik_trace)
+    assert ascends(result.loglik_trace)
 
 
 def test_gem_fit_whose_covariance_collapses_converges_below_the_cap():
@@ -267,21 +251,14 @@ def test_gem_rejected_points_fall_back_to_the_plain_updates(monkeypatch, caplog)
         result = fit_gem(ObservationSet(VALUES), cfg)[1]
     assert len(points) >= 2 and all(point is None for point in points)
     np.testing.assert_array_equal(result.loglik_trace, plain.loglik_trace)
-    _assert_ascends(result.loglik_trace)
+    assert ascends(result.loglik_trace)
     assert "jitter" not in caplog.text and "extrapolated" not in caplog.text
 
 
 def test_gem_extrapolates_with_holes_and_hands_on_each_factor(monkeypatch, caplog):
     plain = _plain_gem(monkeypatch, VALUES)
-    real = missing._squarem_params
-    points = []
-
-    def recorded(x, like):
-        points.append(real(x, like))
-        return points[-1]
-
-    monkeypatch.setattr(missing, "_squarem_params", recorded)
-    e_steps = _count_e_steps(monkeypatch)
+    points = spy(monkeypatch, missing._squarem_params)
+    e_steps = spy(monkeypatch, missing._e_step)
     with caplog.at_level(logging.DEBUG, logger="matnorm"):
         _, fast = fit_gem(ObservationSet(VALUES))
     assert "(extrapolated)" in caplog.text
@@ -289,19 +266,18 @@ def test_gem_extrapolates_with_holes_and_hands_on_each_factor(monkeypatch, caplo
     assert fast.converged and not plain.converged
     assert len(e_steps) < plain.iterations + 1
     # every point arrives with the factorization that checked each factor
-    assert any(point is not None for point in points)
+    assert any(point.result is not None for point in points)
     for point in points:
-        for prm in point or ():
+        for prm in point.result or ():
             carried = prm._factors
             assert carried[0][0] is prm.row_cov and carried[1][0] is prm.col_cov
     end, plain_end = fast.loglik_trace[-1], plain.loglik_trace[-1]
     assert end >= plain_end - 1e-9 * abs(plain_end)
-    _assert_ascends(fast.loglik_trace)
+    assert ascends(fast.loglik_trace)
 
 
 def test_gem_on_complete_data_never_extrapolates(monkeypatch):
-    points = []
-    monkeypatch.setattr(mle, "_squarem_point", lambda *args: points.append(args))
+    points = spy(monkeypatch, mle._squarem_point)
     values = sample(random_params(3, 4, 68), 80, 69).values
     params, result = fit_gem(ObservationSet(values))
     assert points == [] and result.converged

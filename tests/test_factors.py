@@ -9,8 +9,9 @@ import logging
 
 import numpy as np
 import pytest
+from support import spy
 
-from matnorm import linalg, missing, mle, model, spectral
+from matnorm import linalg, mle
 from matnorm.missing import _e_step, detect_pattern, fit_em, fit_gem, fit_mm
 from matnorm.mle import FitConfig, fit_mle
 from matnorm.model import MatrixNormalParams, ObservationSet, _log_densities, sample
@@ -22,22 +23,6 @@ MASKED = inject_missing(ObservationSet(CLEAN), 0.15, 43).values
 CLEAN_SET = ObservationSet(CLEAN)
 MASKED_SET = ObservationSet(MASKED)
 LABELED_SET = LabeledObservationSet(MASKED, np.repeat([1, 2, 3], 40))
-
-
-def _count_calls(monkeypatch, name, source=linalg):
-    """Record what every call of ``source.<name>`` returns, through every binding."""
-    real = getattr(source, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append(out)
-        return out
-
-    for module in (linalg, model, mle, missing, spectral):
-        if getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -52,10 +37,10 @@ def _count_calls(monkeypatch, name, source=linalg):
 def test_each_iteration_factors_each_new_factor_once(
     monkeypatch, fit, factors_per_iteration, extrapolates
 ):
-    choleskys = _count_calls(monkeypatch, "spd_cholesky")
-    checks = _count_calls(monkeypatch, "ensure_spd")
-    m_steps = _count_calls(monkeypatch, "_pooled_m_step", mle)
-    points = _count_calls(monkeypatch, "_squarem_params", mle)
+    choleskys = spy(monkeypatch, linalg.spd_cholesky)
+    checks = spy(monkeypatch, linalg.ensure_spd)
+    m_steps = spy(monkeypatch, mle._pooled_m_step)
+    points = spy(monkeypatch, mle._squarem_params)
     result = fit()
     assert result.iterations >= 3
     # the identity start needs no factorization, and every later set
@@ -64,9 +49,9 @@ def test_each_iteration_factors_each_new_factor_once(
     # extrapolated set.  A plain fit makes one M-step per iteration; an
     # extrapolating one records two entries for three M-steps and one
     # extrapolated set.
-    sets = len(m_steps) + sum(point is not None for point in points)
+    sets = len(m_steps) + sum(point.result is not None for point in points)
     assert len(choleskys) == factors_per_iteration * sets
-    assert any(point is not None for point in points) == extrapolates
+    assert any(point.result is not None for point in points) == extrapolates
     if not extrapolates:
         assert points == []
         assert len(m_steps) == result.iterations

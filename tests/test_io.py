@@ -359,6 +359,23 @@ class TestParamsErrors:
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_params(path)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sigma2", float("inf"), "scale must be a positive finite number, got inf"),
+            ("p", "two", "invalid literal for int()"),
+            ("mu", [[0.0, 0.0], [0.0]], "setting an array element with a sequence"),
+        ],
+        ids=["infinite-scale", "word-for-p", "ragged-mean"],
+    )
+    def test_value_failing_its_check_names_path_and_key(self, tmp_path, key, value, message):
+        payload = self.base_payload()
+        payload[key] = value
+        path = self.write_payload(tmp_path, payload)
+        located = re.escape(f"{path}: key {key!r}: ") + ".*" + re.escape(message)
+        with pytest.raises(ValueError, match=located):
+            load_params(path)
+
     def test_unstructured_shape_mismatch(self, tmp_path):
         payload = {
             "format_version": 1,

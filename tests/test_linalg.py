@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from support import spy
 
 from matnorm import linalg
 from matnorm.linalg import (
@@ -272,17 +273,6 @@ def _precision_with_holes(rng, m, cond, extra=4):
     return omega, holes
 
 
-def _count_potri(monkeypatch):
-    calls = []
-
-    def record(c, *args, _real=linalg.dpotri, **kwargs):
-        calls.append(c.shape)
-        return _real(c, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "dpotri", record)
-    return calls
-
-
 @pytest.mark.parametrize("cond", [1e2, 1e8, 1e10])
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("m", [_POTRI_MIN_HOLES - 1, _POTRI_MIN_HOLES, _POTRI_MIN_HOLES + 1, 26])
@@ -304,13 +294,15 @@ def test_condition_block_matches_inverse_and_sweep_across_the_cutoff(
         for (omega, holes), r in zip((sets[u] for u in pattern_of), resid)
     ])
     blocks = np.stack([omega[np.ix_(holes, holes)] for omega, holes in sets])
-    potri = _count_potri(monkeypatch)
+    potri = spy(monkeypatch, linalg.dpotri)
     if shared:
         shift, free, logdet = _condition_block(blocks, h, miss, first, pattern_of)
     else:
         shift, free, logdet = _condition_block(blocks[pattern_of], h, miss)
     factored = len(first) if shared else len(pattern_of)
-    assert potri == ([(m, m)] * factored if m >= _POTRI_MIN_HOLES else [])
+    assert [call.args[0].shape for call in potri] == (
+        [(m, m)] * factored if m >= _POTRI_MIN_HOLES else []
+    )
     assert np.array_equal(free, free.transpose(0, 2, 1))
     tol = 100 * cond * np.finfo(float).eps
     for b, u in enumerate(pattern_of):
@@ -337,7 +329,7 @@ def test_bad_pivot_above_the_cutoff_is_named_before_any_inverse(monkeypatch, sha
     miss = np.stack([np.arange(m) + 2 * u for u in pattern_of])
     blocks = np.stack([good, bad])
     h = np.zeros((len(pattern_of), m))
-    potri = _count_potri(monkeypatch)
+    potri = spy(monkeypatch, linalg.dpotri)
     with pytest.raises(SingularPivotError) as info:
         if shared:
             _condition_block(blocks, h, miss, first, pattern_of)
@@ -374,7 +366,7 @@ def test_stack_that_fails_lapack_cholesky_but_passes_the_pivot_check_takes_inv(
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
     monkeypatch.setattr(np.linalg, "cholesky", refuse)
-    potri = _count_potri(monkeypatch)
+    potri = spy(monkeypatch, linalg.dpotri)
     h = rng.standard_normal((3, m))
     shift, free, logdet = _condition_block(block, h, np.tile(np.arange(m), (3, 1)))
     assert potri == []
@@ -406,7 +398,7 @@ def test_condition_block_leaves_the_callers_blocks_untouched(monkeypatch, m):
     rng = np.random.default_rng(45 + m)
     block = np.stack([random_spd(rng, m) for _ in range(3)])
     before = block.copy()
-    potri = _count_potri(monkeypatch)
+    potri = spy(monkeypatch, linalg.dpotri)
     free = _condition_block(block, rng.standard_normal((3, m)), np.tile(np.arange(m), (3, 1)))[1]
     assert len(potri) == (3 if m >= _POTRI_MIN_HOLES else 0)
     assert block.tobytes() == before.tobytes()

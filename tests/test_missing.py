@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import ascends, ill_conditioned_cov, knock_out, random_params, spy
 
 import matnorm.linalg
 import matnorm.missing
@@ -48,34 +49,6 @@ from matnorm.model import (
 from matnorm.spectral import LabeledObservationSet, fit_class_models
 
 TIGHT = FitConfig(max_iters=3000, tol=1e-13)
-
-
-def random_params(rng, p, q):
-    def shape(n):
-        g = rng.standard_normal((n, n))
-        s = g @ g.T / n + 0.3 * np.eye(n)
-        return s / s[0, 0]
-
-    return MatrixNormalParams(
-        rng.standard_normal((p, q)), shape(p), shape(q), float(rng.uniform(0.5, 2.0))
-    )
-
-
-def knock_out(values, prop, rng):
-    """Remove a fixed fraction of entries, keeping one per observation."""
-    out = values.copy()
-    n, p, q = out.shape
-    k = int(round(prop * out.size))
-    flat_ids = rng.choice(out.size, size=k, replace=False)
-    mask = np.zeros(out.size, dtype=bool)
-    mask[flat_ids] = True
-    mask = mask.reshape(out.shape)
-    # never blank a whole observation
-    for i in range(n):
-        if mask[i].all():
-            mask[i, 0, 0] = False
-    out[mask] = np.nan
-    return out
 
 
 def mvn_condition(x_vec, mean_vec, cov, miss):
@@ -250,9 +223,7 @@ class TestEStep:
         # off the first weighted product and the shifts instead (r0' Omega
         # r0 + shift' h) loses 1e-7 relative or more at factor condition 1e5
         def factor(rng, dim):
-            basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-            a = (basis * np.geomspace(1.0, 1e-5, dim)) @ basis.T
-            a = (a + a.T) / 2.0
+            a = ill_conditioned_cov(rng, dim, 1e5)
             return a / a[0, 0]
 
         rng = np.random.default_rng(36)
@@ -632,34 +603,6 @@ def test_scatter_accumulators_weight_shared_hole_sets():
     _assert_accumulators_match_masks(values, random_params(rng, 3, 5))
 
 
-def _count_grid_scatters(monkeypatch):
-    """Record every ``_scatter_add`` call, through the mle and missing bindings."""
-    real = matnorm.mle._scatter_add
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (matnorm.mle, matnorm.missing):
-        monkeypatch.setattr(module, "_scatter_add", counted)
-    return calls
-
-
-def _count_m_steps(monkeypatch):
-    """Record every ``_pooled_m_step`` call, through every binding."""
-    real = matnorm.mle._pooled_m_step
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in (matnorm.mle, matnorm.missing):
-        monkeypatch.setattr(module, "_pooled_m_step", counted)
-    return calls
-
-
 @pytest.mark.parametrize("classes", [1, 3])
 def test_m_step_scatters_the_conditional_mass_once_per_class(monkeypatch, classes):
     rng = np.random.default_rng(37)
@@ -669,8 +612,8 @@ def test_m_step_scatters_the_conditional_mass_once_per_class(monkeypatch, classe
         len(detect_pattern(values[labels == c])._groups) for c in range(1, classes + 1)
     ]
     assert min(groups) >= 4
-    calls = _count_grid_scatters(monkeypatch)
-    m_steps = _count_m_steps(monkeypatch)
+    calls = spy(monkeypatch, matnorm.mle._scatter_add)
+    m_steps = spy(monkeypatch, matnorm.mle._pooled_m_step)
     if classes == 1:
         iterations = fit_em(ObservationSet(values)).iterations
     else:
@@ -691,8 +634,7 @@ class TestFitEm:
             values = knock_out(sample(params, 40, rng).values, 0.15, rng)
             result = fit_em(ObservationSet(values), TIGHT)
             trace = result.loglik_trace
-            slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
-            assert np.all(np.diff(trace) >= -slack), f"trial {trial}"
+            assert ascends(trace), f"trial {trial}"
 
     def test_complete_data_delegates_to_mle(self):
         rng = np.random.default_rng(11)
@@ -926,9 +868,7 @@ class TestFitGem:
         p, q = 3, 5
         d = p * q
         for trial in range(6):
-            basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            cov = (basis * np.geomspace(1.0, 1e-8, d)) @ basis.T
-            cov = (cov + cov.T) / 2.0
+            cov = ill_conditioned_cov(rng, d, 1e8)
             assert np.linalg.cond(cov) > 5e7
             mean = rng.standard_normal(d)
             vdata = rng.multivariate_normal(mean, cov, size=40, method="eigh")
@@ -955,9 +895,7 @@ class TestFitGem:
         p, q = 3, 5
         d = p * q
         for trial in range(6):
-            basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            cov = (basis * np.geomspace(1.0, 1e-12, d)) @ basis.T
-            cov = (cov + cov.T) / 2.0
+            cov = ill_conditioned_cov(rng, d, 1e12)
             mean = rng.standard_normal(d)
             vdata = rng.multivariate_normal(mean, cov, size=40, method="eigh")
             if trial % 2:
@@ -997,9 +935,7 @@ class TestFitGem:
         assert calls == []
         # an E-step past the bound does: one Cholesky of each factor
         d = 15
-        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        cov = (basis * np.geomspace(1.0, 1e-8, d)) @ basis.T
-        cov = (cov + cov.T) / 2.0
+        cov = ill_conditioned_cov(rng, d, 1e8)
         vdata = rng.multivariate_normal(np.zeros(d), cov, size=40, method="eigh")
         vdata[:, 3] = np.nan
         _row_e_step(vdata, _rows_params(np.zeros(d), cov))
@@ -1046,8 +982,7 @@ class TestFitGem:
         values = knock_out(sample(params, 60, rng).values, 0.2, rng)
         _, result = fit_gem(ObservationSet(values), TIGHT)
         trace = result.loglik_trace
-        slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
-        assert np.all(np.diff(trace) >= -slack)
+        assert ascends(trace)
 
     def test_fit_does_not_depend_on_the_data_units(self):
         # neither the parameter-step test nor the kernel's pivot floor may

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from support import random_params
 
 from matnorm.linalg import kron, vec
 from matnorm.missing import UnstructuredParams
@@ -18,20 +19,6 @@ from matnorm.model import (
     observed_log_likelihood,
     sample,
 )
-
-
-def random_params(rng, p, q, scale=None):
-    def shape(n):
-        g = rng.standard_normal((n, n))
-        s = g @ g.T / n + 0.3 * np.eye(n)
-        return s / s[0, 0]
-
-    return MatrixNormalParams(
-        rng.standard_normal((p, q)),
-        shape(p),
-        shape(q),
-        float(rng.uniform(0.5, 2.0)) if scale is None else scale,
-    )
 
 
 def mvn_logpdf(x_vec, mean_vec, cov):

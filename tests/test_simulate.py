@@ -1,7 +1,11 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
-from matnorm.mle import FitConfig
+from matnorm import simulate
+from matnorm.mle import EstimationError, FitConfig
 from matnorm.model import MatrixNormalParams, sample
 from matnorm.simulate import (
     SimConfig,
@@ -202,8 +206,6 @@ class TestRunGrid:
 
     def test_data_is_method_independent(self):
         both = run_grid(SMALL)
-        import dataclasses
-
         em_only = run_grid(dataclasses.replace(SMALL, methods=("em",)))
         em_rows_a = [r for r in both.sorted_rows() if r.method == "em"]
         em_rows_b = em_only.sorted_rows()
@@ -269,6 +271,32 @@ def test_failed_replicates_become_nan_rows():
     assert cell["converged_fraction"] == 0.5
     # nanmedian skips the failed row
     assert cell["median_rel_err_sigma"] == 0.5
+
+
+def test_fit_that_raises_inside_run_grid_becomes_a_nan_row(monkeypatch, caplog):
+    real = simulate.fit_em
+    fits = []
+
+    def fail_second(data, cfg):
+        fits.append(data)
+        if len(fits) == 2:
+            raise EstimationError("the fit failed")
+        return real(data, cfg)
+
+    monkeypatch.setattr(simulate, "fit_em", fail_second)
+    with caplog.at_level(logging.WARNING, logger="matnorm"):
+        report = run_grid(dataclasses.replace(SMALL, methods=("em",)))
+    assert "fit em failed on replicate 1: the fit failed" in caplog.text
+    failed, *done = sorted(report.rows, key=lambda r: r.replicate != 1)
+    assert failed.replicate == 1 and len(fits) == 3
+    assert np.isnan([failed.rel_err_sigma, failed.rel_err_mu, failed.runtime_seconds]).all()
+    assert failed.iterations == 0 and failed.converged is False
+    assert all(np.isfinite(r.runtime_seconds) and r.iterations > 0 for r in done)
+    assert report.csv_text().splitlines()[2].endswith(",1,nan,nan,nan,0,false")
+    cell = report.summary()["cells"][0]
+    assert cell["median_iterations"] == np.median([r.iterations for r in done])
+    assert cell["median_iterations"] != np.median([r.iterations for r in report.rows])
+    assert cell["converged_fraction"] == sum(r.converged for r in done) / 3
 
 
 def test_median_iterations_skips_failed_replicates():

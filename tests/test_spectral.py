@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from test_factors import _count_calls
+from support import ascends, knock_out, shape_matrix, spy
 
+from matnorm import linalg
 from matnorm.mle import FitConfig
 from matnorm.missing import fit_em
 from matnorm.model import DataError, MatrixNormalParams, ObservationSet, log_density, sample
@@ -27,26 +28,6 @@ from matnorm.spectral import (
 )
 
 TIGHT = FitConfig(max_iters=3000, tol=1e-13)
-
-
-def shape_matrix(rng, n):
-    g = rng.standard_normal((n, n))
-    s = g @ g.T / n + 0.3 * np.eye(n)
-    return s / s[0, 0]
-
-
-def knock_out(values, prop, rng):
-    out = values.copy()
-    k = int(round(prop * out.size))
-    flat = rng.choice(out.size, size=k, replace=False)
-    mask = np.zeros(out.size, dtype=bool)
-    mask[flat] = True
-    mask = mask.reshape(out.shape)
-    for i in range(out.shape[0]):
-        if mask[i].all():
-            mask[i, 0, 0] = False
-    out[mask] = np.nan
-    return out
 
 
 def two_class_data(rng, p=3, q=4, n_per=80, miss=0.1, mean_shift=1.5):
@@ -123,8 +104,7 @@ class TestFitClassModels:
         data, _, _ = two_class_data(rng)
         model = fit_class_models(data, method="em", config=TIGHT)
         trace = model.loglik_trace
-        slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
-        assert np.all(np.diff(trace) >= -slack)
+        assert ascends(trace)
 
     def test_row_factor_is_shared_object(self):
         rng = np.random.default_rng(2)
@@ -155,8 +135,7 @@ class TestFitClassModels:
         assert not np.isnan(model.completions[second]).any()
         trace = model.loglik_trace
         assert model.iterations >= 3
-        slack = 1e-9 * np.maximum(1.0, np.abs(trace[:-1]))
-        assert np.all(np.diff(trace) >= -slack)
+        assert ascends(trace)
 
     def test_mean_fill_variant_runs_and_converges(self):
         rng = np.random.default_rng(4)
@@ -504,8 +483,8 @@ class TestMleClassifyBatched:
         data, _, _ = two_class_data(np.random.default_rng(21), n_per=40)
         model = fit_class_models(data, method="em")
         pca = pca_row_cov(model, 2)
-        inverses = _count_calls(monkeypatch, "spd_inverse")
-        choleskys = _count_calls(monkeypatch, "spd_cholesky")
+        inverses = spy(monkeypatch, linalg.spd_inverse)
+        choleskys = spy(monkeypatch, linalg.spd_cholesky)
         rng = np.random.default_rng(22)
         for n in (10, 1000):
             del inverses[:], choleskys[:]
