@@ -26,7 +26,6 @@ import os
 import re
 import secrets
 import stat
-from functools import partial
 
 import numpy as np
 
@@ -257,15 +256,22 @@ def load_params(
             raise ValueError(f"{path}: key {key!r}: {exc}") from None
 
     def build(cls, keys):
-        """``cls`` on the file's ``keys`` by argument name; a failed check names its key."""
+        """``cls`` on the file's ``keys`` by argument name; a failed check names its key.
+
+        The key is that of the argument the check's message starts with, so the
+        model checks name their field first.  The error keeps its type: a factor
+        that is not positive definite stays a ``LinAlgError``.
+        """
         args = {arg: field(key, convert) for arg, (key, convert) in keys.items()}
         try:
             return cls(**args)
         except ValueError as exc:
             key = next((key for arg, (key, _) in keys.items() if str(exc).startswith(arg)), None)
-            raise ValueError(f"{path}: key {key!r}: {exc}" if key else f"{path}: {exc}") from None
+            raise type(exc)(f"{path}: key {key!r}: {exc}" if key else f"{path}: {exc}") from None
 
-    array = partial(np.asarray, dtype=float)
+    def array(value):
+        return np.asarray(value, dtype=float)
+
     version = payload.get("format_version")
     if version != 1:
         raise ValueError(f"{path}: unsupported format_version {version!r}")

@@ -1,7 +1,7 @@
 """What the test modules share: random parameters and holes, an ascent check, a call spy."""
 
 import sys
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,25 +54,28 @@ def ascends(trace):
     return bool(np.all(np.diff(trace) >= -slack))
 
 
-class Call(NamedTuple):
+@dataclass
+class Call:
     args: tuple
-    kwargs: dict
-    result: object
+    result: object = None
 
 
 def spy(monkeypatch, fn):
-    """Record each call of ``fn`` that returns, through every ``matnorm`` binding of it.
+    """Record each call of ``fn``, through every ``matnorm`` binding of it.
 
     Every module attribute under ``matnorm`` that is ``fn`` itself is swapped
     for a recorder, so the count does not depend on which module the caller
-    imported ``fn`` from.  Returns the list the :class:`Call` records go to.
+    imported ``fn`` from.  A call is recorded on entry, so one that raises is
+    counted too, with ``result`` left None.  Returns the list of :class:`Call`
+    records.
     """
     calls = []
 
     def recorded(*args, **kwargs):
-        result = fn(*args, **kwargs)
-        calls.append(Call(args, kwargs, result))
-        return result
+        call = Call(args)
+        calls.append(call)
+        call.result = fn(*args, **kwargs)
+        return call.result
 
     bindings = [
         (module, name)

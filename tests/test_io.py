@@ -376,6 +376,14 @@ class TestParamsErrors:
         with pytest.raises(ValueError, match=located):
             load_params(path)
 
+    def test_factor_that_is_not_positive_definite_stays_a_linalg_error(self, tmp_path):
+        payload = self.base_payload()
+        payload["sigma_s"] = [[1.0, 2.0], [2.0, 1.0]]
+        path = self.write_payload(tmp_path, payload)
+        located = re.escape(f"{path}: key 'sigma_s': row_cov is not positive definite")
+        with pytest.raises(np.linalg.LinAlgError, match=located):
+            load_params(path)
+
     def test_unstructured_shape_mismatch(self, tmp_path):
         payload = {
             "format_version": 1,
