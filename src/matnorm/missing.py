@@ -79,6 +79,7 @@ from .mle import (
     _centered,
     _check_sample_size,
     _grid_pairs,
+    _identity_start,
     _initial_params,
     _iterate,
     _observed_cell_means,
@@ -484,7 +485,12 @@ def _conditional_grid(
 
 
 def _held(values: np.ndarray) -> "MissingPattern | tuple":
-    """A class's :func:`detect_pattern`; without holes, (mean, residual rows, count)."""
+    """A class's :func:`detect_pattern`; without holes, (mean, residual rows, count).
+
+    The tuple is all a fit reads of a class without holes: its start, the
+    completions every E-step hands on, and the count that weighs its log
+    likelihood (see :func:`_fit_classes`).
+    """
     if np.isnan(values).any():
         return detect_pattern(values)
     mean, resid, n = _centered(values)
@@ -492,11 +498,13 @@ def _held(values: np.ndarray) -> "MissingPattern | tuple":
 
 
 def _class_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple:
-    """One class's E-step: :func:`_e_step` when it has holes, else its rows.
+    """One class's E-step in a fit where some class has holes.
 
-    A class without holes hands on its :func:`_held` tuple as completions and
-    no conditional covariances.  Its forms over the rows plus n times the form
-    of the sample mean's offset from ``params.mean`` sum the n observations'.
+    :func:`_e_step` when this class has holes.  A class without holes hands
+    on its :func:`_held` tuple as completions and no conditional
+    covariances; an extrapolated set is no maximum, so its log likelihood
+    sums the forms over the rows plus n times the form of the sample mean's
+    offset from ``params.mean``, which together are the n observations'.
     """
     if isinstance(held, MissingPattern):
         return _e_step(values, held, params)
@@ -512,29 +520,56 @@ def _fit_classes(class_values: list, cfg: FitConfig, start: float) -> tuple[list
 
     The one Kronecker driver, behind :func:`~matnorm.mle.fit_mle`,
     :func:`fit_mm` and :func:`fit_em` (one class) and
-    :func:`~matnorm.spectral.fit_class_models`: each E-step sums
-    :func:`_class_e_step` over the classes, each M-step is
+    :func:`~matnorm.spectral.fit_class_models`: each M-step is
     :func:`~matnorm.mle._pooled_m_step` on every class's conditional grid,
-    a step is measured on :func:`~matnorm.mle._squarem_coordinates`, and
-    the loop extrapolates on them, back through
-    :func:`~matnorm.mle._squarem_params`, when any class has holes, where
-    they slow the ascent.  ``start`` is the caller's entry time.  Returns
-    each class's parameters, its completions (a class without holes, its
-    values), and the fit record.
+    and a step is measured on :func:`~matnorm.mle._squarem_coordinates`.
+    When any class has holes, each E-step sums :func:`_class_e_step` over
+    the classes from :func:`~matnorm.mle._initial_params`, and the loop
+    extrapolates on those coordinates, back through
+    :func:`~matnorm.mle._squarem_params`, where holes slow the ascent.
+    Without holes the fit is the flip-flop: each class starts from its
+    :func:`_held` tuple and no E-step reads the data.  ``start`` is the
+    caller's entry time.  Returns each class's parameters, its completions
+    (a class without holes, its values), and the fit record.
     """
     held = [_held(values) for values in class_values]
-
-    def e_step(sets):
-        completions, frees, logliks = zip(*map(_class_e_step, class_values, held, sets))
-        return completions, frees, sum(logliks)
 
     def m_step(sets, moments):
         grids = [_conditional_grid(pt, fr) for pt, fr in zip(held, moments[1])]
         return _pooled_m_step(grids, moments[0], sets)
 
     holes = [pt._at.size for pt in held if isinstance(pt, MissingPattern)]
+    if holes:
+        initial = [_initial_params(values) for values in class_values]
+
+        def e_step(sets):
+            completions, frees, logliks = zip(*map(_class_e_step, class_values, held, sets))
+            return completions, frees, sum(logliks)
+
+    else:
+        # Every set this loop evaluates is a start or a _pooled_m_step output
+        # at the sample means, and at either the scaled forms sum to
+        # sum_c dist_c / scale_c = pq * n_total: the start's scale is the
+        # mean square of the rows, and the pooled row step (jittered too,
+        # whose scale sum(inverse * raw) / dim maximizes at the jittered
+        # shape) maximizes over the scale.  So the log likelihood is the
+        # factors' log determinants and the scales alone.  Rows that do not
+        # spread give the start scale 1.0, where this is not the likelihood,
+        # but the first update from there raises SingularUpdateError.
+        initial = [
+            _identity_start(mean, np.sum(rows * rows) / (n * mean.size))
+            for mean, rows, n in held
+        ]
+        pq_n = held[0][0].size * sum(n for _, _, n in held)
+
+        def e_step(sets):
+            loglik = 0.0
+            for (_, _, n), prm in zip(held, sets):
+                (_, row_logdet), (_, col_logdet) = _precisions(prm)
+                loglik += _log_likelihood(0.0, n, prm, row_logdet, col_logdet)
+            return held, [None] * len(held), float(loglik - 0.5 * pq_n)
+
     point = _squarem_params if holes else None
-    initial = [_initial_params(values) for values in class_values]
     entries = sum(values.size for values in class_values) - sum(holes)
     sets, (completions, _, _), result = _iterate(
         e_step, m_step, _squarem_coordinates, initial, entries, cfg, start, point

@@ -4,11 +4,14 @@ The mean estimate is the elementwise sample mean.  The covariance factors
 have no closed form jointly: each is the closed form maximizer given the
 other, so the fit alternates the two updates, renormalizes the top-left
 entries to 1, and re-derives the variance scale, until the log likelihood
-stops moving.  Both the updates and the log likelihood read the data only
-through the sample mean and the pq x pq scatter of the residuals about
-it, so a fit centers complete data once and, when n is large next to pq
-and pq small next to p + q, iterates on the pq rows of the residuals' R
-factor instead of the n residuals (``_residual_rows``).
+stops moving.  The updates read the data only through the sample mean
+and the pq x pq scatter of the residuals about it, so a fit centers
+complete data once and, when n is large next to pq and pq small next to
+p + q, iterates on the pq rows of the residuals' R factor instead of the
+n residuals (``_residual_rows``).  The log likelihood reads no data: each
+update maximizes over the scale, where the scaled quadratic forms sum to
+p * q * n, so it is a function of the scale and the two factors' log
+determinants alone.
 
 Every fit shares this machinery: ``_iterate`` is the one iteration loop
 (trace, unit-free convergence test, timing, record), run only by
@@ -476,17 +479,30 @@ def _observed_cell_means(values: np.ndarray) -> np.ndarray:
     return mean
 
 
-def _initial_params(values: np.ndarray) -> MatrixNormalParams:
-    """Identity shapes (their own inverses) at the cell means, pooled spread as scale."""
-    n, p, q = values.shape
-    mean = _observed_cell_means(values)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        sq_dev = np.nanmean((values - mean) ** 2)
+def _identity_start(mean: np.ndarray, sq_dev: float) -> MatrixNormalParams:
+    """Identity shapes (their own inverses) at ``mean``, the spread ``sq_dev`` as scale.
+
+    A spread of 0 gives scale 1.0.
+    """
+    p, q = mean.shape
     scale = float(sq_dev) if sq_dev > 0 else 1.0
     return MatrixNormalParams._factored(
         mean, np.eye(p), np.eye(q), scale, (np.eye(p), 0.0), (np.eye(q), 0.0)
     )
+
+
+def _initial_params(values: np.ndarray) -> MatrixNormalParams:
+    """The start of a class with holes: identity shapes at the observed cell means.
+
+    The scale is the mean square of the observed entries about those means.
+    A class without holes starts from its centered rows instead (see
+    :func:`matnorm.missing._fit_classes`).
+    """
+    mean = _observed_cell_means(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)
+        sq_dev = np.nanmean((values - mean) ** 2)
+    return _identity_start(mean, sq_dev)
 
 
 def _check_sample_size(values: np.ndarray, need: int, model: str) -> None:
@@ -512,7 +528,9 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
     updates may not have a unique optimum; the fit proceeds but warns.
 
     The fit is :func:`matnorm.missing._fit_classes` on one class without
-    holes: centered once, it iterates on the rows of :func:`_residual_rows`.
+    holes: centered once, its updates read the rows of
+    :func:`_residual_rows`, and its start and every log likelihood come in
+    closed form, with no pass over the data after the centering.
     """
     from .missing import _fit_one_class  # missing imports this module
 
