@@ -547,20 +547,22 @@ def _fit_classes(class_values: list, cfg: FitConfig, start: float) -> tuple[list
             return completions, frees, sum(logliks)
 
     else:
-        # Every set this loop evaluates is a start or a _pooled_m_step output
-        # at the sample means, and at either the scaled forms sum to
-        # sum_c dist_c / scale_c = pq * n_total: the start's scale is the
-        # mean square of the rows, and the pooled row step (jittered too,
-        # whose scale sum(inverse * raw) / dim maximizes at the jittered
-        # shape) maximizes over the scale.  So the log likelihood is the
-        # factors' log determinants and the scales alone.  Rows that do not
-        # spread give the start scale 1.0, where this is not the likelihood,
-        # but the first update from there raises SingularUpdateError.
+        # Every set this loop evaluates is the start or a _pooled_m_step
+        # output, each at the sample means, and at both sum_c dist_c /
+        # scale_c = pq * n_total: the start's scale is the mean square of the
+        # rows, and the pooled row step maximizes over the scale (a jittered
+        # one too: its scale sum(inverse * raw) / dim is the maximizer at the
+        # jittered shape).  So the log likelihood is sum_c n_c * (-pq/2 *
+        # log(2 pi scale_c) - q/2 * logdet_row - p/2 * logdet_col_c) - pq/2 *
+        # n_total, read off the scales and the log determinants each set
+        # carries.  Rows without spread start at scale 1.0, where this is not
+        # the likelihood; the first update from there raises
+        # SingularUpdateError, so no trace holding it is returned.
         initial = [
             _identity_start(mean, np.sum(rows * rows) / (n * mean.size))
             for mean, rows, n in held
         ]
-        pq_n = held[0][0].size * sum(n for _, _, n in held)
+        pq_n = sum(mean.size * n for mean, _, n in held)
 
         def e_step(sets):
             loglik = 0.0

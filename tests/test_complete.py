@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from support import random_params
+from support import knock_out, random_params, spy
 
-from matnorm import missing
+from matnorm import missing, mle, model
 from matnorm.missing import fit_em, fit_mm
 from matnorm.mle import (
     _STEP_TOL,
@@ -299,9 +299,89 @@ def test_fits_without_holes_never_index_or_condition_holes(monkeypatch):
     labels = np.repeat([1, 2], 30)
     monkeypatch.setattr(missing, "detect_pattern", refuse)
     monkeypatch.setattr(missing, "_e_step", refuse)
+    # nor does it evaluate a quadratic form: its log likelihood is closed form
+    forms = spy(monkeypatch, model._quadratic_forms)
     for fit in (fit_mle, fit_mm, fit_em):
         assert fit(data).converged
     assert fit_mm(ObservationSet(holed)).converged
     for values in (data.values, holed):
         assert fit_class_models(LabeledObservationSet(values, labels), "mm").converged
     assert fit_class_models(LabeledObservationSet(data.values, labels), "em").converged
+    assert forms == []
+
+
+def test_a_class_fit_with_holes_sums_quadratic_forms(monkeypatch):
+    rng = np.random.default_rng(8)
+    values = sample(random_params(rng, 3, 5), 60, rng).values
+    values[:30] = knock_out(values[:30], 0.1, rng)
+    forms = spy(monkeypatch, model._quadratic_forms)
+    fit_class_models(LabeledObservationSet(values, np.repeat([1, 2], 30)), "em")
+    assert forms
+
+
+def _three_classes(seed, method):
+    """A 3 x 5 three-class set and its ``fit_class_models`` call; the classes it fits.
+
+    With ``method`` "mm" the set has holes, which the fit fills first.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = (40, 50, 60)
+    values = np.concatenate([sample(random_params(rng, 3, 5), n, rng).values for n in sizes])
+    if method == "mm":
+        values = knock_out(values, 0.1, rng)
+    labels = np.repeat([1, 2, 3], sizes)
+    classes = [missing._mean_filled(values[labels == c]) for c in (1, 2, 3)]
+    return classes, lambda: fit_class_models(LabeledObservationSet(values, labels), method)
+
+
+def _one_class(seed, p, q, n, fit, holes=0.0, cond=None):
+    """A p x q set and the call of ``fit`` on it; the one class it fits.
+
+    ``holes`` knocks out that share of entries; ``cond`` draws both true
+    factors with that condition number.
+    """
+    rng = np.random.default_rng(seed)
+    if cond is None:
+        truth = random_params(rng, p, q)
+    else:
+        factors = _ill_conditioned(rng, p, cond), _ill_conditioned(rng, q, cond)
+        truth = MatrixNormalParams(rng.standard_normal((p, q)), *factors, 1.0)
+    values = knock_out(sample(truth, n, rng).values, holes, rng)
+    return [missing._mean_filled(values)], lambda: fit(ObservationSet(values))
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        pytest.param(lambda: _one_class(40, 3, 5, 25, fit_mle), 1e-12, id="mle-residuals"),
+        pytest.param(lambda: _one_class(41, 3, 7, 1000, fit_mle), 1e-12, id="mle-r-factor"),
+        pytest.param(lambda: _one_class(42, 4, 6, 80, fit_mm, 0.15), 1e-12, id="mm-filled"),
+        pytest.param(lambda: _one_class(43, 2, 4, 30, fit_em), 1e-12, id="em-complete"),
+        pytest.param(lambda: _three_classes(44, "em"), 1e-12, id="classes-em"),
+        pytest.param(lambda: _three_classes(45, "mm"), 1e-12, id="classes-mm"),
+        # at factor condition 1e7 the direct forms and the identity at a
+        # rounded update both carry roundoff of order eps * cond(row) *
+        # cond(col): the two traces were 5.6e-11 apart on the R factor's
+        # rows and 1.6e-9 on 25 residuals
+        pytest.param(
+            lambda: _one_class(46, 3, 7, 1000, fit_mle, cond=1e7), 1e-8, id="mle-r-factor-1e7"
+        ),
+        pytest.param(
+            lambda: _one_class(47, 3, 5, 25, fit_mle, cond=1e7), 1e-8, id="mle-residuals-1e7"
+        ),
+    ],
+)
+def test_trace_of_a_fit_without_holes_is_its_log_likelihood(monkeypatch, make, bound):
+    # every set the fit evaluates is its start or a flip-flop update, where
+    # the scaled forms sum to pq * n_total; so the closed-form trace entry
+    # is the log likelihood summed over the classes, set by set
+    classes, fit = make()
+    updates = spy(monkeypatch, mle._pooled_m_step)
+    trace = fit().loglik_trace
+    sets = [updates[0].args[2]] + [update.result for update in updates]
+    assert len(sets) == len(trace) > 2
+    direct = [
+        sum(full_log_likelihood(ObservationSet(v), prm) for v, prm in zip(classes, each))
+        for each in sets
+    ]
+    np.testing.assert_allclose(trace, direct, rtol=bound, atol=0)
