@@ -559,7 +559,7 @@ def _fit_classes(class_values: list, cfg: FitConfig, start: float) -> tuple[list
         # the likelihood; the first update from there raises
         # SingularUpdateError, so no trace holding it is returned.
         initial = [
-            _identity_start(mean, np.sum(rows * rows) / (n * mean.size))
+            _identity_start(mean, np.vdot(rows, rows) / (n * mean.size))
             for mean, rows, n in held
         ]
         pq_n = sum(mean.size * n for mean, _, n in held)

@@ -18,7 +18,6 @@ from matnorm.linalg import (
     _PIVOT_TOL,
     _POTRI_MIN_HOLES,
     SingularPivotError,
-    kron,
     vec,
 )
 from matnorm.mle import (
@@ -30,7 +29,6 @@ from matnorm.mle import (
     fit_mle,
 )
 from matnorm.missing import (
-    ConditionalMoments,
     _conditional_grid,
     _e_step,
     conditional_moments,

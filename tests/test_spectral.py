@@ -14,7 +14,6 @@ from matnorm.spectral import (
     ClassModel,
     ClusterMerge,
     LabeledObservationSet,
-    PcaResult,
     _projected_params,
     class_distance,
     distance_matrix,
