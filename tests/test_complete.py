@@ -361,8 +361,8 @@ def _one_class(seed, p, q, n, fit, holes=0.0, cond=None):
         pytest.param(lambda: _three_classes(45, "mm"), 1e-12, id="classes-mm"),
         # at factor condition 1e7 the direct forms and the identity at a
         # rounded update both carry roundoff of order eps * cond(row) *
-        # cond(col): the two traces were 5.6e-11 apart on the R factor's
-        # rows and 1.6e-9 on 25 residuals
+        # cond(col): the two traces were 7.9e-11 apart on the R factor's
+        # rows and 4.9e-10 on 25 residuals
         pytest.param(
             lambda: _one_class(46, 3, 7, 1000, fit_mle, cond=1e7), 1e-8, id="mle-r-factor-1e7"
         ),

@@ -32,17 +32,11 @@ def unused_imports(source: str) -> list:
             bound.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
     read = _names(tree)
     for node in ast.walk(tree):
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
-            annotations = [a.annotation for a in every if a is not None] + [node.returns]
-        elif isinstance(node, ast.AnnAssign):
-            annotations = [node.annotation]
-        elif isinstance(node, ast.Assign) and "__all__" in _names(node.targets[0]):
+        if isinstance(node, ast.Assign) and "__all__" in _names(node.targets[0]):
             read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
-        for annotation in filter(None, annotations):
-            for const in ast.walk(annotation):
+        # an argument's or assignment's annotation, a function's return one
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for const in ast.walk(annotation) if annotation else ():
                 if isinstance(const, ast.Constant) and isinstance(const.value, str):
                     read |= _names(ast.parse(const.value, mode="eval"))
     return [(line, name) for line, name in bound if name not in read]
