@@ -64,13 +64,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (
     _condition_block,
     ensure_spd,
     indicator_matrix,
+    lower_solve,
     spd_cholesky,
+    spd_solve,
     unvec,
 )
 from .mle import (
@@ -429,18 +430,12 @@ def _e_step(
             x = solve(chols[0], r.transpose(1, 0, 2).reshape(p, n * q))
             return solve(chols[1], x.reshape(p, n, q).transpose(1, 0, 2).reshape(n * p, q).T)
 
-        def cho(chol, b):
-            return scipy.linalg.cho_solve((chol, True), b)
-
-        def white(chol, b):
-            return scipy.linalg.solve_triangular(chol, b, lower=True)
-
         for _ in range(2):
-            grad = np.take(through(cho, resid).T, pattern._at)
+            grad = np.take(through(spd_solve, resid).T, pattern._at)
             for g, free in zip(pattern._groups, free_by_group):
                 shift[g.span] -= (free @ grad[g.span].reshape(-1, g.m, 1)).ravel()
             np.put(resid, pattern._at, shift)
-        dist = float(np.sum(through(white, resid) ** 2))
+        dist = float(np.sum(through(lower_solve, resid) ** 2))
     else:
         dist = float(np.sum(_quadratic_forms(resid, row_prec, col_prec)))
     completions = values.copy()
@@ -468,7 +463,7 @@ def _conditional_grid(
     every group.  The scatter lands at the packed pair positions of :class:`MissingPattern`,
     on a (q * q, 2**k) grid whose rows are padded past p * p; the grid
     returned is the view of its first p * p columns.  None when nothing is
-    missing: no groups, or None for a class without holes (:func:`_held`).
+    missing: no groups, or None for a class without holes (:func:`_complete`).
     """
     if not free_by_group:
         return None
@@ -484,24 +479,33 @@ def _conditional_grid(
     return grid[:, : p * p].reshape(q, q, p, p)
 
 
-def _held(values: np.ndarray) -> "MissingPattern | tuple":
-    """A class's :func:`detect_pattern`; without holes, (mean, residual rows, count).
+def _complete(values: np.ndarray) -> tuple:
+    """A class without holes as a fit holds it: (values, (mean, residual rows, count)).
 
-    The tuple is all a fit reads of a class without holes: its start, the
-    completions every E-step hands on, and the count that weighs its log
-    likelihood (see :func:`_fit_classes`).
+    The inner tuple is all a fit reads of a class without holes: its start,
+    the completions every E-step hands on, and the count that weighs its
+    log likelihood (see :func:`_fit_classes`).  The caller has already
+    established that ``values`` has no holes, so this does not scan for them.
+    """
+    mean, resid, n = _centered(values)
+    return values, (mean, _residual_rows(resid), n)
+
+
+def _held(values: np.ndarray) -> tuple:
+    """A class as a fit holds it: (values, its :func:`detect_pattern`), or :func:`_complete`.
+
+    The one scan for holes of a class whose values may have them.
     """
     if np.isnan(values).any():
-        return detect_pattern(values)
-    mean, resid, n = _centered(values)
-    return mean, _residual_rows(resid), n
+        return values, detect_pattern(values)
+    return _complete(values)
 
 
 def _class_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple:
     """One class's E-step in a fit where some class has holes.
 
     :func:`_e_step` when this class has holes.  A class without holes hands
-    on its :func:`_held` tuple as completions and no conditional
+    on its :func:`_complete` tuple as completions and no conditional
     covariances; an extrapolated set is no maximum, so its log likelihood
     sums the forms over the rows plus n times the form of the sample mean's
     offset from ``params.mean``, which together are the n observations'.
@@ -515,7 +519,7 @@ def _class_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple
     return held, None, float(_log_likelihood(dist, n, params, row_logdet, col_logdet))
 
 
-def _fit_classes(class_values: list, cfg: FitConfig, start: float) -> tuple[list, list, FitResult]:
+def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, list, FitResult]:
     """The Kronecker EM of K classes that share one row factor.
 
     The one Kronecker driver, behind :func:`~matnorm.mle.fit_mle`,
@@ -528,11 +532,14 @@ def _fit_classes(class_values: list, cfg: FitConfig, start: float) -> tuple[list
     extrapolates on those coordinates, back through
     :func:`~matnorm.mle._squarem_params`, where holes slow the ascent.
     Without holes the fit is the flip-flop: each class starts from its
-    :func:`_held` tuple and no E-step reads the data.  ``start`` is the
-    caller's entry time.  Returns each class's parameters, its completions
-    (a class without holes, its values), and the fit record.
+    :func:`_complete` tuple and no E-step reads the data.  ``classes``
+    holds each class as :func:`_held` or, when the caller has ruled out
+    holes, :func:`_complete` returns it, so each class is scanned for holes
+    once per fit.  ``start`` is the caller's entry time.  Returns each
+    class's parameters, its completions (a class without holes, its
+    values), and the fit record.
     """
-    held = [_held(values) for values in class_values]
+    class_values, held = zip(*classes)
 
     def m_step(sets, moments):
         grids = [_conditional_grid(pt, fr) for pt, fr in zip(held, moments[1])]
@@ -580,11 +587,12 @@ def _fit_classes(class_values: list, cfg: FitConfig, start: float) -> tuple[list
     return sets, completions, result
 
 
-def _fit_one_class(values: np.ndarray, cfg: FitConfig, start: float) -> FitResult:
-    """:func:`_fit_classes` on one class, after the sample size check."""
+def _fit_one_class(one: tuple, cfg: FitConfig, start: float) -> FitResult:
+    """:func:`_fit_classes` on one class held as :func:`_held` returns it, after the size check."""
+    values = one[0]
     p, q = values.shape[1:]
     _check_sample_size(values, max(p, q), f"a {p} x {q} model")
-    (params,), _, result = _fit_classes([values], cfg, start)
+    (params,), _, result = _fit_classes([one], cfg, start)
     result.params = params
     return result
 
@@ -598,7 +606,7 @@ def fit_em(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
     update; it is non-decreasing up to roundoff.
     """
     start = time.perf_counter()
-    return _fit_one_class(data.values, config or FitConfig(), start)
+    return _fit_one_class(_held(data.values), config or FitConfig(), start)
 
 
 def _mean_filled(values: np.ndarray) -> np.ndarray:
@@ -618,7 +626,7 @@ def fit_mm(data: ObservationSet, config: "FitConfig | None" = None) -> FitResult
     The trace is the complete data log likelihood of the filled set.
     """
     start = time.perf_counter()
-    return _fit_one_class(_mean_filled(data.values), config or FitConfig(), start)
+    return _fit_one_class(_complete(_mean_filled(data.values)), config or FitConfig(), start)
 
 
 @dataclass(eq=False)
@@ -674,5 +682,5 @@ def fit_gem(
             # name the cell never observed in the p x q layout, not the 1 x pq one
             _observed_cell_means(values)
             warnings.filterwarnings("ignore", "cell .* is missing in every observation")
-        (params,), _, result = _fit_classes([rows], config or FitConfig(), start)
+        (params,), _, result = _fit_classes([_held(rows)], config or FitConfig(), start)
     return UnstructuredParams(p, q, params.mean.ravel(), params.scale * params.col_cov), result

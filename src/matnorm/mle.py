@@ -532,7 +532,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
     :func:`_residual_rows`, and its start and every log likelihood come in
     closed form, with no pass over the data after the centering.
     """
-    from .missing import _fit_one_class  # missing imports this module
+    from .missing import _complete, _fit_one_class  # missing imports this module
 
     start = time.perf_counter()
     values = data.values
@@ -542,7 +542,7 @@ def fit_mle(data: ObservationSet, config: "FitConfig | None" = None) -> FitResul
             f"fit_mle requires complete data; first missing entry at "
             f"observation {i}, row {r}, column {c}"
         )
-    return _fit_one_class(values, config or FitConfig(), start)
+    return _fit_one_class(_complete(values), config or FitConfig(), start)
 
 
 def stationarity_residual(data: ObservationSet, params: MatrixNormalParams) -> float:

@@ -289,25 +289,24 @@ def observed_log_likelihood(data: ObservationSet, params: MatrixNormalParams) ->
     For each observation the observed coordinates of the column-stacked
     matrix are jointly normal with the matching sub-mean and the matching
     rows and columns of the full covariance; this evaluates that marginal
-    density directly from the pq x pq covariance.  Deliberately simple: the
-    fitting code has a faster route, and this one serves as its reference.
+    density directly from the pq x pq covariance, a fully observed matrix
+    included.  Deliberately simple: the fitting code has a faster route, and
+    this one serves as its reference, so it factors with
+    ``scipy.linalg.cholesky`` and ``solve_triangular`` rather than the
+    package's own LAPACK calls in :mod:`matnorm.linalg`.
     """
     values = _checked_values(data, params)
     full_cov = params.full_covariance()
     mean_vec = vec(params.mean)
     total = 0.0
     for i in range(data.n_obs):
-        x = values[i]
-        if not np.isnan(x).any():
-            total += log_density(x, params)
-            continue
-        x_vec = vec(x)
+        x_vec = vec(values[i])
         obs = np.flatnonzero(~np.isnan(x_vec))
         if obs.size == 0:
             raise DataError(f"observation {i} has no observed entries")
         resid = x_vec[obs] - mean_vec[obs]
         sub_cov = full_cov[np.ix_(obs, obs)]
-        chol = spd_cholesky(sub_cov)
+        chol = scipy.linalg.cholesky(sub_cov, lower=True)
         white = scipy.linalg.solve_triangular(chol, resid, lower=True)
         total += (
             -0.5 * obs.size * math.log(2.0 * math.pi)

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import spd_cholesky, spd_inverse
+from .linalg import spd_cholesky, spd_inverse, spd_solve
 from .mle import EstimationError, FitConfig
-from .missing import _fit_classes, _mean_filled
+from .missing import _complete, _fit_classes, _held, _mean_filled
 from .model import DataError, MatrixNormalParams, ObservationSet
 from .model import _log_densities, _whole_labels
 from .model import log_density  # noqa: F401  (spectral.log_density stays a public binding)
@@ -117,8 +117,10 @@ def fit_class_models(
     class_ids = [data.class_indices(c) for c in range(1, data.n_classes + 1)]
     class_values = [data.values[ids] for ids in class_ids]
     if method == "mm":
-        class_values = [_mean_filled(vals) for vals in class_values]
-    class_params, completions, result = _fit_classes(class_values, cfg, start)
+        classes = [_complete(_mean_filled(vals)) for vals in class_values]
+    else:
+        classes = [_held(vals) for vals in class_values]
+    class_params, completions, result = _fit_classes(classes, cfg, start)
     merged = np.empty_like(data.values)
     for ids, comp in zip(class_ids, completions):
         merged[ids] = comp
@@ -241,9 +243,7 @@ def class_distance(
     mean_j = np.asarray(mean_j, float)
     s = prec_i + prec_j
     chol = spd_cholesky(s)
-    center = prec_i @ scipy.linalg.cho_solve((chol, True), mean_i) + prec_j @ (
-        scipy.linalg.cho_solve((chol, True), mean_j)
-    )
+    center = prec_i @ spd_solve(chol, mean_i) + prec_j @ spd_solve(chol, mean_j)
     d_i = mean_i - center
     d_j = mean_j - center
     return float(d_i @ prec_i @ d_i + d_j @ prec_j @ d_j)

@@ -1,4 +1,4 @@
-"""What the test modules share: random parameters and holes, an ascent check, a call spy."""
+"""What the test modules share: random parameters and holes, an ascent check, call swaps."""
 
 import sys
 from dataclasses import dataclass
@@ -60,23 +60,13 @@ class Call:
     result: object = None
 
 
-def spy(monkeypatch, fn):
-    """Record each call of ``fn``, through every ``matnorm`` binding of it.
+def swap(monkeypatch, fn, replacement):
+    """Put ``replacement`` in place of ``fn`` at every ``matnorm`` binding of it.
 
-    Every module attribute under ``matnorm`` that is ``fn`` itself is swapped
-    for a recorder, so the count does not depend on which module the caller
-    imported ``fn`` from.  A call is recorded on entry, so one that raises is
-    counted too, with ``result`` left None.  Returns the list of :class:`Call`
-    records.
+    Every module attribute under ``matnorm`` that is ``fn`` itself is
+    swapped, so a call reaches ``replacement`` whichever module the caller
+    imported ``fn`` from.  Returns the (module, name) bindings swapped.
     """
-    calls = []
-
-    def recorded(*args, **kwargs):
-        call = Call(args)
-        calls.append(call)
-        call.result = fn(*args, **kwargs)
-        return call.result
-
     bindings = [
         (module, name)
         for module_name, module in list(sys.modules.items())
@@ -86,5 +76,23 @@ def spy(monkeypatch, fn):
     ]
     assert bindings, f"no matnorm module binds {fn!r}"
     for module, name in bindings:
-        monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(module, name, replacement)
+    return bindings
+
+
+def spy(monkeypatch, fn):
+    """Record each call of ``fn``, through every ``matnorm`` binding of it (:func:`swap`).
+
+    A call is recorded on entry, so one that raises is counted too, with
+    ``result`` left None.  Returns the list of :class:`Call` records.
+    """
+    calls = []
+
+    def recorded(*args, **kwargs):
+        call = Call(args)
+        calls.append(call)
+        call.result = fn(*args, **kwargs)
+        return call.result
+
+    swap(monkeypatch, fn, recorded)
     return calls

@@ -9,13 +9,14 @@ import logging
 
 import numpy as np
 import pytest
-from support import spy
+import scipy.linalg
+from support import ill_conditioned_cov, knock_out, spy, swap
 
-from matnorm import linalg, mle
+from matnorm import linalg, missing, mle
 from matnorm.missing import _e_step, detect_pattern, fit_em, fit_gem, fit_mm
 from matnorm.mle import FitConfig, fit_mle
 from matnorm.model import MatrixNormalParams, ObservationSet, _log_densities, sample
-from matnorm.simulate import inject_missing, random_params
+from matnorm.simulate import _replicate_rngs, inject_missing, random_params
 from matnorm.spectral import LabeledObservationSet, fit_class_models
 
 CLEAN = sample(random_params(3, 5, 41), 120, 42).values
@@ -121,3 +122,82 @@ def test_reassigned_factor_is_factored_again(factor):
     for a, b in zip(got[1], want[1]):
         np.testing.assert_array_equal(a, b)
     assert got[2] == want[2]
+
+
+def _scipy_cholesky(a):
+    return scipy.linalg.cholesky(a, lower=True)
+
+
+def _scipy_inverse(a):
+    chol = _scipy_cholesky(a)
+    logdet = float(2.0 * np.sum(np.log(np.diag(chol))))
+    inv = scipy.linalg.cho_solve((chol, True), np.eye(a.shape[0]))
+    return (inv + inv.T) / 2.0, logdet
+
+
+def _ill_conditioned_values():
+    """3 x 5 draws at factor condition about 1e3 and 1e4, 15% holes: em refines."""
+    rng = np.random.default_rng(0)
+    row = ill_conditioned_cov(rng, 3, 1e3)
+    col = ill_conditioned_cov(rng, 5, 1e4)
+    params = MatrixNormalParams(rng.standard_normal((3, 5)), row / row[0, 0], col / col[0, 0], 1.0)
+    return knock_out(sample(params, 200, rng).values, 0.15, rng)
+
+
+def _collapsing_gem_values():
+    """The paper grid's 3 x 7, N=250, 20% cell at seed 1: gem's covariance nears singular."""
+    params_rng, sample_rng, miss_rng = _replicate_rngs(1, 3, 7, 250, 0.2, 0)
+    truth = random_params(3, 7, params_rng)
+    return inject_missing(sample(truth, 250, sample_rng), 0.2, miss_rng).values
+
+
+def _fingerprint(fitted):
+    """A fit's trace and parameters as bytes."""
+    if isinstance(fitted, tuple):  # fit_gem
+        params, result = fitted
+        arrays = [params.mean, params.cov]
+    else:
+        result = fitted
+        arrays = [
+            a
+            for prm in getattr(fitted, "class_params", None) or [fitted.params]
+            for a in (prm.mean, prm.row_cov, prm.col_cov, np.float64(prm.scale))
+        ]
+    return [np.asarray(result.loglik_trace).tobytes()] + [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize(
+    "fit, refines",
+    [
+        (lambda: fit_mle(ObservationSet(CLEAN[:25])), False),
+        (lambda: fit_mle(ObservationSet(sample(random_params(3, 7, 47), 1000, 48).values)), False),
+        (lambda: fit_mm(MASKED_SET), False),
+        (lambda: fit_em(MASKED_SET), False),
+        (lambda: fit_em(ObservationSet(_ill_conditioned_values())), True),
+        (lambda: fit_gem(MASKED_SET), False),
+        (lambda: fit_gem(ObservationSet(_collapsing_gem_values())), True),
+        (lambda: fit_class_models(LABELED_SET, "em"), False),
+    ],
+    ids=[
+        "fit_mle-residuals", "fit_mle-r-factor-rows", "fit_mm", "fit_em", "fit_em-refined",
+        "fit_gem", "fit_gem-collapsing", "fit_class_models-em",
+    ],
+)
+def test_whole_fit_matches_scipy_factorizations_bit_for_bit(monkeypatch, fit, refines):
+    # the factorizations call the LAPACK routines behind scipy.linalg's
+    # wrappers directly; with scipy.linalg in their place at every binding
+    # a fit must record the same trace and parameters, byte for byte
+    direct = _fingerprint(fit())
+    swap(monkeypatch, linalg.spd_cholesky, _scipy_cholesky)
+    swap(monkeypatch, linalg.spd_inverse, _scipy_inverse)
+    swap(monkeypatch, linalg.spd_solve, lambda chol, b: scipy.linalg.cho_solve((chol, True), b))
+    swap(
+        monkeypatch, linalg.lower_solve,
+        lambda chol, b: scipy.linalg.solve_triangular(chol, b, lower=True),
+    )
+    refined = []  # the refined E-step is missing's one caller of spd_cholesky
+    monkeypatch.setattr(missing, "spd_cholesky", lambda a: refined.append(a) or _scipy_cholesky(a))
+    reference = _fingerprint(fit())
+    assert bool(refined) == refines
+    assert len(reference[0]) > 3 * 8
+    assert direct == reference

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from support import spy
+import scipy.linalg
+from support import ill_conditioned_cov, spy
 
 from matnorm import linalg
 from matnorm.linalg import (
@@ -10,9 +11,11 @@ from matnorm.linalg import (
     ensure_spd,
     indicator_matrix,
     kron,
+    lower_solve,
     spd_cholesky,
     spd_inverse,
     spd_logdet,
+    spd_solve,
     sweep,
     unvec,
     vec,
@@ -128,6 +131,92 @@ def test_spd_cholesky_is_lower():
     l = spd_cholesky(a)
     np.testing.assert_allclose(np.triu(l, k=1), 0.0, atol=0.0)
     np.testing.assert_allclose(l @ l.T, a, atol=1e-12)
+
+
+def layouts(a):
+    """``a`` C-ordered, Fortran-ordered, and as a strided view of a larger array."""
+    d = a.shape[0]
+    big = np.zeros((2 * d, 2 * d))
+    big[::2, ::2] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a), "strided": big[::2, ::2]}
+
+
+def spd_ladder(rng, d):
+    """SPD matrices of size d at condition numbers of about d, 1e6 and 1e12."""
+    return [random_spd(rng, d)] + [ill_conditioned_cov(rng, d, c) for c in (1e6, 1e12)]
+
+
+def test_factorizations_match_scipy_bit_for_bit():
+    # the direct LAPACK calls are the routines scipy.linalg's wrappers call
+    # with the same arguments, so factor, inverse and log determinant must
+    # agree to the last bit, whatever the size, the layout or the condition
+    rng = np.random.default_rng(60)
+    for d in range(1, 65):
+        for a in spd_ladder(rng, d):
+            for layout, x in layouts(a).items():
+                kept = x.copy()
+                want = scipy.linalg.cholesky(x, lower=True)
+                got = spd_cholesky(x)
+                where = f"d={d} {layout}"
+                assert np.array_equal(got, want), where
+                assert got.flags.f_contiguous == want.flags.f_contiguous, where
+                assert not np.triu(got, 1).any(), where
+                inverse = scipy.linalg.cho_solve((want, True), np.eye(d))
+                logdet = float(2.0 * np.sum(np.log(np.diag(want))))
+                got_inverse, got_logdet = spd_inverse(x)
+                assert np.array_equal(got_inverse, (inverse + inverse.T) / 2.0), where
+                assert got_logdet == logdet and spd_logdet(x) == logdet, where
+                assert np.array_equal(x, kept), where
+
+
+def test_solves_match_scipy_bit_for_bit():
+    # right-hand sides as the refined E-step passes them (C-contiguous
+    # reshapes and transposed views), a class mean's 1-d vector, and
+    # factors in both layouts, the lower solve's transposed branch included
+    rng = np.random.default_rng(61)
+    for d in range(1, 65):
+        for a in spd_ladder(rng, d)[::2]:
+            chol = spd_cholesky(a)
+            rhs = {
+                "vector": rng.standard_normal(d),
+                "C": rng.standard_normal((d, 6)),
+                "transposed": rng.standard_normal((5, d)).T,
+                "reshaped": rng.standard_normal((3, d, 4)).transpose(1, 0, 2).reshape(d, 12),
+            }
+            for layout, factor in (("F", chol), ("C", np.ascontiguousarray(chol))):
+                for kind, b in rhs.items():
+                    kept = b.copy()
+                    where = f"d={d} factor {layout} rhs {kind}"
+                    want = scipy.linalg.cho_solve((factor, True), b)
+                    assert np.array_equal(spd_solve(factor, b), want), where
+                    want = scipy.linalg.solve_triangular(factor, b, lower=True)
+                    assert np.array_equal(lower_solve(factor, b), want), where
+                    assert np.array_equal(b, kept), where
+
+
+def scipy_error(fn, a):
+    with pytest.raises(Exception) as info:
+        fn(a)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [spd_cholesky, spd_inverse, spd_logdet])
+def test_non_finite_input_raises_scipys_error(fn, bad):
+    a = random_spd(np.random.default_rng(62), 4)
+    a[2, 1] = bad
+    want = scipy_error(lambda x: scipy.linalg.cholesky(x, lower=True), a)
+    assert want == (ValueError, "array must not contain infs or NaNs")
+    assert scipy_error(fn, a) == want
+
+
+@pytest.mark.parametrize("fn", [spd_cholesky, spd_inverse, spd_logdet])
+def test_indefinite_input_raises_scipys_error(fn):
+    a = random_spd(np.random.default_rng(63), 5)
+    a[3, 3] = -1.0
+    want = scipy_error(lambda x: scipy.linalg.cholesky(x, lower=True), a)
+    assert want[0] is np.linalg.LinAlgError and "leading minor" in want[1]
+    assert scipy_error(fn, a) == want
 
 
 def sweep_oracle(a, pivots):
