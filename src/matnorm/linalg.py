@@ -99,7 +99,7 @@ def spd_cholesky(a: np.ndarray) -> np.ndarray:
     ``scipy.linalg.cholesky(a, lower=True)`` for a float64 ``a``: the same
     Fortran-ordered factor with exact zeros above the diagonal, and the same
     ``ValueError`` for a non-finite entry and ``LinAlgError`` for a matrix
-    that is not positive definite.  Only the lower triangle is read.
+    that is not positive definite.  LAPACK reads only the lower triangle.
     """
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")

@@ -505,8 +505,8 @@ def _class_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple
     """One class's E-step in a fit where some class has holes.
 
     :func:`_e_step` when this class has holes.  A class without holes hands
-    on its :func:`_complete` tuple as completions and no conditional
-    covariances; an extrapolated set is no maximum, so its log likelihood
+    on its (mean, rows, count) tuple from :func:`_complete` as completions
+    and no conditional covariances; an extrapolated set is no maximum, so its log likelihood
     sums the forms over the rows plus n times the form of the sample mean's
     offset from ``params.mean``, which together are the n observations'.
     """
@@ -532,10 +532,10 @@ def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, lis
     extrapolates on those coordinates, back through
     :func:`~matnorm.mle._squarem_params`, where holes slow the ascent.
     Without holes the fit is the flip-flop: each class starts from its
-    :func:`_complete` tuple and no E-step reads the data.  ``classes``
-    holds each class as :func:`_held` or, when the caller has ruled out
-    holes, :func:`_complete` returns it, so each class is scanned for holes
-    once per fit.  ``start`` is the caller's entry time.  Returns each
+    (mean, rows, count) tuple from :func:`_complete` and no E-step reads
+    the data.  ``classes`` holds each class as :func:`_held` or, when the
+    caller has ruled out holes, :func:`_complete` returns it, so each class
+    is scanned for holes once per fit.  ``start`` is the caller's entry time.  Returns each
     class's parameters, its completions (a class without holes, its
     values), and the fit record.
     """

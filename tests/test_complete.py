@@ -310,6 +310,33 @@ def test_fits_without_holes_never_index_or_condition_holes(monkeypatch):
     assert forms == []
 
 
+def test_each_class_of_a_fit_without_holes_is_scanned_for_holes_once(monkeypatch):
+    # fit_mle and fit_mm rule holes out on the way in and hand the driver a
+    # class it does not scan again; em scans each class once, to find out
+    rng = np.random.default_rng(9)
+    data = sample(random_params(rng, 3, 5), 60, rng)
+    labeled = LabeledObservationSet(data.values, np.repeat([1, 2, 3], 20))
+    real = np.isnan
+    scans = []
+
+    def isnan(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            scans.append(len(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isnan", isnan)
+    for fit, classes in (
+        (lambda: fit_mle(data), [60]),
+        (lambda: fit_mm(data), [60]),
+        (lambda: fit_em(data), [60]),
+        (lambda: fit_class_models(labeled, "mm"), [20] * 3),
+        (lambda: fit_class_models(labeled, "em"), [20] * 3),
+    ):
+        scans.clear()
+        fit()
+        assert scans == classes
+
+
 def test_a_class_fit_with_holes_sums_quadratic_forms(monkeypatch):
     rng = np.random.default_rng(8)
     values = sample(random_params(rng, 3, 5), 60, rng).values
