@@ -23,15 +23,24 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 _PIVOT_TOL = 1e-12
-# Hole sets of at least this many entries take their inverse from the
-# Cholesky factor, one LAPACK dpotri per block (about 2 m**3 / 3 flops) in
-# place in the factor stack, then one mirroring add.  Smaller ones take one
-# batched LU inverse (np.linalg.inv, about 8 m**3 / 3 flops).  Timing one
-# group's inverse, mirror included, with BLAS on one thread for 3 to 300
-# blocks, the dpotri path took 0.72-0.76 of inv's time at m = 9 and at most
-# 0.68 from m = 10 up, but 0.82-1.03 at m = 8 and up to 1.29 at m <= 6,
-# where a Python loop of small dpotri calls loses to inv's single call.
-_POTRI_MIN_HOLES = 9
+# Hole sets of at least this many entries are inverted from the Cholesky
+# factor, one LAPACK dpotri per block in place in the factor stack, then one
+# mirroring add; smaller ones are swept (_swept), m vectorized steps over the
+# whole stack, which cost 5 to 10 us each in numpy calls on a small stack
+# against about 1 us per dpotri call.  Timing one group, pivots and
+# inverse, with BLAS on one thread, the sweep took 0.2-0.6 of the Cholesky
+# and dpotri's time for 100 to 300 sets of 4 to 7 holes and 0.6-1.0 at 8
+# and 9, but 1.2-2.5 times as long for 10 sets and 2-6 times for one.
+# Summed over the group shapes that occur, the kernel's time was lowest for
+# a cut-off of 6 to 8: at 7 it was 16.1, 46.4 and 71.7 ms for three fit_em
+# calls at 3 x 7, N = 1000, 20% MCAR and one pass of the em and gem paper
+# grids, against 16.1, 53.7 and 83.1 ms at 9, and 33.8, 72.2 and 111.3 ms
+# for the Cholesky and LU inverse that took sets below 9 holes before.  Three
+# dropout class fits at 5 x 10 (sets of 5, 10, ... holes, one of each) took
+# 12.8 ms at 6 to 10, against 10.1 at 5 or less, and three 3 x 7 class fits
+# of 100 observations at 10% MCAR (1 to 35 sets a group) 12.3 ms at 7,
+# against 9.0 ms with the LU inverse.
+_POTRI_MIN_HOLES = 7
 
 
 class SingularPivotError(np.linalg.LinAlgError):
@@ -200,6 +209,47 @@ def sweep(a: np.ndarray, pivots: "list[int] | np.ndarray") -> np.ndarray:
     return b
 
 
+def _swept(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots and inverses of a stack of SPD matrices, from one batched sweep.
+
+    Sweeps pivots 0, ..., m - 1 of every matrix in the (U, m, m) stack in
+    turn: m rank-one steps, each over the whole stack, on a batch-last (m,
+    m, U) copy, so each step reads whole rows of the copy.  Step k reads
+    the pivot ``d``, the Schur complement diagonal that is ``L[k, k]**2``
+    for the Cholesky factor L, and column k, whose scaled copy ``s =
+    a[:, k] / sqrt(d)`` is column k of L; it subtracts ``s s.T`` and
+    stores ``s / sqrt(d)`` in row and column k and ``-1 / d`` at the pivot.
+    Only the lower triangle of each matrix is read, and ``s s.T`` keeps the
+    stack exactly symmetric.  Subtracting ``a[:, k] / d`` times row k
+    instead rounds asymmetrically, which cost the shifts ``-free @ h`` up
+    to 10**4 times the error of LAPACK's inverses on blocks of condition
+    1e8.  Sweeping every pivot
+    leaves minus the inverse; ``0 - a`` rather than ``-a`` returns it, so
+    that its zeros, those of an identity block for one, stay +0 as LAPACK
+    leaves them.
+
+    Returns the (U, m) pivots and the (U, m, m) inverses.  Past a matrix's
+    first pivot that is not positive both are meaningless, and numpy's
+    warnings about them are silenced: the caller checks the pivots.
+    ``block`` is never written.
+    """
+    a = block.transpose(1, 2, 0).copy()
+    pivots = np.empty(a.shape[1:])
+    with np.errstate(all="ignore"):
+        for k in range(len(a)):
+            pivots[k] = a[k, k]
+            root = np.sqrt(pivots[k])
+            s = a[:, k] / root
+            a -= s[:, None] * s
+            s /= root
+            a[:, k] = s
+            a[k] = s
+            a[k, k] = -1.0 / pivots[k]
+    free = np.empty(block.shape)
+    np.subtract(0.0, a.transpose(2, 0, 1), out=free)
+    return pivots.T, free
+
+
 def _condition_block(
     block: np.ndarray,
     h: np.ndarray,
@@ -218,21 +268,23 @@ def _condition_block(
     missing precision blocks ``Omega_mm``, gathered by the caller (entrywise
     from the two factors, ``col_prec[cols[a], cols[c]] * row_prec[rows[a],
     rows[c]]``, in the Kronecker case).  This yields what sweeping the holes
-    out of the precision would.  One batched Cholesky ``Omega_mm = L L.T``
-    gives the sweep's pivot values, ``diag(L)**2``, and with them ``log det
-    Omega_mm``; the swept block ``free = inv(Omega_mm)`` is the scale free
-    conditional covariance, and ``-free @ h`` the conditional mean
-    shift.  With at least ``_POTRI_MIN_HOLES`` holes the inverse is taken
-    from ``L`` itself, one LAPACK ``dpotri`` per block, a quarter of the
-    flops of the LU inverse: it overwrites each factor in the stack
-    ``np.linalg.cholesky`` returned with one triangle of the inverse, and
-    one add of the stack and its transpose, with the doubled diagonal
-    halved, mirrors it to the full block.  Below that one batched
-    ``np.linalg.inv`` is faster than a Python loop of small ``dpotri``
-    calls.  A stack whose Cholesky failed but whose pivots, found by
-    elimination, pass the check has no ``L`` and takes ``np.linalg.inv``
-    too.  Either way ``free`` is exactly symmetric, and ``block`` is never
-    written.
+    out of the precision would: the sweep's pivot values, whose logs sum to
+    ``log det Omega_mm``, the swept block ``free = inv(Omega_mm)``, the
+    scale free conditional covariance, and ``-free @ h``, the conditional
+    mean shift.
+
+    Below ``_POTRI_MIN_HOLES`` holes the stack is swept, all of it at once
+    (:func:`_swept`): its m vectorized steps give the pivots and the
+    inverse.  From that many holes up one batched Cholesky ``Omega_mm = L
+    L.T`` gives the pivots, ``diag(L)**2``, and the inverse is taken from
+    ``L`` itself, one LAPACK ``dpotri`` per block: it overwrites each factor
+    in the stack ``np.linalg.cholesky`` returned with one triangle of the
+    inverse, and one add of the stack and its transpose, with the doubled
+    diagonal halved, mirrors it to the full block.  A stack whose Cholesky
+    fails is swept too, which locates the bad pivot; one whose pivots pass
+    the check after all, as they can since the sweep rounds differently
+    from LAPACK, keeps the sweep's inverse.  Either way ``free`` is exactly
+    symmetric, and ``block`` is never written.
 
     The block depends on the holes alone, so members with the same holes
     share it.  Given ``first``, the member positions of the first member
@@ -248,32 +300,21 @@ def _condition_block(
     first member with a bad pivot at that step; sharing blocks leaves the
     position unchanged, since each set's first member is its earliest.
     """
-    try:
-        chol = np.linalg.cholesky(block)
-        pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
-    except np.linalg.LinAlgError:
-        # Some block is not positive definite: eliminate step by step to get
-        # the pivots, the successive Schur complement diagonals.  Past a
-        # block's first bad pivot they are meaningless; only the first bad
-        # step is reported.  Elimination rounds differently from LAPACK, so
-        # a stack can pass the pivot check here with no factor to invert
-        # from; it takes the LU inverse below.
-        chol = None
-        a = block.copy()
-        pivots = np.empty(block.shape[:2])
-        with np.errstate(all="ignore"):
-            for t in range(block.shape[1]):
-                pivots[:, t] = a[:, t, t]
-                a -= a[:, :, t, None] * a[:, None, t, :] / pivots[:, t, None, None]
+    chol = None
+    if block.shape[1] >= _POTRI_MIN_HOLES:
+        try:
+            chol = np.linalg.cholesky(block)
+            pivots = np.diagonal(chol, axis1=1, axis2=2) ** 2
+        except np.linalg.LinAlgError:
+            pass
+    if chol is None:
+        pivots, free = _swept(block)
     low = ~(pivots >= _PIVOT_TOL)
     if low.any():
         t = int(np.argmax(low.any(axis=0)))
         b = int(np.argmax(low[:, t]))
         raise SingularPivotError(int(miss[b if first is None else first[b], t]))
-    if chol is None or block.shape[1] < _POTRI_MIN_HOLES:
-        free = np.linalg.inv(block)
-        free = (free + free.transpose(0, 2, 1)) / 2.0
-    else:
+    if chol is not None:
         # chol[b] is L in C order with zeros above the diagonal (numpy
         # zeroes them), so chol[b].T is L.T in Fortran order, an upper
         # factor that dpotri overwrites with the upper triangle of the

@@ -9,22 +9,24 @@ Three fitters cover the usual quality/cost trade:
   The E-step conditions each observation's missing block on its observed
   block under the scale free precision ``kron(inv(col_cov), inv(row_cov))``
   without forming that pq x pq matrix: the missing block of the precision
-  is gathered entrywise from the two factor inverses, and its Cholesky
-  factor gives what sweeping those pivots would (the conditional mean, the
-  conditional covariance, and the observed likelihood term) at the cost of
-  an m x m factorization per distinct set of m missing entries.  From 9
-  holes up (:data:`matnorm.linalg._POTRI_MIN_HOLES`) the conditional
-  covariance is inverted from that factor too, by LAPACK ``dpotri`` in
-  place over the factor; smaller sets take one batched LU inverse, which is
-  faster there.  The E-step makes one pass over the data with the factor
-  inverses the last M-step handed on, so each factor is factored once per
-  parameter set; near singular factors it refines its conditional means
-  (:data:`_REFINE_COND`).  It reads and writes the holes through the flat
-  positions that :func:`detect_pattern` builds in its one pass over the
-  mask, which also locate each hole set's missing precision block in the
-  two factors: one integer per pair of holes, whose high bits a shift
-  reads as the pair's column-factor position and whose low bits a mask
-  reads as its row-factor position.  The M-step is the complete data
+  is gathered entrywise from the two factor inverses, and sweeping its
+  pivots gives the conditional mean, the conditional covariance, and the
+  observed likelihood term, at the cost of an m x m inverse per distinct
+  set of m missing entries.  Below 7 holes
+  (:data:`matnorm.linalg._POTRI_MIN_HOLES`) each missing-count group's
+  blocks are swept all at once, m vectorized steps over the stack; from 7
+  up a batched Cholesky factor gives the pivots and LAPACK ``dpotri``
+  inverts each block from it in place.  The E-step makes one pass over
+  the data with the factor inverses the last M-step handed on, so each
+  factor is factored once per parameter set; near singular factors it
+  refines its conditional means (:data:`_REFINE_COND`).  At the identity
+  start every missing block is the identity, so the first E-step of a fit
+  conditions nothing (:func:`_start_e_step`).  The E-step reads and writes
+  the holes through the flat positions that :func:`detect_pattern` builds
+  in its one pass over the mask, which also locate each hole set's missing
+  precision block in the two factors: one integer per pair of holes, whose
+  high bits a shift reads as the pair's column-factor position and whose
+  low bits a mask reads as its row-factor position.  The M-step is the complete data
   update of :mod:`matnorm.mle` on the completions, plus the conditional
   covariances: one scatter sums them all onto a single
   conditional-covariance grid, which each factor update contracts with the
@@ -519,6 +521,33 @@ def _class_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple
     return held, None, float(_log_likelihood(dist, n, params, row_logdet, col_logdet))
 
 
+def _start_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple:
+    """A class's E-step at its :func:`~matnorm.mle._initial_params`, conditioning nothing.
+
+    Both factors are the identity there, and so are their inverses, with log
+    determinant 0.  So every ``h`` is 0 and every missing precision block is
+    the identity, as is its inverse: each shift is 0, the completions are
+    the mean fill, each free block is the identity, and the observed log
+    likelihood is that of the observed residuals under the scale alone.
+    This is bit for bit what :func:`_e_step` returns there: its products
+    with the identity factors are exact, and the forms are summed here in
+    the same order.  A class without holes goes to :func:`_class_e_step`.
+    """
+    if not isinstance(held, MissingPattern):
+        return _class_e_step(values, held, params)
+    n, p, q = values.shape
+    completions = values.copy()
+    np.put(completions, held._at, np.take(params.mean, held._cells))
+    resid = completions - params.mean
+    frees = [np.broadcast_to(np.eye(g.m), (g.obs_ids.size, g.m, g.m)) for g in held._groups]
+    dist = float(np.sum(np.sum(resid * resid, axis=(-2, -1))))
+    loglik = (
+        -0.5 * (n * p * q - held._at.size) * math.log(2.0 * math.pi * params.scale)
+        - 0.5 * dist / params.scale
+    )
+    return completions, frees, loglik
+
+
 def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, list, FitResult]:
     """The Kronecker EM of K classes that share one row factor.
 
@@ -527,10 +556,12 @@ def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, lis
     :func:`~matnorm.spectral.fit_class_models`: each M-step is
     :func:`~matnorm.mle._pooled_m_step` on every class's conditional grid,
     and a step is measured on :func:`~matnorm.mle._squarem_coordinates`.
-    When any class has holes, each E-step sums :func:`_class_e_step` over
-    the classes from :func:`~matnorm.mle._initial_params`, and the loop
-    extrapolates on those coordinates, back through
-    :func:`~matnorm.mle._squarem_params`, where holes slow the ascent.
+    When any class has holes, the fit starts from
+    :func:`~matnorm.mle._initial_params`, whose E-step
+    :func:`_start_e_step` takes in closed form, each later E-step sums
+    :func:`_class_e_step` over the classes, and the loop extrapolates on
+    those coordinates, back through :func:`~matnorm.mle._squarem_params`,
+    where holes slow the ascent.
     Without holes the fit is the flip-flop: each class starts from its
     (mean, rows, count) tuple from :func:`_complete` and no E-step reads
     the data.  ``classes`` holds each class as :func:`_held` or, when the
@@ -550,7 +581,8 @@ def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, lis
         initial = [_initial_params(values) for values in class_values]
 
         def e_step(sets):
-            completions, frees, logliks = zip(*map(_class_e_step, class_values, held, sets))
+            step = _start_e_step if sets is initial else _class_e_step
+            completions, frees, logliks = zip(*map(step, class_values, held, sets))
             return completions, frees, sum(logliks)
 
     else:

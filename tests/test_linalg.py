@@ -364,14 +364,14 @@ def _precision_with_holes(rng, m, cond, extra=4):
 
 @pytest.mark.parametrize("cond", [1e2, 1e8, 1e10])
 @pytest.mark.parametrize("shared", [False, True])
-@pytest.mark.parametrize("m", [_POTRI_MIN_HOLES - 1, _POTRI_MIN_HOLES, _POTRI_MIN_HOLES + 1, 26])
+@pytest.mark.parametrize("m", [1, 2, *range(_POTRI_MIN_HOLES - 1, 11), 26])
 def test_condition_block_matches_inverse_and_sweep_across_the_cutoff(
     monkeypatch, m, shared, cond
 ):
-    # below the cut-off the free blocks come from np.linalg.inv, at and above
-    # it from dpotri on the Cholesky factor; both must give inv(Omega_mm) and
-    # what sweeping the holes out of the precision gives, to the accuracy
-    # the block's condition number allows
+    # below the cut-off the free blocks come from one batched sweep of the
+    # stack, at and above it from dpotri on the Cholesky factor; both must
+    # give inv(Omega_mm) and what sweeping the holes out of the precision
+    # gives, to the accuracy the block's condition number allows
     rng = np.random.default_rng(m + int(np.log10(cond)))
     sets = [_precision_with_holes(rng, m, cond) for _ in range(2)]
     pattern_of = np.array([0, 1, 0, 0, 1])
@@ -444,9 +444,9 @@ def test_failing_potri_raises_instead_of_returning_a_half_inverted_stack(monkeyp
 def test_stack_that_fails_lapack_cholesky_but_passes_the_pivot_check_takes_inv(
     monkeypatch,
 ):
-    # elimination and LAPACK round differently, so a stack can fail the
-    # Cholesky yet pass the pivot check; with no factor to invert from, a
-    # stack above the cut-off must fall back to the LU inverse
+    # the sweep and LAPACK round differently, so a stack can fail the
+    # Cholesky yet pass the sweep's pivot check; with no factor to invert
+    # from, a stack above the cut-off must keep the sweep's inverse
     m = _POTRI_MIN_HOLES + 2
     rng = np.random.default_rng(43)
     block = np.stack([random_spd(rng, m) for _ in range(3)])

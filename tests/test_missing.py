@@ -465,7 +465,8 @@ def _dropout_values(rng, p, q, n):
 
 
 def _record_factorizations(monkeypatch, names):
-    """Record ``(name, shape)`` of every np.linalg call in ``names`` and every dpotri."""
+    """Record ``(name, shape)`` of every np.linalg call in ``names``, every
+    batched sweep and every dpotri."""
     calls = []
     for name in names:
         def record(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -474,20 +475,25 @@ def _record_factorizations(monkeypatch, names):
 
         monkeypatch.setattr(np.linalg, name, record)
 
+    def swept(block, _real=matnorm.linalg._swept):
+        calls.append(("swept", block.shape))
+        return _real(block)
+
     def potri(c, *args, _real=matnorm.linalg.dpotri, **kwargs):
         calls.append(("dpotri", c.shape))
         return _real(c, *args, **kwargs)
 
+    monkeypatch.setattr(matnorm.linalg, "_swept", swept)
     monkeypatch.setattr(matnorm.linalg, "dpotri", potri)
     return calls
 
 
 def _expected_factorizations(m, sets):
-    """One batched Cholesky of a group's factored sets, then their inverse:
-    one batched inv below the dpotri cut-off, one dpotri per set at or above it."""
+    """One batched sweep of a group's factored sets below the dpotri cut-off;
+    at or above it one batched Cholesky, then one dpotri per set."""
     shape = (sets, m, m)
     if m < _POTRI_MIN_HOLES:
-        return [("cholesky", shape), ("inv", shape)]
+        return [("swept", shape)]
     return [("cholesky", shape)] + [("dpotri", (m, m))] * sets
 
 
@@ -528,6 +534,67 @@ def test_e_step_factors_each_distinct_hole_set_once(monkeypatch):
                     params.scale * free[b], ref.cond_cov, atol=1e-10
                 )
     assert min(hole_counts) < _POTRI_MIN_HOLES <= max(hole_counts)
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["mcar", "dropout", "gem rows", "two classes"])
+def test_start_moments_are_the_e_step_at_the_identity_start_bit_for_bit(monkeypatch, case):
+    # at mle._initial_params every factor is the identity, so every missing
+    # block is too: the fit's first E-step conditions nothing, and returns
+    # the completions, free blocks and log likelihood _e_step returns there
+    rng = np.random.default_rng(48)
+    params = random_params(rng, 3, 7)
+    mcar = knock_out(sample(params, 80, rng).values, 0.2, rng)
+    if case == "mcar":
+        class_values = [mcar]
+        fit = lambda: fit_em(ObservationSet(mcar)).loglik_trace
+    elif case == "dropout":
+        class_values = [_dropout_values(rng, 3, 7, 60)]
+        fit = lambda: fit_em(ObservationSet(class_values[0])).loglik_trace
+    elif case == "gem rows":
+        class_values = [mcar.transpose(0, 2, 1).reshape(-1, 1, 21)]
+        fit = lambda: fit_gem(ObservationSet(mcar))[1].loglik_trace
+    else:
+        complete = sample(params, 40, rng).values
+        class_values = [mcar, complete]
+        labels = np.repeat([1, 2], [len(mcar), len(complete)])
+        data = LabeledObservationSet(np.concatenate(class_values), labels)
+        fit = lambda: fit_class_models(data, "em").loglik_trace
+    loops = spy(monkeypatch, matnorm.mle._iterate)
+    trace = fit()
+    (loop,) = loops
+    e_step, start = loop.args[0], loop.args[3]
+    for prm, values in zip(start, class_values):
+        ref = matnorm.mle._initial_params(values)
+        assert _same_bits(prm.mean, ref.mean) and prm.scale == ref.scale
+        assert _same_bits(prm.row_cov, ref.row_cov) and _same_bits(prm.col_cov, ref.col_cov)
+    blocks = spy(monkeypatch, matnorm.linalg._condition_block)
+    completions, frees, loglik = e_step(start)
+    assert blocks == []
+    logliks = []
+    for values, prm, got, got_free in zip(class_values, start, completions, frees):
+        if not np.isnan(values).any():
+            # a class without holes hands on its (mean, rows, count)
+            held = matnorm.missing._complete(values)[1]
+            assert all(_same_bits(a, b) for a, b in zip(got, held)) and got_free is None
+            logliks.append(matnorm.missing._class_e_step(values, held, prm)[2])
+            continue
+        want, want_free, want_loglik = _e_step(values, detect_pattern(values), prm)
+        assert len(blocks) > 0
+        blocks.clear()
+        assert _same_bits(got, want)
+        assert len(got_free) == len(want_free)
+        for a, b in zip(got_free, want_free):
+            assert _same_bits(a, b)
+        logliks.append(want_loglik)
+    assert loglik == sum(logliks) == trace[0]
+    if case == "dropout":
+        pattern = detect_pattern(class_values[0])
+        assert any(g.first is not None for g in pattern._groups)
 
 
 def test_em_path_never_forms_the_kronecker_precision(monkeypatch):
