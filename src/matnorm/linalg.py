@@ -24,22 +24,8 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 _PIVOT_TOL = 1e-12
 # Hole sets of at least this many entries are inverted from the Cholesky
-# factor, one LAPACK dpotri per block in place in the factor stack, then one
-# mirroring add; smaller ones are swept (_swept), m vectorized steps over the
-# whole stack, which cost 5 to 10 us each in numpy calls on a small stack
-# against about 1 us per dpotri call.  Timing one group, pivots and
-# inverse, with BLAS on one thread, the sweep took 0.2-0.6 of the Cholesky
-# and dpotri's time for 100 to 300 sets of 4 to 7 holes and 0.6-1.0 at 8
-# and 9, but 1.2-2.5 times as long for 10 sets and 2-6 times for one.
-# Summed over the group shapes that occur, the kernel's time was lowest for
-# a cut-off of 6 to 8: at 7 it was 16.1, 46.4 and 71.7 ms for three fit_em
-# calls at 3 x 7, N = 1000, 20% MCAR and one pass of the em and gem paper
-# grids, against 16.1, 53.7 and 83.1 ms at 9, and 33.8, 72.2 and 111.3 ms
-# for the Cholesky and LU inverse that took sets below 9 holes before.  Three
-# dropout class fits at 5 x 10 (sets of 5, 10, ... holes, one of each) took
-# 12.8 ms at 6 to 10, against 10.1 at 5 or less, and three 3 x 7 class fits
-# of 100 observations at 10% MCAR (1 to 35 sets a group) 12.3 ms at 7,
-# against 9.0 ms with the LU inverse.
+# factor, one LAPACK dpotri per block; smaller ones are swept (_swept), m
+# vectorized steps over the stack.  CHANGES.md holds the timings behind it.
 _POTRI_MIN_HOLES = 7
 
 

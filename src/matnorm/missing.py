@@ -18,8 +18,11 @@ Three fitters cover the usual quality/cost trade:
   up a batched Cholesky factor gives the pivots and LAPACK ``dpotri``
   inverts each block from it in place.  The E-step makes one pass over
   the data with the factor inverses the last M-step handed on, so each
-  factor is factored once per parameter set; near singular factors it
-  refines its conditional means (:data:`_REFINE_COND`).  At the identity
+  factor is factored once per parameter set; a fit of several classes
+  (:mod:`matnorm.spectral`) conditions them all in that pass, with one
+  kernel call per missing count for the hole sets of every class.  Near
+  singular factors it refines its conditional means
+  (:data:`_REFINE_COND`).  At the identity
   start every missing block is the identity, so the first E-step of a fit
   conditions nothing (:func:`_start_e_step`).  The E-step reads and writes
   the holes through the flat positions that :func:`detect_pattern` builds
@@ -48,7 +51,10 @@ Three fitters cover the usual quality/cost trade:
 
 Observations are processed in batches that share a missing entry count, so
 the per observation conditioning runs as stacked array operations rather
-than a Python loop over the data set.  Within a batch, observations with the
+than a Python loop over the data set; the batches of one count in every
+class of a fit are stacked class after class into one call of the block
+kernel, so an E-step makes one kernel call per missing count present
+whatever the number of classes.  Within a batch, observations with the
 same holes share one missing precision block to factor: when a batch holds
 at most half as many distinct hole sets as observations (a dropout tail, a
 lost band), each distinct block is factored once and its conditional
@@ -64,6 +70,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -102,14 +109,8 @@ from .model import (
 )
 
 # The E-step refines its shifts by two Newton steps, and whitens its forms,
-# through the factors' Cholesky factors when cond(row_cov) * cond(col_cov)
-# in the 1-norm, read off each factor and the inverse it holds, exceeds
-# this.  The observed log likelihood's largest relative error unrefined ->
-# refined, over 10 draws of 40 rows of 1 x 21 with 30% MCAR holes each
-# (BLAS on one thread), by 1-norm condition: 3e5, 3e-14 -> 4e-15; 3e6,
-# 3e-13 -> 1.5e-14; 3e7, 3.6e-12 -> 4.6e-14; 3e8, 1.8e-11 -> 6.5e-13; 3e10,
-# 1.0e-9 -> 3.1e-11; 3e12, 1.1e-7 -> 6.9e-10.  A refined E-step took 1.1-1.35
-# times as long.
+# through the factors' Cholesky factors when their 1-norm condition product
+# exceeds this; CHANGES.md holds the error ladder behind the value.
 _REFINE_COND = 1e6
 
 # A missing-count group conditions its distinct hole sets rather than its
@@ -376,79 +377,150 @@ def conditional_moments(
     return ConditionalMoments(completions[0], params.scale * free[0])
 
 
-def _e_step(
-    values: np.ndarray, pattern: MissingPattern, params: MatrixNormalParams
-) -> tuple[np.ndarray, list, float]:
+@dataclass(eq=False)
+class _Stack:
+    """One missing count's groups of several classes, as one kernel call takes them.
+
+    ``parts`` holds (class, group) for each class with a group of ``m``
+    holes, in class order, and ``bounds`` each part's (start, stop) members
+    in the stack.  ``miss``, ``first`` and ``pattern_of`` stack the groups'
+    arrays (see :class:`_PatternGroup`), ``first`` offset by the members
+    and ``pattern_of`` by the hole sets of the classes before; a group that
+    shares no sets points each member at its own, and both are None when
+    no group shares.
+    """
+
+    m: int
+    parts: list
+    bounds: list
+    miss: np.ndarray
+    first: "np.ndarray | None"
+    pattern_of: "np.ndarray | None"
+
+
+def _stacks(patterns) -> list:
+    """The :class:`_Stack` of each missing count present in any of ``patterns``, by count."""
+    by_count = {}
+    for k, pt in enumerate(patterns):
+        for g in pt._groups:
+            by_count.setdefault(g.m, []).append((k, g))
+    stacks = []
+    for m in sorted(by_count):
+        parts = by_count[m]
+        bounds, first, pattern_of, members, sets = [], [], [], 0, 0
+        for _, g in parts:
+            own = np.arange(len(g.miss))
+            bounds.append((members, members + own.size))
+            first.append(members + (own if g.first is None else g.first))
+            pattern_of.append(sets + (own if g.pattern_of is None else g.pattern_of))
+            members, sets = members + own.size, sets + len(g.pairs)
+        shared = any(g.first is not None for _, g in parts)
+        stacks.append(_Stack(
+            m, parts, bounds, np.concatenate([g.miss for _, g in parts]),
+            *(map(np.concatenate, (first, pattern_of)) if shared else (None, None)),
+        ))
+    return stacks
+
+
+def _e_step(values, pattern, params, stacks: "list | None" = None) -> "tuple | list":
     """Completions, per-group conditional covariances, observed log likelihood.
 
-    One pass over all n observations: the residual with zeros at the holes,
-    R0, is weighted once as ``row_prec @ R0 @ col_prec``, every hole's
-    ``h = Omega_mo @ r_o`` is read off that product in one gather, and each
-    missing-count group gathers its missing precision blocks from the two
-    factors at its (U, m, m) packed pair positions and goes through one
-    call of the block kernel, :func:`~matnorm.linalg._condition_block`; the
-    pq x pq precision is never formed.  All reads and writes go through
-    the flat positions ``_at`` and ``_cells`` that :func:`detect_pattern`
-    built.  With every shift written into the residual, one quadratic form
-    over all n gives each observed block's marginal form, and the log
-    determinants of the missing precision blocks correct the full
-    covariance determinant to the marginal ones.  Roundoff in the explicit inverses leaves the
-    shifts off as the factors near singular, so past ``_REFINE_COND`` two
-    Newton steps, with gradients taken through the factors' Cholesky
-    factors, refine them, and the same factors whiten the forms.
+    Given one class (its values, :class:`MissingPattern` and parameters)
+    this returns its triple; given a sequence of each, the list of their
+    triples, class by class.  One pass: each class's residual with zeros at
+    the holes, R0, is weighted once as ``row_prec @ R0 @ col_prec`` and
+    every hole's ``h = Omega_mo @ r_o`` read off it in one gather; each
+    group gathers its missing precision blocks from the two factors at its
+    packed pair positions, and each missing count present in any class goes
+    through one call of the block kernel,
+    :func:`~matnorm.linalg._condition_block`, on every class's blocks of
+    that count, stacked class after class (``stacks``, :func:`_stacks` of
+    the patterns, which a fit builds once).  Each block is factored as it
+    would be alone, so each class's triple is bit for bit its own call's,
+    except where a block fails: a Cholesky failure in any class sends the
+    whole stack through the sweep, and a singular pivot is named for the
+    first in the merged stack's sweep order.  With the shifts written into
+    the residual, one quadratic form over a class gives each observed
+    block's marginal form, and the missing blocks' log determinants
+    correct the full determinant to the marginal ones.  Past
+    ``_REFINE_COND`` two Newton steps through the factors' Cholesky factors
+    refine the shifts, which the explicit inverses leave off, and the same
+    factors whiten the forms.  The pq x pq precision is never formed.
     """
-    n, p, q = values.shape
-    (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
-    resid = values - params.mean
-    np.put(resid, pattern._at, 0.0)
-    h = np.take(row_prec @ resid @ col_prec, pattern._at)
+    one = isinstance(pattern, MissingPattern)
+    if one:
+        values, pattern, params = (values,), (pattern,), (params,)
+    precs, resids, hs = [], [], []
+    for vals, pt, prm in zip(values, pattern, params):
+        precs.append(_precisions(prm))
+        (row_prec, _), (col_prec, _) = precs[-1]
+        resids.append(vals - prm.mean)
+        np.put(resids[-1], pt._at, 0.0)
+        hs.append(np.take(row_prec @ resids[-1] @ col_prec, pt._at))
 
-    bits = _row_pair_bits(p)
+    bits = _row_pair_bits(pattern[0].p)
     row_mask = (1 << bits) - 1
-    shift = np.empty_like(h)
-    free_by_group, block_logdet = [], 0.0
-    for g in pattern._groups:
-        block = np.take(col_prec, g.pairs >> bits) * np.take(row_prec, g.pairs & row_mask)
-        g_shift, free, logdet = _condition_block(
-            block, h[g.span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
+    shifts = [np.empty_like(h) for h in hs]
+    frees = [[] for _ in hs]
+    block_logdets = [0.0] * len(hs)
+
+    for stack in _stacks(pattern) if stacks is None else stacks:
+        blocks, h = [], []
+        for k, g in stack.parts:
+            (row_prec, _), (col_prec, _) = precs[k]
+            blocks.append(np.take(col_prec, g.pairs >> bits) * np.take(row_prec, g.pairs & row_mask))
+            h.append(hs[k][g.span])
+        if len(blocks) > 1:
+            blocks, h = [np.concatenate(blocks)], [np.concatenate(h)]
+        shift, free, logdet = _condition_block(
+            blocks[0], h[0].reshape(-1, stack.m), stack.miss, stack.first, stack.pattern_of
         )
-        shift[g.span] = g_shift.ravel()
-        free_by_group.append(free)
-        block_logdet += logdet.sum()
-    np.put(resid, pattern._at, shift)
-    # An SPD matrix has its largest entry on its diagonal, so the product of
-    # the four diagonal maxima bounds the 1-norm condition product from
-    # below and, times (pq)**2, from above: only a close call sums columns.
-    factors = (params.row_cov, row_prec, params.col_cov, col_prec)
-    cond = math.prod(a.diagonal().max() for a in factors)
-    if cond * (p * q) ** 2 > _REFINE_COND:
-        cond = math.prod(np.abs(a).sum(axis=0).max() for a in factors)
-    if cond > _REFINE_COND:
-        chols = spd_cholesky(params.row_cov), spd_cholesky(params.col_cov)
+        for (k, g), (lo, hi) in zip(stack.parts, stack.bounds):
+            shifts[k][g.span] = shift[lo:hi].ravel()
+            frees[k].append(free[lo:hi])
+            block_logdets[k] += logdet[lo:hi].sum()
 
-        def through(solve, r):
-            # solve(L, .) with each factor's Cholesky L on both sides of every
-            # residual; returns the (q, n * p) transpose of the (n, p, q) result
-            x = solve(chols[0], r.transpose(1, 0, 2).reshape(p, n * q))
-            return solve(chols[1], x.reshape(p, n, q).transpose(1, 0, 2).reshape(n * p, q).T)
+    out = []
+    for vals, pt, prm, prec, resid, h, shift, free_by_group, block_logdet in zip(
+        values, pattern, params, precs, resids, hs, shifts, frees, block_logdets
+    ):
+        n, p, q = vals.shape
+        (row_prec, row_logdet), (col_prec, col_logdet) = prec
+        np.put(resid, pt._at, shift)
+        # An SPD matrix has its largest entry on its diagonal, so the product of
+        # the four diagonal maxima bounds the 1-norm condition product from
+        # below and, times (pq)**2, from above: only a close call sums columns.
+        factors = (prm.row_cov, row_prec, prm.col_cov, col_prec)
+        cond = math.prod(a.diagonal().max() for a in factors)
+        if cond * (p * q) ** 2 > _REFINE_COND:
+            cond = math.prod(np.abs(a).sum(axis=0).max() for a in factors)
+        if cond > _REFINE_COND:
+            chols = spd_cholesky(prm.row_cov), spd_cholesky(prm.col_cov)
 
-        for _ in range(2):
-            grad = np.take(through(spd_solve, resid).T, pattern._at)
-            for g, free in zip(pattern._groups, free_by_group):
-                shift[g.span] -= (free @ grad[g.span].reshape(-1, g.m, 1)).ravel()
-            np.put(resid, pattern._at, shift)
-        dist = float(np.sum(through(lower_solve, resid) ** 2))
-    else:
-        dist = float(np.sum(_quadratic_forms(resid, row_prec, col_prec)))
-    completions = values.copy()
-    np.put(completions, pattern._at, np.take(params.mean, pattern._cells) + shift)
-    loglik = (
-        -0.5 * (n * p * q - h.size) * math.log(2.0 * math.pi * params.scale)
-        - 0.5 * n * (p * col_logdet + q * row_logdet)
-        - 0.5 * block_logdet
-        - 0.5 * dist / params.scale
-    )
-    return completions, free_by_group, float(loglik)
+            def through(solve, r):
+                # solve(L, .) with each factor's Cholesky L on both sides of every
+                # residual; returns the (q, n * p) transpose of the (n, p, q) result
+                x = solve(chols[0], r.transpose(1, 0, 2).reshape(p, n * q))
+                return solve(chols[1], x.reshape(p, n, q).transpose(1, 0, 2).reshape(n * p, q).T)
+
+            for _ in range(2):
+                grad = np.take(through(spd_solve, resid).T, pt._at)
+                for g, free in zip(pt._groups, free_by_group):
+                    shift[g.span] -= (free @ grad[g.span].reshape(-1, g.m, 1)).ravel()
+                np.put(resid, pt._at, shift)
+            dist = float(np.sum(through(lower_solve, resid) ** 2))
+        else:
+            dist = float(np.sum(_quadratic_forms(resid, row_prec, col_prec)))
+        completions = vals.copy()
+        np.put(completions, pt._at, np.take(prm.mean, pt._cells) + shift)
+        loglik = (
+            -0.5 * (n * p * q - h.size) * math.log(2.0 * math.pi * prm.scale)
+            - 0.5 * n * (p * col_logdet + q * row_logdet)
+            - 0.5 * block_logdet
+            - 0.5 * dist / prm.scale
+        )
+        out.append((completions, free_by_group, float(loglik)))
+    return out[0] if one else out
 
 
 def _conditional_grid(
@@ -504,16 +576,14 @@ def _held(values: np.ndarray) -> tuple:
 
 
 def _class_e_step(values: np.ndarray, held, params: MatrixNormalParams) -> tuple:
-    """One class's E-step in a fit where some class has holes.
+    """The E-step of a class without holes in a fit where some class has holes.
 
-    :func:`_e_step` when this class has holes.  A class without holes hands
-    on its (mean, rows, count) tuple from :func:`_complete` as completions
-    and no conditional covariances; an extrapolated set is no maximum, so its log likelihood
-    sums the forms over the rows plus n times the form of the sample mean's
-    offset from ``params.mean``, which together are the n observations'.
+    The class hands on its (mean, rows, count) tuple from :func:`_complete`
+    as completions and no conditional covariances; an extrapolated set is
+    no maximum, so its log likelihood sums the forms over the rows plus n
+    times the form of the sample mean's offset from ``params.mean``, which
+    together are the n observations'.
     """
-    if isinstance(held, MissingPattern):
-        return _e_step(values, held, params)
     mean, rows, n = held
     (row_prec, row_logdet), (col_prec, col_logdet) = _precisions(params)
     dist = np.sum(_quadratic_forms(rows, row_prec, col_prec))
@@ -558,8 +628,11 @@ def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, lis
     and a step is measured on :func:`~matnorm.mle._squarem_coordinates`.
     When any class has holes, the fit starts from
     :func:`~matnorm.mle._initial_params`, whose E-step
-    :func:`_start_e_step` takes in closed form, each later E-step sums
-    :func:`_class_e_step` over the classes, and the loop extrapolates on
+    :func:`_start_e_step` takes in closed form, each later E-step is one
+    :func:`_e_step` call on every class with holes, which conditions each
+    missing count's hole sets of all those classes in one kernel call, and
+    :func:`_class_e_step` on each class without, its log likelihood summed
+    in class order, and the loop extrapolates on
     those coordinates, back through :func:`~matnorm.mle._squarem_params`,
     where holes slow the ascent.
     Without holes the fit is the flip-flop: each class starts from its
@@ -576,13 +649,24 @@ def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, lis
         grids = [_conditional_grid(pt, fr) for pt, fr in zip(held, moments[1])]
         return _pooled_m_step(grids, moments[0], sets)
 
-    holes = [pt._at.size for pt in held if isinstance(pt, MissingPattern)]
-    if holes:
+    holed = [isinstance(pt, MissingPattern) for pt in held]
+    patterns = list(compress(held, holed))
+    if patterns:
         initial = [_initial_params(values) for values in class_values]
+        stacks = _stacks(patterns)
 
         def e_step(sets):
-            step = _start_e_step if sets is initial else _class_e_step
-            completions, frees, logliks = zip(*map(step, class_values, held, sets))
+            if sets is initial:
+                moments = map(_start_e_step, class_values, held, sets)
+            else:
+                joint = iter(_e_step(
+                    list(compress(class_values, holed)), patterns, list(compress(sets, holed)), stacks
+                ))
+                moments = [
+                    next(joint) if has else _class_e_step(v, pt, prm)
+                    for v, pt, prm, has in zip(class_values, held, sets, holed)
+                ]
+            completions, frees, logliks = zip(*moments)
             return completions, frees, sum(logliks)
 
     else:
@@ -610,8 +694,8 @@ def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, lis
                 loglik += _log_likelihood(0.0, n, prm, row_logdet, col_logdet)
             return held, [None] * len(held), float(loglik - 0.5 * pq_n)
 
-    point = _squarem_params if holes else None
-    entries = sum(values.size for values in class_values) - sum(holes)
+    point = _squarem_params if patterns else None
+    entries = sum(values.size for values in class_values) - sum(pt._at.size for pt in patterns)
     sets, (completions, _, _), result = _iterate(
         e_step, m_step, _squarem_coordinates, initial, entries, cfg, start, point
     )

@@ -419,8 +419,9 @@ def _iterate(
         # a plain update is tested against the set it came from
         nonlocal converged
         if old is not None:
-            converged = abs(loglik - trace[-1]) < cfg.tol * entries or (
-                np.abs(coordinates(new, old) - coordinates(old, old)).max() < _STEP_TOL
+            converged = bool(
+                abs(loglik - trace[-1]) < cfg.tol * entries
+                or np.abs(coordinates(new, old) - coordinates(old, old)).max() < _STEP_TOL
             )
         trace.append(loglik)
         how = "" if old is not None else " (extrapolated)"

@@ -100,7 +100,10 @@ def fit_class_models(
     The classes go through :func:`~matnorm.missing._fit_classes`, the
     Kronecker EM driver that :func:`~matnorm.missing.fit_em` runs with one
     class.  Each outer iteration conditions every observation on its class
-    parameters, re-estimates each class's mean and column side (a joint
+    parameters, in one E-step over all classes that stacks the hole sets
+    of every class with the same missing count into one call of the block
+    kernel, :func:`~matnorm.linalg._condition_block`, then
+    re-estimates each class's mean and column side (a joint
     maximizer of the expected complete log likelihood over that class's
     column factor and scale), then pools all classes into one row factor
     update.  Renormalizing the pooled factor trades a constant between it

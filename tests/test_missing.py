@@ -597,6 +597,118 @@ def test_start_moments_are_the_e_step_at_the_identity_start_bit_for_bit(monkeypa
         assert any(g.first is not None for g in pattern._groups)
 
 
+def _four_classes(rng):
+    """3 x 7 classes: MCAR at 10%, one without holes, dropout tails, MCAR at 45%.
+
+    The dropout class loses its last 0-4 columns, so its groups of 3, 6, 9
+    and 12 holes each share one set; the heavy class alone has the largest
+    counts.  Returns the values and a parameter set for each class.
+    """
+    params = [random_params(rng, 3, 7) for _ in range(4)]
+    mcar = knock_out(sample(params[0], 60, rng).values, 0.1, rng)
+    complete = sample(params[1], 30, rng).values
+    dropout = sample(params[2], 60, rng).values
+    for i in range(60):
+        dropout[i, :, 7 - i % 5 :] = np.nan
+    heavy = knock_out(sample(params[3], 40, rng).values, 0.45, rng)
+    return [mcar, complete, dropout, heavy], params
+
+
+def _assert_e_step_is_each_class_alone(class_values, params, completions, frees, logliks):
+    """Each class's moments against its own one-class :func:`_e_step`, bit for bit."""
+    for values, prm, got, got_free, got_loglik in zip(
+        class_values, params, completions, frees, logliks
+    ):
+        if not np.isnan(values).any():
+            held = matnorm.missing._complete(values)[1]
+            assert all(_same_bits(a, b) for a, b in zip(got, held)) and got_free is None
+            assert got_loglik == matnorm.missing._class_e_step(values, held, prm)[2]
+            continue
+        want, want_free, want_loglik = _e_step(values, detect_pattern(values), prm)
+        assert _same_bits(got, want)
+        assert len(got_free) == len(want_free)
+        for a, b in zip(got_free, want_free):
+            assert _same_bits(a, b)
+        assert got_loglik == want_loglik
+
+
+def test_joint_e_step_is_each_class_alone_bit_for_bit(monkeypatch):
+    # every missing count goes through one kernel call, on the blocks of
+    # every class with that count stacked, and each block comes out as it
+    # would alone
+    rng = np.random.default_rng(51)
+    class_values, params = _four_classes(rng)
+    holed = [i for i, v in enumerate(class_values) if np.isnan(v).any()]
+    patterns = [detect_pattern(class_values[i]) for i in holed]
+    counts = [{g.m for g in pt._groups} for pt in patterns]
+    everywhere = sorted(set().union(*counts))
+    in_several = [m for m in everywhere if sum(m in c for c in counts) > 1]
+    assert min(in_several) < _POTRI_MIN_HOLES <= max(in_several)
+    assert any(sum(m in c for c in counts) == 1 for m in everywhere)
+    assert all(g.first is not None for g in patterns[1]._groups)
+    assert any(g.first is None for g in patterns[0]._groups)
+
+    blocks = spy(monkeypatch, matnorm.linalg._condition_block)
+    joint = _e_step(
+        [class_values[i] for i in holed], patterns, [params[i] for i in holed]
+    )
+    assert [call.args[0].shape[1] for call in blocks] == everywhere
+    _assert_e_step_is_each_class_alone(
+        [class_values[i] for i in holed], [params[i] for i in holed], *zip(*joint)
+    )
+
+    # the fit's own E-step: the class without holes keeps its closed form,
+    # and the log likelihoods are summed in class order
+    labels = np.repeat([1, 2, 3, 4], [len(v) for v in class_values])
+    data = LabeledObservationSet(np.concatenate(class_values), labels)
+    loops = spy(monkeypatch, matnorm.mle._iterate)
+    fit_class_models(data, "em", FitConfig(max_iters=1))
+    e_step = loops[0].args[0]
+    blocks.clear()
+    completions, frees, loglik = e_step(list(params))
+    assert len(blocks) == len(everywhere)
+    logliks = [
+        matnorm.missing._class_e_step(v, matnorm.missing._complete(v)[1], prm)[2]
+        if not np.isnan(v).any() else _e_step(v, detect_pattern(v), prm)[2]
+        for v, prm in zip(class_values, params)
+    ]
+    _assert_e_step_is_each_class_alone(class_values, params, completions, frees, logliks)
+    assert loglik == sum(logliks)
+
+
+def test_class_fit_makes_one_kernel_call_per_missing_count_per_e_step(monkeypatch):
+    rng = np.random.default_rng(53)
+    class_values, _ = _four_classes(rng)
+    counts = {g.m for v in class_values if np.isnan(v).any() for g in detect_pattern(v)._groups}
+    labels = np.repeat([1, 2, 3, 4], [len(v) for v in class_values])
+    e_steps = spy(monkeypatch, matnorm.missing._e_step)
+    blocks = spy(monkeypatch, matnorm.linalg._condition_block)
+    model = fit_class_models(LabeledObservationSet(np.concatenate(class_values), labels), "em")
+    # the start's E-step conditions nothing, and calls no _e_step
+    assert len(e_steps) >= model.iterations >= 3
+    assert len(blocks) == len(counts) * len(e_steps)
+
+
+def test_joint_e_step_names_the_singular_pivot_of_the_class_that_holds_it():
+    bad_values, bad = _near_tolerance_case(0.99)
+    rng = np.random.default_rng(52)
+    good = random_params(rng, 2, 3)
+    good_values = sample(good, 6, rng).values
+    # one hole each, at stacked positions 2 and 5, in two shared sets: the
+    # merged stack reads the second class's members through offset indices
+    for i, (r, c) in enumerate([(0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (1, 2)]):
+        good_values[i, r, c] = np.nan
+    patterns = [detect_pattern(v) for v in (good_values, bad_values)]
+    assert patterns[0]._groups[0].first is not None
+    assert patterns[1]._groups[0].first is None
+    assert np.isfinite(_e_step(good_values, patterns[0], good)[2])
+    with pytest.raises(SingularPivotError) as alone:
+        _e_step(bad_values, patterns[1], bad)
+    with pytest.raises(SingularPivotError) as joint:
+        _e_step([good_values, bad_values], patterns, [good, bad])
+    assert joint.value.pivot == alone.value.pivot == 1
+
+
 def test_em_path_never_forms_the_kronecker_precision(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pq x pq Kronecker product was formed")
