@@ -465,15 +465,24 @@ def _e_step(values, pattern, params, stacks: "list | None" = None) -> "tuple | l
     block_logdets = [0.0] * len(hs)
 
     for stack in _stacks(pattern) if stacks is None else stacks:
-        blocks, h = [], []
+        blocks = []
         for k, g in stack.parts:
             (row_prec, _), (col_prec, _) = precs[k]
             blocks.append(np.take(col_prec, g.pairs >> bits) * np.take(row_prec, g.pairs & row_mask))
-            h.append(hs[k][g.span])
-        if len(blocks) > 1:
-            blocks, h = [np.concatenate(blocks)], [np.concatenate(h)]
+        if len(blocks) == 1:
+            # a count present in one class: nothing to stack or split
+            ((k, g),) = stack.parts
+            shift, free, logdet = _condition_block(
+                blocks[0], hs[k][g.span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
+            )
+            shifts[k][g.span] = shift.ravel()
+            frees[k].append(free)
+            block_logdets[k] += logdet.sum()
+            continue
         shift, free, logdet = _condition_block(
-            blocks[0], h[0].reshape(-1, stack.m), stack.miss, stack.first, stack.pattern_of
+            np.concatenate(blocks),
+            np.concatenate([hs[k][g.span] for k, g in stack.parts]).reshape(-1, stack.m),
+            stack.miss, stack.first, stack.pattern_of,
         )
         for (k, g), (lo, hi) in zip(stack.parts, stack.bounds):
             shifts[k][g.span] = shift[lo:hi].ravel()
