@@ -450,37 +450,36 @@ def _e_step(values, pattern, params, stacks: "list | None" = None) -> "tuple | l
     one = isinstance(pattern, MissingPattern)
     if one:
         values, pattern, params = (values,), (pattern,), (params,)
-    precs, resids, hs = [], [], []
+    precs, resids, hs, shifts, frees = [], [], [], [], []
     for vals, pt, prm in zip(values, pattern, params):
         precs.append(_precisions(prm))
         (row_prec, _), (col_prec, _) = precs[-1]
         resids.append(vals - prm.mean)
         np.put(resids[-1], pt._at, 0.0)
         hs.append(np.take(row_prec @ resids[-1] @ col_prec, pt._at))
-
+        shifts.append(np.empty_like(hs[-1]))
+        frees.append([])
+    block_logdets = [0.0] * len(hs)
     bits = _row_pair_bits(pattern[0].p)
     row_mask = (1 << bits) - 1
-    shifts = [np.empty_like(h) for h in hs]
-    frees = [[] for _ in hs]
-    block_logdets = [0.0] * len(hs)
+
+    def gathered(k, g):
+        (row_prec, _), (col_prec, _) = precs[k]
+        return np.take(col_prec, g.pairs >> bits) * np.take(row_prec, g.pairs & row_mask)
 
     for stack in _stacks(pattern) if stacks is None else stacks:
-        blocks = []
-        for k, g in stack.parts:
-            (row_prec, _), (col_prec, _) = precs[k]
-            blocks.append(np.take(col_prec, g.pairs >> bits) * np.take(row_prec, g.pairs & row_mask))
-        if len(blocks) == 1:
+        if len(stack.parts) == 1:
             # a count present in one class: nothing to stack or split
             ((k, g),) = stack.parts
             shift, free, logdet = _condition_block(
-                blocks[0], hs[k][g.span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
+                gathered(k, g), hs[k][g.span].reshape(-1, g.m), g.miss, g.first, g.pattern_of
             )
             shifts[k][g.span] = shift.ravel()
             frees[k].append(free)
             block_logdets[k] += logdet.sum()
             continue
         shift, free, logdet = _condition_block(
-            np.concatenate(blocks),
+            np.concatenate([gathered(k, g) for k, g in stack.parts]),
             np.concatenate([hs[k][g.span] for k, g in stack.parts]).reshape(-1, stack.m),
             stack.miss, stack.first, stack.pattern_of,
         )
@@ -662,19 +661,17 @@ def _fit_classes(classes: list, cfg: FitConfig, start: float) -> tuple[list, lis
     patterns = list(compress(held, holed))
     if patterns:
         initial = [_initial_params(values) for values in class_values]
+        holed_values = list(compress(class_values, holed))
+        complete = [k for k, has in enumerate(holed) if not has]
         stacks = _stacks(patterns)
 
         def e_step(sets):
             if sets is initial:
                 moments = map(_start_e_step, class_values, held, sets)
             else:
-                joint = iter(_e_step(
-                    list(compress(class_values, holed)), patterns, list(compress(sets, holed)), stacks
-                ))
-                moments = [
-                    next(joint) if has else _class_e_step(v, pt, prm)
-                    for v, pt, prm, has in zip(class_values, held, sets, holed)
-                ]
+                moments = _e_step(holed_values, patterns, list(compress(sets, holed)), stacks)
+                for k in complete:  # ascending, so each lands at its class's place
+                    moments.insert(k, _class_e_step(class_values[k], held[k], sets[k]))
             completions, frees, logliks = zip(*moments)
             return completions, frees, sum(logliks)
 
